@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -250,3 +251,52 @@ def test_partition_properties_hold_on_arbitrary_instances(inst):
     if matching is not None:
         assert is_stable(inst, matching)
         assert covered_agents(matching) == inst.agents - partition.singletons
+
+
+# -- golden digest of engine outputs ----------------------------------------
+
+# SHA-256 over the successor maps and delag-mp witnesses of the corpus
+# below.  Any change to the partition returned for an (instance, order)
+# pair, or to a polynomial solver's witness, changes the digest.
+GOLDEN_DIGEST = "fdae8720d68ddae16869abb4e9df9a1145fae9f3d88b597f1a913481fcc78720"
+
+
+def _golden_corpus():
+    from stablectl.generators import random_sm, random_sr
+
+    sr_cases = (
+        (8, 0.5, 40),
+        (12, 1.0, 20),
+        (30, 0.3, 6),
+        (60, 0.15, 3),
+        (120, 0.08, 2),
+        (200, 0.05, 2),
+        (40, 1.0, 2),
+        (100, 0.6, 1),
+    )
+    for n, density, seeds in sr_cases:
+        for seed in range(seeds):
+            yield f"sr {n} {density} {seed}", random_sr(n, density, seed)
+    for n_a, n_b, density, seeds in ((5, 5, 0.6, 20), (20, 25, 0.4, 4), (60, 60, 1.0, 1)):
+        for seed in range(seeds):
+            yield f"sm {n_a} {n_b} {density} {seed}", random_sm(n_a, n_b, density, seed)
+
+
+def test_partitions_and_mp_witnesses_match_golden_digest():
+    from stablectl.poly import solve_delag_mp
+
+    digest = hashlib.sha256()
+    for label, inst in _golden_corpus():
+        rng = random.Random(label)
+        order = sorted(inst.agents)
+        shuffled = list(order)
+        rng.shuffle(shuffled)
+        for o in (order, shuffled):
+            succ = tan_stable_partition(inst, o).successor
+            digest.update(f"{label} | {' '.join(f'{u}>{succ[u]}' for u in sorted(succ))}\n".encode())
+        pairs = sorted(tuple(sorted(p)) for p in inst.acceptable_pairs)
+        for a, b in rng.sample(pairs, min(3, len(pairs))):
+            out = solve_delag_mp(inst, frozenset((a, b)), len(inst.agents))
+            witness = " ".join(sorted(out.witness or ()))
+            digest.update(f"{label} mp {a},{b} {out.verdict} {out.optimum} {witness}\n".encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
