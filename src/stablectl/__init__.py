@@ -20,6 +20,7 @@ from .classic import (
     StablePartition,
     gale_shapley,
     irving_stable_matching,
+    partition_stable_matching,
     partition_to_matching,
     render_partition,
     tan_stable_partition,
@@ -85,6 +86,7 @@ __all__ = [
     "pair",
     "parse_instance",
     "parse_matching",
+    "partition_stable_matching",
     "partition_to_matching",
     "render_partition",
     "serialize_instance",

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import exact, generators, poly, reductions
-from .classic import irving_stable_matching, render_partition, tan_stable_partition
+from .classic import partition_stable_matching, render_partition, tan_stable_partition
 from .control import (
     ADD_AGENTS,
     DELETE_ACCEPTABILITY,
@@ -104,6 +104,7 @@ def cmd_validate(args) -> int:
 def cmd_stable(args) -> int:
     inst = parse_instance(_read(args.instance))
     cap = args.cap if args.cap is not None else _env_cap(DEFAULT_ENUM_CAP)
+    partition = None
     if args.enumerate:
         matchings = enumerate_stable_matchings(inst, cap=cap)
         print(f"stable matchings: {len(matchings)}")
@@ -112,14 +113,17 @@ def cmd_stable(args) -> int:
             for line in _matching_lines(m):
                 print(f"  {line}")
     else:
-        matching = irving_stable_matching(inst)
+        partition = tan_stable_partition(inst)
+        matching = partition_stable_matching(inst, partition)
         if matching is None:
             print("none")
         else:
             for line in _matching_lines(matching):
                 print(line)
     if args.partition:
-        print(render_partition(tan_stable_partition(inst)), end="")
+        if partition is None:
+            partition = tan_stable_partition(inst)
+        print(render_partition(partition), end="")
     return EXIT_OK
 
 

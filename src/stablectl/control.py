@@ -128,7 +128,7 @@ def validate_query(query: ControlQuery) -> list[str]:
             out.append("goal mp needs a target pair")
         elif not (goal.pair <= originals):
             out.append("target pair endpoints must be original agents")
-        elif goal.pair not in inst.acceptable_pairs:
+        elif not inst.is_acceptable_pair(goal.pair):
             out.append(f"target pair {pair_text(goal.pair)} is not acceptable")
     elif goal.kind == "ms":
         if goal.matching is None:
@@ -136,7 +136,7 @@ def validate_query(query: ControlQuery) -> list[str]:
         else:
             seen: set[AgentId] = set()
             for p in goal.matching:
-                if p not in inst.acceptable_pairs:
+                if not inst.is_acceptable_pair(p):
                     out.append(f"target matching pair {pair_text(p)} is not acceptable")
                 if seen & p:
                     out.append("target matching matches an agent twice")
@@ -189,7 +189,7 @@ def apply_actions(query: ControlQuery, actions) -> RoommatesInstance:
 
 
 def _ms_restricted(inst: RoommatesInstance, matching: Matching) -> Matching:
-    return frozenset(p for p in matching if p in inst.acceptable_pairs)
+    return frozenset(p for p in matching if inst.is_acceptable_pair(p))
 
 
 def _ms_holds(inst: RoommatesInstance, matching: Matching, exhaustive: bool, cap: int) -> bool:
@@ -245,7 +245,7 @@ def goal_holds(
         matching = irving_stable_matching(inst)
         return matching is not None and goal.agent in covered_agents(matching)
     if goal.kind == "mp":
-        if goal.pair is None or goal.pair not in inst.acceptable_pairs:
+        if goal.pair is None or not inst.is_acceptable_pair(goal.pair):
             return False
         from .poly import pair_fixing_cost
 
@@ -255,7 +255,7 @@ def goal_holds(
             return False
         if action == DELETE_ACCEPTABILITY:
             # The target matching must be intact and stable as it stands.
-            if not all(p in inst.acceptable_pairs for p in goal.matching):
+            if not all(inst.is_acceptable_pair(p) for p in goal.matching):
                 return False
             return is_stable(inst, goal.matching)
         return _ms_holds(inst, goal.matching, ms_exhaustive, ms_cap)

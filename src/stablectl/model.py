@@ -18,7 +18,8 @@ ignored::
     problem: sr                 # or "problem: sm"
     agent a                     # agent <id> [side=a|b] [addable]
     agent b addable
-    pref a: b > c               # pref <id>: <id> > <id> > ...  (may be empty)
+    pref a: b > c               # pref <id>: <id> > <id> > ...  (list may be empty,
+                                #   entries may not)
     pref b: a
     pref c: a
 
@@ -97,6 +98,14 @@ class RoommatesInstance:
 
     def acceptable(self, u: AgentId, v: AgentId) -> bool:
         return v in self._ranks.get(u, {}) and u in self._ranks.get(v, {})
+
+    def is_acceptable_pair(self, p) -> bool:
+        """``p in self.acceptable_pairs``, without building that set."""
+        if not isinstance(p, frozenset) or len(p) != 2:
+            return False
+        u, v = p
+        ranks = self._ranks
+        return v in ranks.get(u, ()) and u in ranks.get(v, ())
 
     def rank(self, u: AgentId, v: AgentId) -> int:
         """Position of ``v`` on ``u``'s list (0 = most preferred)."""
@@ -189,8 +198,7 @@ def validate(inst: RoommatesInstance) -> list[str]:
     return out
 
 
-def _require_valid_subset(given: frozenset, universe: frozenset, what: str) -> None:
-    unknown = given - universe
+def _reject_unknown(unknown, what: str) -> None:
     if unknown:
         raise ValueError(f"unknown {what}: {' '.join(sorted(map(str, unknown)))}")
 
@@ -198,7 +206,7 @@ def _require_valid_subset(given: frozenset, universe: frozenset, what: str) -> N
 def delete_agents(inst: RoommatesInstance, agents: Iterable[AgentId]) -> RoommatesInstance:
     """Remove the given agents and restrict every preference list to survivors."""
     gone = frozenset(agents)
-    _require_valid_subset(gone, inst.agents, "agents")
+    _reject_unknown(gone - inst.agents, "agents")
     keep = inst.agents - gone
     return RoommatesInstance(
         kind=inst.kind,
@@ -211,13 +219,16 @@ def delete_agents(inst: RoommatesInstance, agents: Iterable[AgentId]) -> Roommat
 
 def delete_pairs(inst: RoommatesInstance, pairs: Iterable[Pair]) -> RoommatesInstance:
     """Remove the given acceptable pairs from both preference lists."""
-    gone = frozenset(pairs)
-    _require_valid_subset(gone, inst.acceptable_pairs, "acceptable pairs")
     banned = {u: set() for u in inst.agents}
-    for p in gone:
-        u, v = sorted(p)
+    unknown = []
+    for p in frozenset(pairs):
+        if not inst.is_acceptable_pair(p):
+            unknown.append(p)
+            continue
+        u, v = p
         banned[u].add(v)
         banned[v].add(u)
+    _reject_unknown(unknown, "acceptable pairs")
     return RoommatesInstance(
         kind=inst.kind,
         agents=inst.agents,
@@ -234,7 +245,7 @@ def induce_with_added(inst: RoommatesInstance, added: Iterable[AgentId]) -> Room
     exercised exactly ``added``; its addable pool is cleared.
     """
     chosen = frozenset(added)
-    _require_valid_subset(chosen, inst.addable, "addable agents")
+    _reject_unknown(chosen - inst.addable, "addable agents")
     reduced = delete_agents(inst, inst.addable - chosen)
     return RoommatesInstance(
         kind=reduced.kind,
@@ -311,7 +322,9 @@ def parse_instance(text: str, check: bool = True) -> RoommatesInstance:
             if name in prefs:
                 raise ParseError(f"duplicate pref line for {name}", lineno)
             entries = [e.strip() for e in tail.split(">")] if tail.strip() else []
-            prefs[name] = tuple(_check_id(e, lineno) for e in entries if e)
+            if "" in entries:
+                raise ParseError(f"empty preference entry on the list of {name}", lineno)
+            prefs[name] = tuple(_check_id(e, lineno) for e in entries)
         else:
             raise ParseError(f"unrecognised line {line!r}", lineno)
 

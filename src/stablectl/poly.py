@@ -82,9 +82,9 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
     fixing = set()
     for star, anchor in ((a_star, a), (b_star, b)):
         for x in star:
-            for y in inst.prefs[x]:
-                if y == anchor or inst.prefers(x, anchor, y):
-                    fixing.add(frozenset((x, y)))
+            # ``anchor`` itself and every entry ``x`` ranks below it.
+            for y in inst.prefs[x][inst.rank(x, anchor):]:
+                fixing.add(frozenset((x, y)))
     ctx = FixingContext(
         a=a,
         b=b,

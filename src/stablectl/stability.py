@@ -19,7 +19,7 @@ def check_matching(inst: RoommatesInstance, matching: Matching) -> None:
     """Raise ``ValueError`` unless ``matching`` is a matching in ``inst``."""
     seen = set()
     for p in matching:
-        if p not in inst.acceptable_pairs:
+        if not inst.is_acceptable_pair(p):
             raise ValueError(f"pair {{{pair_text(p)}}} is not acceptable in the instance")
         for u in p:
             if u in seen:
@@ -45,11 +45,16 @@ def blocking_pairs(inst: RoommatesInstance, matching: Matching) -> frozenset:
     check_matching(inst, matching)
     partners = partner_map(matching)
     out = set()
-    for p in inst.acceptable_pairs - matching:
-        u, v = p
-        pu, pv = partners.get(u), partners.get(v)
-        if (pu is None or inst.prefers(u, v, pu)) and (pv is None or inst.prefers(v, u, pv)):
-            out.add(p)
+    for u, lst in inst.prefs.items():
+        pu = partners.get(u)
+        # Lists run best first, so ``u`` prefers exactly the entries before ``pu``.
+        for v in lst:
+            if v == pu:
+                break
+            if u < v and inst.acceptable(u, v):
+                pv = partners.get(v)
+                if pv is None or inst.prefers(v, u, pv):
+                    out.add(frozenset((u, v)))
     return frozenset(out)
 
 

@@ -14,6 +14,12 @@ THREE_CYCLE = (
 )
 ASYMMETRIC = "problem: sr\nagent a\nagent b\npref a: b\npref b:\n"
 MALFORMED = "problem: sr\nagent a\nwhat is this\npref a:\n"
+EMPTY_ENTRY = "problem: sr\nagent a\nagent b\nagent c\npref a: b > > c\npref b: a\npref c: a\n"
+FOUR_AGENTS = (
+    "problem: sr\n"
+    "agent a\nagent b\nagent c\nagent d\n"
+    "pref a: b > c > d\npref b: c > a > d\npref c: a > b > d\npref d: a > b > c\n"
+)
 
 
 @pytest.fixture
@@ -50,6 +56,12 @@ def test_validate_parse_error(instance_file, capsys):
     assert code == 2 and "line 3" in err
 
 
+def test_validate_rejects_empty_preference_entry(instance_file, capsys):
+    code, out, err = run(capsys, "validate", instance_file(EMPTY_ENTRY))
+    assert code == 2 and out == ""
+    assert "line 5" in err and "empty preference entry" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/path.sr")
     assert code == 2
@@ -68,6 +80,30 @@ def test_stable_none_and_partition(instance_file, capsys):
     assert code == 0
     assert out.splitlines()[0] == "none"
     assert "party (a b c) odd" in out
+
+
+def test_stable_partition_runs_the_engine_once(instance_file, capsys, monkeypatch):
+    import stablectl.classic
+    import stablectl.cli
+
+    calls = []
+    engine = stablectl.classic.tan_stable_partition
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(stablectl.classic, "tan_stable_partition", counted)
+    monkeypatch.setattr(stablectl.cli, "tan_stable_partition", counted)
+    path = instance_file(FOUR_AGENTS)
+    for flags, expected in (([], 1), (["--partition"], 1), (["--enumerate", "--partition"], 1)):
+        calls.clear()
+        code, out, _ = run(capsys, "stable", path, *flags)
+        assert code == 0 and len(calls) == expected
+    code, out, _ = run(capsys, "stable", path, "--partition")
+    assert out == "none\nparty (a b c) odd\nparty (d) odd\n"
+    code, out, _ = run(capsys, "stable", instance_file(VALID), "--partition")
+    assert out == "match a b\nparty (a b)\n"
 
 
 def test_stable_enumerate(instance_file, capsys):

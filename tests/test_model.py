@@ -224,3 +224,40 @@ def test_matching_file_rejects_bad_lines():
         parse_matching("match a\n")
     with pytest.raises(ParseError):
         parse_matching("match a a\n")
+
+
+@pytest.mark.parametrize(
+    "line", ["pref a: b > > c", "pref a: b >", "pref a: > b", "pref a: b >  > c"]
+)
+def test_parse_rejects_empty_preference_entries(line):
+    text = "problem: sr\nagent a\nagent b\nagent c\n" + line + "\npref b: a\npref c: a\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text, check=False)
+    assert err.value.line == 5
+    assert "empty preference entry" in str(err.value)
+
+
+def test_parse_accepts_an_empty_list():
+    inst = parse_instance("problem: sr\nagent a\npref a:\n")
+    assert inst.prefs == {"a": ()}
+
+
+def test_is_acceptable_pair_agrees_with_the_pair_set():
+    for seed in range(20):
+        inst = random_sr(7, 0.5, seed)
+        agents = sorted(inst.agents)
+        for u in agents:
+            for v in agents:
+                p = frozenset((u, v))
+                assert inst.is_acceptable_pair(p) == (p in inst.acceptable_pairs)
+    inst = mutual_pair()
+    assert inst.is_acceptable_pair(pair("a", "b"))
+    assert not inst.is_acceptable_pair(("a", "b"))
+    assert not inst.is_acceptable_pair(frozenset({"a"}))
+    assert not inst.is_acceptable_pair(pair("a", "zz"))
+
+
+def test_delete_pairs_names_the_unknown_pairs():
+    with pytest.raises(ValueError) as err:
+        delete_pairs(mutual_pair(), {pair("a", "b"), pair("a", "zz")})
+    assert str(err.value) == f"unknown acceptable pairs: {frozenset({'a', 'zz'})}"

@@ -116,3 +116,20 @@ def test_rural_hospitals_on_small_instances():
         stables = enumerate_stable_matchings(inst)
         covers = {covered_agents(m) for m in stables}
         assert len(covers) <= 1
+
+
+def test_blocking_pairs_match_the_definition_on_every_matching():
+    rng = random.Random(8)
+    for seed in range(40):
+        inst = random_sr(rng.randint(0, 7), rng.choice([0.4, 0.8]), seed)
+        for matching in enumerate_matchings(inst):
+            partner = {u: v for p in matching for u, v in (tuple(p), tuple(p)[::-1])}
+            expected = {
+                p
+                for p in inst.acceptable_pairs - matching
+                if all(
+                    partner.get(u) is None or inst.prefers(u, v, partner[u])
+                    for u, v in (tuple(p), tuple(p)[::-1])
+                )
+            }
+            assert blocking_pairs(inst, matching) == expected
