@@ -26,8 +26,8 @@ the table interns the agents as ``0..n-1`` in processing order and builds
 integer preference lists, rank maps and live flags once, in O(n + m).
 Per-agent head, second and tail pointers only move inwards, so all list
 access over a run costs O(n + m) in total.  Every pair is deleted at most
-once, and each deletion pushes its two endpoints onto a worklist of agents
-that may have to propose again, so all proposals cost O(n + m) as well.
+once, and a deletion puts back on the worklist only the agents whose held
+proposal fell with the pair, so all proposals cost O(n + m) as well.
 The rotation start is a pointer that only moves forward through the
 processing order.  On top of that, each of the ``r`` rotations pays an
 O(n) table consistency check and a walk from the rotation start, for
@@ -208,8 +208,9 @@ class _Table:
     ``head``, ``sec`` and ``tail`` only move inwards and never pass the
     first, second and last live entry, so list access costs amortised
     O(1).  ``holder[v]`` is the agent whose proposal ``v`` currently holds
-    (-1 for none).  Every deletion pushes both endpoints onto ``work``,
-    the agents that may have to propose again.  The stable-table
+    (-1 for none).  ``work`` holds the agents that may have to propose
+    again: every agent at the start, then each agent whose held proposal
+    falls with a deleted pair.  The stable-table
     invariant, restored by :meth:`stabilize`, is that every agent with a
     non-empty list proposes to the head of its list and holds a proposal
     from its tail.
@@ -233,19 +234,17 @@ class _Table:
 
     # -- list access ----------------------------------------------------
 
-    def _head(self, u: int) -> int:
+    def first(self, u: int) -> int:
         live, h = self.live[u], self.head[u]
         while not live[h]:
             h += 1
         self.head[u] = h
-        return h
-
-    def first(self, u: int) -> int:
-        return self.pref[u][self._head(u)]
+        return self.pref[u][h]
 
     def second(self, u: int) -> int:
+        self.first(u)
         live = self.live[u]
-        s = max(self.sec[u], self._head(u) + 1)
+        s = max(self.sec[u], self.head[u] + 1)
         while not live[s]:
             s += 1
         self.sec[u] = s
@@ -260,25 +259,33 @@ class _Table:
 
     def delete(self, u: int, v: int) -> None:
         live_u, r = self.live[u], self.rank[u][v]
-        if not live_u[r]:
-            return
-        live_u[r] = 0
+        if live_u[r]:
+            self._drop(u, r)
+
+    def _drop(self, u: int, r: int) -> None:
+        """Remove the live entry at position ``r`` of ``u``'s list from both sides.
+
+        An agent whose held proposal falls with the pair goes back on ``work``.
+        """
+        v = self.pref[u][r]
+        self.live[u][r] = 0
         self.live[v][self.rank[v][u]] = 0
         self.size[u] -= 1
         self.size[v] -= 1
         holder = self.holder
         if holder[u] == v:
             holder[u] = -1
+            self.work.append(v)
         if holder[v] == u:
             holder[v] = -1
-        self.work += (u, v)
+            self.work.append(u)
 
     def cut(self, v: int, r: int) -> None:
         """Delete every entry of ``v``'s list ranked below position ``r``."""
-        live, pref, t = self.live[v], self.pref[v], self.tail[v]
+        live, drop, t = self.live[v], self._drop, self.tail[v]
         while t > r:
             if live[t]:
-                self.delete(v, pref[t])
+                drop(v, t)
             t -= 1
         self.tail[v] = t
 
@@ -302,8 +309,8 @@ class _Table:
                     break
                 rank_v = rank[v]
                 if h < 0 or rank_v[u] < rank_v[h]:
-                    holder[v] = u
                     self.cut(v, rank_v[u])
+                    holder[v] = u
                     break
                 self.delete(u, v)
         self._check_consistency()
