@@ -376,8 +376,7 @@ class _Table:
                 self.parties.append(tuple(names[x] for x in cycle))
                 locked_members.extend(cycle)
         for x in locked_members:
-            for w in [w for w, alive in zip(self.pref[x], self.live[x]) if alive]:
-                self.delete(x, w)
+            self.cut(x, -1)
             self.locked[x] = 1
         return bool(locked_members)
 

@@ -101,11 +101,7 @@ class RoommatesInstance:
 
     def is_acceptable_pair(self, p) -> bool:
         """``p in self.acceptable_pairs``, without building that set."""
-        if not isinstance(p, frozenset) or len(p) != 2:
-            return False
-        u, v = p
-        ranks = self._ranks
-        return v in ranks.get(u, ()) and u in ranks.get(v, ())
+        return isinstance(p, frozenset) and len(p) == 2 and self.acceptable(*p)
 
     def rank(self, u: AgentId, v: AgentId) -> int:
         """Position of ``v`` on ``u``'s list (0 = most preferred)."""
