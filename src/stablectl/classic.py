@@ -210,10 +210,9 @@ class _Table:
     O(1).  ``holder[v]`` is the agent whose proposal ``v`` currently holds
     (-1 for none).  ``work`` holds the agents that may have to propose
     again: every agent at the start, then each agent whose held proposal
-    falls with a deleted pair.  The stable-table
-    invariant, restored by :meth:`stabilize`, is that every agent with a
-    non-empty list proposes to the head of its list and holds a proposal
-    from its tail.
+    falls with a deleted pair.  The stable-table invariant, restored by
+    :meth:`stabilize`, is that every agent with a non-empty list proposes
+    to the head of its list and holds a proposal from its tail.
     """
 
     def __init__(self, inst: RoommatesInstance, order: Sequence[AgentId]):
@@ -257,12 +256,7 @@ class _Table:
         self.tail[u] = t
         return self.pref[u][t]
 
-    def delete(self, u: int, v: int) -> None:
-        live_u, r = self.live[u], self.rank[u][v]
-        if live_u[r]:
-            self._drop(u, r)
-
-    def _drop(self, u: int, r: int) -> None:
+    def delete(self, u: int, r: int) -> None:
         """Remove the live entry at position ``r`` of ``u``'s list from both sides.
 
         An agent whose held proposal falls with the pair goes back on ``work``.
@@ -282,10 +276,10 @@ class _Table:
 
     def cut(self, v: int, r: int) -> None:
         """Delete every entry of ``v``'s list ranked below position ``r``."""
-        live, drop, t = self.live[v], self._drop, self.tail[v]
+        live, delete, t = self.live[v], self.delete, self.tail[v]
         while t > r:
             if live[t]:
-                drop(v, t)
+                delete(v, t)
             t -= 1
         self.tail[v] = t
 
@@ -309,10 +303,12 @@ class _Table:
                     break
                 rank_v = rank[v]
                 if h < 0 or rank_v[u] < rank_v[h]:
+                    # Cut before taking over ``holder[v]``, so that the
+                    # displaced proposer ``h`` goes back on the worklist.
                     self.cut(v, rank_v[u])
                     holder[v] = u
                     break
-                self.delete(u, v)
+                self.delete(u, self.head[u])
         self._check_consistency()
 
     def _check_consistency(self) -> None:
