@@ -5,10 +5,13 @@ Library layout:
 * :mod:`stablectl.model`: instances, matchings, file formats, mutation.
 * :mod:`stablectl.stability`: blocking pairs and exhaustive enumeration.
 * :mod:`stablectl.classic`: deferred acceptance, stable partitions,
-  stable-matching existence.
+  stable-matching existence, and pair fixing (the fewest agent deletions
+  that put a pair into a stable matching).
 * :mod:`stablectl.control`: control queries (action, goal, budget) and
   goal evaluation.
-* :mod:`stablectl.poly`: the polynomial-time control solvers.
+* :mod:`stablectl.poly`: the polynomial-time control solvers and
+  :func:`solve`, which answers any control query with them or, where
+  none applies, with the exhaustive search.
 * :mod:`stablectl.exact`: the brute-force ground-truth solver.
 * :mod:`stablectl.reductions`: graph-to-control-instance constructions
   with brute-force clique/independent-set oracles.
@@ -49,6 +52,7 @@ from .model import (
     serialize_matching,
     validate,
 )
+from .poly import solve
 from .stability import (
     blocking_pairs,
     covered_agents,
@@ -91,6 +95,7 @@ __all__ = [
     "render_partition",
     "serialize_instance",
     "serialize_matching",
+    "solve",
     "tan_stable_partition",
     "validate",
     "validate_partition",

@@ -1,6 +1,6 @@
 """Classical matching subroutines: proposal algorithms and stable partitions.
 
-Three entry points:
+Four entry points:
 
 * :func:`gale_shapley`: deferred acceptance for marriage instances,
   optimal for the proposing side.
@@ -12,6 +12,10 @@ Three entry points:
 * :func:`irving_stable_matching`: stable matching existence and a
   witness, implemented on top of the partition engine: pair up the
   parties when no odd party of size >= 3 exists.
+* :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
+  pair into some stable matching, read off the stable partition of the
+  instance *fixed* for that pair (:func:`fixing_deletions`).  The control
+  goal ``mp`` and the polynomial solvers in :mod:`stablectl.poly` share it.
 
 The partition engine runs the classical proposal ("phase 1") table
 reduction followed by repeated rotation elimination.  When a rotation's
@@ -42,7 +46,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InternalError
-from .model import AgentId, Matching, RoommatesInstance, SM
+from .model import SM, AgentId, Matching, Pair, RoommatesInstance, delete_pairs
 
 # ---------------------------------------------------------------------------
 # Stable partitions
@@ -455,3 +459,94 @@ def partition_stable_matching(
 def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
     """Some stable matching of ``inst``, or ``None`` when none exists."""
     return partition_stable_matching(inst, tan_stable_partition(inst))
+
+
+# ---------------------------------------------------------------------------
+# Pair fixing
+#
+# Delete every pair that would let the endpoints of a target pair do better
+# than each other, so that the two become mutual first choices.  In the
+# fixed instance, a deletion set works exactly when, after removing it, a
+# stable matching covers every agent that preferred an endpoint of the
+# target to its own partner.  The stable partition of the fixed instance
+# reads that number off directly: one deletion per odd party of size three
+# or more, plus one for every singleton party formed by such an agent.
+
+
+@dataclass(frozen=True)
+class FixingContext:
+    """The instance reduced so that a target pair is mutually top-ranked.
+
+    ``a_star`` holds the agents ``a`` prefers to ``b``; ``b_star`` the
+    agents ``b`` prefers to ``a``.  ``fixing_pairs`` is the deleted edge
+    set and ``reduced`` the instance without it.
+    """
+
+    a: AgentId
+    b: AgentId
+    a_star: frozenset
+    b_star: frozenset
+    fixing_pairs: frozenset
+    reduced: RoommatesInstance
+
+
+@dataclass(frozen=True)
+class PartitionDiagnosis:
+    """What the stable partition of a fixed instance says about deletions."""
+
+    partition: StablePartition
+    odd_count: int
+    forbidden_singletons: frozenset
+
+    @property
+    def cost(self) -> int:
+        """Agent deletions needed: one per odd party and per forbidden singleton."""
+        return self.odd_count + len(self.forbidden_singletons)
+
+
+def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
+    """Delete every pair that competes with ``{a, b}``.
+
+    Removed are the pairs ``{x, y}`` where ``x`` prefers ``a`` to ``y``
+    (or ``y`` is ``a`` itself) for some ``x`` that ``a`` prefers to ``b``,
+    and symmetrically on ``b``'s side.  Afterwards ``a`` and ``b`` are
+    each other's first choices.
+    """
+    if a == b or not inst.acceptable(a, b):
+        raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
+    a_star = frozenset(x for x in inst.prefs[a] if inst.prefers(a, x, b))
+    b_star = frozenset(x for x in inst.prefs[b] if inst.prefers(b, x, a))
+    fixing = set()
+    for star, anchor in ((a_star, a), (b_star, b)):
+        for x in star:
+            # ``anchor`` itself and every entry ``x`` ranks below it.
+            for y in inst.prefs[x][inst.rank(x, anchor):]:
+                fixing.add(frozenset((x, y)))
+    ctx = FixingContext(
+        a=a,
+        b=b,
+        a_star=a_star,
+        b_star=b_star,
+        fixing_pairs=frozenset(fixing),
+        reduced=delete_pairs(inst, fixing),
+    )
+    reduced = ctx.reduced
+    if reduced.prefs[a][0] != b or reduced.prefs[b][0] != a:
+        raise InternalError("fixing deletions did not make the target mutually top-ranked")
+    return ctx
+
+
+def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
+    partition = tan_stable_partition(ctx.reduced)
+    interested = ctx.a_star | ctx.b_star
+    return PartitionDiagnosis(
+        partition=partition,
+        odd_count=len(partition.odd_parties()),
+        forbidden_singletons=partition.singletons & interested,
+    )
+
+
+def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:
+    """Minimum number of agent deletions putting ``target`` into a stable matching."""
+    a, b = sorted(target)
+    return diagnose_fixed_instance(fixing_deletions(inst, a, b)).cost

@@ -12,7 +12,9 @@ Subcommands::
               [--out PATH]
 
 Exit codes: 0 completed (including a ``no`` verdict), 2 parse error,
-3 invalid input or query, 4 size cap exceeded.  Verdicts are reported on
+3 invalid input or query, 4 size cap exceeded, 1 internal error; an
+unexpected exception propagates with its traceback, so a program fault is
+never reported as invalid input.  Verdicts are reported on
 stdout only, never through the exit code, so pipelines can tell "solved,
 answer no" from failure.  The environment variable ``STABLECTL_CAP``
 overrides the default enumeration and search caps; a ``--cap`` flag wins
@@ -28,15 +30,7 @@ from pathlib import Path
 
 from . import exact, generators, poly, reductions
 from .classic import partition_stable_matching, render_partition, tan_stable_partition
-from .control import (
-    ADD_AGENTS,
-    DELETE_ACCEPTABILITY,
-    DELETE_AGENTS,
-    ControlGoal,
-    ControlOutcome,
-    ControlQuery,
-    validate_query,
-)
+from .control import ACTIONS, GOAL_KINDS, ControlGoal, ControlOutcome, ControlQuery
 from .errors import (
     CapExceededError,
     InvalidInstanceError,
@@ -57,8 +51,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_CAP = 4
-
-POLY_PROBLEMS = {("delag", "mp"), ("delag", "ma"), ("delacc", "ms")}
 
 REDUCTION_TARGETS = {
     "csm-addag-ma": ("clique", lambda g, k: reductions.clique_to_csm_addag(g, k, "ma")),
@@ -84,10 +76,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
-
-
-def _matching_lines(matching) -> list[str]:
-    return [f"match {a} {b}" for a, b in sorted(tuple(sorted(p)) for p in matching)]
+    except UnicodeDecodeError as exc:
+        raise InvalidQueryError(str(exc))
 
 
 def cmd_validate(args) -> int:
@@ -110,7 +100,7 @@ def cmd_stable(args) -> int:
         print(f"stable matchings: {len(matchings)}")
         for i, m in enumerate(matchings):
             print(f"matching {i}:")
-            for line in _matching_lines(m):
+            for line in serialize_matching(m).splitlines():
                 print(f"  {line}")
     else:
         partition = tan_stable_partition(inst)
@@ -118,8 +108,7 @@ def cmd_stable(args) -> int:
         if matching is None:
             print("none")
         else:
-            for line in _matching_lines(matching):
-                print(line)
+            print(serialize_matching(matching), end="")
     if args.partition:
         if partition is None:
             partition = tan_stable_partition(inst)
@@ -127,8 +116,7 @@ def cmd_stable(args) -> int:
     return EXIT_OK
 
 
-def _build_goal(args, inst) -> ControlGoal:
-    kind = args.goal
+def _build_goal(args, kind: str) -> ControlGoal:
     if kind == "ma":
         if not args.target_agent:
             raise InvalidQueryError("goal ma needs --target-agent")
@@ -162,39 +150,13 @@ def _render_outcome(outcome: ControlOutcome) -> None:
 def cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
     action, _, goal_kind = args.problem.partition("-")
-    if action not in (ADD_AGENTS, DELETE_AGENTS, DELETE_ACCEPTABILITY) or goal_kind not in (
-        "ma",
-        "mp",
-        "ms",
-        "esm",
-        "epsm",
-    ):
+    if action not in ACTIONS or goal_kind not in GOAL_KINDS:
         raise InvalidQueryError(f"unknown problem {args.problem!r}")
-    args.goal = goal_kind
     query = ControlQuery(
-        instance=inst, action=action, goal=_build_goal(args, inst), budget=args.budget
+        instance=inst, action=action, goal=_build_goal(args, goal_kind), budget=args.budget
     )
-    problems = validate_query(query)
-    if problems:
-        raise InvalidQueryError("; ".join(problems))
-
-    is_poly = (action, goal_kind) in POLY_PROBLEMS
-    method = args.method
-    if method == "auto":
-        method = "poly" if is_poly else "exact"
-    if method == "poly":
-        if not is_poly:
-            raise InvalidQueryError(f"no polynomial solver for {args.problem}")
-        if goal_kind == "mp":
-            outcome = poly.solve_delag_mp(inst, query.goal.pair, query.budget)
-        elif goal_kind == "ma":
-            outcome = poly.solve_delag_ma(inst, query.goal.agent, query.budget)
-        else:
-            outcome = poly.solve_delacc_ms(inst, query.goal.matching, query.budget)
-    else:
-        cap = args.cap if args.cap is not None else _env_cap(exact.DEFAULT_CANDIDATE_CAP)
-        outcome = exact.solve_exact(query, cap=cap)
-    _render_outcome(outcome)
+    cap = args.cap if args.cap is not None else _env_cap(exact.DEFAULT_CANDIDATE_CAP)
+    _render_outcome(poly.solve(query, args.method, cap))
     return EXIT_OK
 
 
@@ -232,14 +194,17 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.bipartite:
-        if args.na is None or args.nb is None:
-            raise InvalidQueryError("--bipartite needs --na and --nb")
-        inst = generators.random_sm(args.na, args.nb, args.density, args.seed)
-    else:
-        if args.n is None:
-            raise InvalidQueryError("gen needs --n (or --bipartite with --na/--nb)")
-        inst = generators.random_sr(args.n, args.density, args.seed)
+    try:
+        if args.bipartite:
+            if args.na is None or args.nb is None:
+                raise InvalidQueryError("--bipartite needs --na and --nb")
+            inst = generators.random_sm(args.na, args.nb, args.density, args.seed)
+        else:
+            if args.n is None:
+                raise InvalidQueryError("gen needs --n (or --bipartite with --na/--nb)")
+            inst = generators.random_sr(args.n, args.density, args.seed)
+    except ValueError as exc:  # a negative size or a density outside [0, 1]
+        raise InvalidQueryError(str(exc))
     text = serialize_instance(inst)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -309,7 +274,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidInstanceError, InvalidQueryError, ValueError) as exc:
+    except (InvalidInstanceError, InvalidQueryError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CapExceededError as exc:

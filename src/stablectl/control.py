@@ -21,10 +21,9 @@ Queries and outcomes are immutable; evaluation is purely functional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .classic import irving_stable_matching
-from .errors import CapExceededError, InvalidQueryError
+from .classic import irving_stable_matching, pair_fixing_cost
+from .errors import InvalidQueryError
 from .model import (
     AgentId,
     Matching,
@@ -43,8 +42,6 @@ DELETE_ACCEPTABILITY = "delacc"
 ACTIONS = (ADD_AGENTS, DELETE_AGENTS, DELETE_ACCEPTABILITY)
 
 GOAL_KINDS = ("ma", "mp", "ms", "esm", "epsm")
-
-DEFAULT_MS_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -188,41 +185,7 @@ def apply_actions(query: ControlQuery, actions) -> RoommatesInstance:
     return delete_pairs(query.instance, chosen)
 
 
-def _ms_restricted(inst: RoommatesInstance, matching: Matching) -> Matching:
-    return frozenset(p for p in matching if inst.is_acceptable_pair(p))
-
-
-def _ms_holds(inst: RoommatesInstance, matching: Matching, exhaustive: bool, cap: int) -> bool:
-    """Does some stable matching of ``inst`` sit inside ``matching``?
-
-    Any stable subset must contain every pair of ``matching`` that
-    survives in ``inst``: a dropped surviving pair leaves both its agents
-    unmatched and blocking.  The restriction of ``matching`` to surviving
-    pairs is therefore the only candidate; ``exhaustive`` re-derives the
-    answer by checking every subset instead, as a cross-validation path.
-    """
-    survivors = _ms_restricted(inst, matching)
-    if not exhaustive:
-        return is_stable(inst, survivors)
-    pairs = sorted(survivors, key=lambda p: tuple(sorted(p)))
-    if len(pairs) > cap:
-        raise CapExceededError(
-            f"{len(pairs)} matching pairs exceed the subset-enumeration cap of {cap}"
-        )
-    for size in range(len(pairs), -1, -1):
-        for combo in combinations(pairs, size):
-            if is_stable(inst, frozenset(combo)):
-                return True
-    return False
-
-
-def goal_holds(
-    inst: RoommatesInstance,
-    goal: ControlGoal,
-    action: str = DELETE_AGENTS,
-    ms_exhaustive: bool = False,
-    ms_cap: int = DEFAULT_MS_CAP,
-) -> bool:
+def goal_holds(inst: RoommatesInstance, goal: ControlGoal, action: str = DELETE_AGENTS) -> bool:
     """Evaluate a goal on a concrete (already controlled) instance.
 
     ``action`` records which control action produced ``inst``; it only
@@ -247,8 +210,6 @@ def goal_holds(
     if goal.kind == "mp":
         if goal.pair is None or not inst.is_acceptable_pair(goal.pair):
             return False
-        from .poly import pair_fixing_cost
-
         return pair_fixing_cost(inst, goal.pair) == 0
     if goal.kind == "ms":
         if goal.matching is None:
@@ -258,5 +219,9 @@ def goal_holds(
             if not all(inst.is_acceptable_pair(p) for p in goal.matching):
                 return False
             return is_stable(inst, goal.matching)
-        return _ms_holds(inst, goal.matching, ms_exhaustive, ms_cap)
+        # A stable matching inside the target keeps every target pair that
+        # survives in ``inst``: a dropped one leaves both its agents
+        # unmatched and blocking.  So the surviving pairs are the only
+        # candidate.
+        return is_stable(inst, frozenset(p for p in goal.matching if inst.is_acceptable_pair(p)))
     raise InvalidQueryError(f"unknown goal {goal.kind!r}")

@@ -69,7 +69,3 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
         return ControlOutcome(verdict=True, optimum=size, witness=witness)
     return ControlOutcome(verdict=False, optimum=size, witness=None)
 
-
-def min_control_cost(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> int | None:
-    """Smallest action count that reaches the goal, ignoring the budget."""
-    return solve_exact(query, cap=cap).optimum

@@ -16,6 +16,8 @@ from .model import RoommatesInstance, SM, SR, make_instance
 
 def random_sr(n: int, density: float, seed: int) -> RoommatesInstance:
     """A roommates instance where each pair is acceptable with ``density``."""
+    if n < 0:
+        raise ValueError(f"agent count must be non-negative, got {n}")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     rng = random.Random(seed)
@@ -32,6 +34,8 @@ def random_sr(n: int, density: float, seed: int) -> RoommatesInstance:
 
 def random_sm(n_a: int, n_b: int, density: float, seed: int) -> RoommatesInstance:
     """A marriage instance with the given side sizes."""
+    if n_a < 0 or n_b < 0:
+        raise ValueError(f"side sizes must be non-negative, got {n_a} and {n_b}")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     rng = random.Random(seed)

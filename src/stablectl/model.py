@@ -49,7 +49,8 @@ Matching = frozenset  # frozenset[Pair]
 SR = "sr"
 SM = "sm"
 
-_ID_RE = re.compile(r"^[^\s:,>#]+$")
+# What the file formats accept as an agent or vertex identifier.
+ID_RE = re.compile(r"^[^\s:,>#]+$")
 
 
 def pair(a: AgentId, b: AgentId) -> Pair:
@@ -158,7 +159,7 @@ def validate(inst: RoommatesInstance) -> list[str]:
         if extra:
             out.append(f"preference lists for undeclared agents: {' '.join(extra)}")
     for u in sorted(inst.agents):
-        if not _ID_RE.match(u):
+        if not ID_RE.match(u):
             out.append(f"invalid agent identifier {u!r}")
     for u in sorted(set(inst.prefs) & set(inst.agents)):
         lst = inst.prefs[u]
@@ -256,7 +257,8 @@ def induce_with_added(inst: RoommatesInstance, added: Iterable[AgentId]) -> Room
 # Text formats
 
 
-def _content_lines(text: str):
+def content_lines(text: str):
+    """``(line number, line)`` for each line left after comments and blanks go."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -264,7 +266,7 @@ def _content_lines(text: str):
 
 
 def _check_id(token: str, lineno: int) -> str:
-    if not _ID_RE.match(token):
+    if not ID_RE.match(token):
         raise ParseError(f"invalid identifier {token!r}", lineno)
     return token
 
@@ -282,7 +284,7 @@ def parse_instance(text: str, check: bool = True) -> RoommatesInstance:
     addable: set[AgentId] = set()
     prefs: dict[AgentId, tuple[AgentId, ...]] = {}
 
-    for lineno, line in _content_lines(text):
+    for lineno, line in content_lines(text):
         if kind is None:
             m = re.match(r"^problem:\s*(\S+)$", line)
             if not m or m.group(1) not in (SR, SM):
@@ -362,7 +364,7 @@ def serialize_instance(inst: RoommatesInstance) -> str:
 def parse_matching(text: str) -> Matching:
     """Parse a matching file into a set of pairs."""
     pairs = set()
-    for lineno, line in _content_lines(text):
+    for lineno, line in content_lines(text):
         tokens = line.split()
         if len(tokens) != 3 or tokens[0] != "match":
             raise ParseError("expected 'match <id> <id>'", lineno)

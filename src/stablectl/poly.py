@@ -1,6 +1,7 @@
-"""Polynomial-time control solvers.
+"""Polynomial-time control solvers and the solver dispatch.
 
-Three problems admit efficient algorithms and are solved here exactly:
+Three problems admit efficient algorithms and are solved here exactly
+(:data:`POLY_PROBLEMS`):
 
 * agent deletion with a pair goal (:func:`solve_delag_mp`),
 * agent deletion with an agent goal (:func:`solve_delag_ma`), reduced to
@@ -9,14 +10,11 @@ Three problems admit efficient algorithms and are solved here exactly:
   where the blocking pairs of the target matching are exactly the edges
   that must go.
 
-The pair solver works on the *fixed* instance: delete every pair that
-would let the target's endpoints do better than each other, so that the
-two become mutual first choices.  In the fixed instance, a deletion set
-works exactly when, after removing it, a stable matching covers every
-agent that preferred an endpoint of the target to its own partner.  The
-stable partition of the fixed instance reads that number off directly:
-one deletion per odd party of size three or more, plus one for every
-singleton party formed by such an agent.
+The pair solver reads its optimum off the stable partition of the
+instance fixed for the target pair; the construction lives next to the
+partition engine in :mod:`stablectl.classic`.  :func:`solve` answers any
+control query, with one of these solvers or with the exhaustive search of
+:mod:`stablectl.exact`.
 
 Every solver re-verifies a positive witness by applying it and checking
 stability; a failure there is a bug, never a verdict.
@@ -24,11 +22,24 @@ stability; a failure there is a bug, never a verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .classic import StablePartition, partition_to_matching, tan_stable_partition
-from .control import ControlOutcome
-from .errors import InternalError
+from .classic import (  # the pair-fixing names are re-exported from here
+    FixingContext,
+    PartitionDiagnosis,
+    diagnose_fixed_instance,
+    fixing_deletions,
+    pair_fixing_cost,
+    partition_to_matching,
+    tan_stable_partition,
+)
+from .control import (
+    DELETE_ACCEPTABILITY,
+    DELETE_AGENTS,
+    ControlOutcome,
+    ControlQuery,
+    validate_query,
+)
+from .errors import InternalError, InvalidQueryError
+from .exact import DEFAULT_CANDIDATE_CAP, solve_exact
 from .model import (
     AgentId,
     Matching,
@@ -40,80 +51,10 @@ from .model import (
 )
 from .stability import blocking_pairs, is_stable
 
-
-@dataclass(frozen=True)
-class FixingContext:
-    """The instance reduced so that a target pair is mutually top-ranked.
-
-    ``a_star`` holds the agents ``a`` prefers to ``b``; ``b_star`` the
-    agents ``b`` prefers to ``a``.  ``fixing_pairs`` is the deleted edge
-    set and ``reduced`` the instance without it.
-    """
-
-    a: AgentId
-    b: AgentId
-    a_star: frozenset
-    b_star: frozenset
-    fixing_pairs: frozenset
-    reduced: RoommatesInstance
-
-
-@dataclass(frozen=True)
-class PartitionDiagnosis:
-    """What the stable partition of a fixed instance says about deletions."""
-
-    partition: StablePartition
-    odd_count: int
-    forbidden_singletons: frozenset
-
-
-def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
-    """Delete every pair that competes with ``{a, b}``.
-
-    Removed are the pairs ``{x, y}`` where ``x`` prefers ``a`` to ``y``
-    (or ``y`` is ``a`` itself) for some ``x`` that ``a`` prefers to ``b``,
-    and symmetrically on ``b``'s side.  Afterwards ``a`` and ``b`` are
-    each other's first choices.
-    """
-    if a == b or not inst.acceptable(a, b):
-        raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    a_star = frozenset(x for x in inst.prefs[a] if inst.prefers(a, x, b))
-    b_star = frozenset(x for x in inst.prefs[b] if inst.prefers(b, x, a))
-    fixing = set()
-    for star, anchor in ((a_star, a), (b_star, b)):
-        for x in star:
-            # ``anchor`` itself and every entry ``x`` ranks below it.
-            for y in inst.prefs[x][inst.rank(x, anchor):]:
-                fixing.add(frozenset((x, y)))
-    ctx = FixingContext(
-        a=a,
-        b=b,
-        a_star=a_star,
-        b_star=b_star,
-        fixing_pairs=frozenset(fixing),
-        reduced=delete_pairs(inst, fixing),
-    )
-    reduced = ctx.reduced
-    if reduced.prefs[a][0] != b or reduced.prefs[b][0] != a:
-        raise InternalError("fixing deletions did not make the target mutually top-ranked")
-    return ctx
-
-
-def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
-    partition = tan_stable_partition(ctx.reduced)
-    interested = ctx.a_star | ctx.b_star
-    return PartitionDiagnosis(
-        partition=partition,
-        odd_count=len(partition.odd_parties()),
-        forbidden_singletons=partition.singletons & interested,
-    )
-
-
-def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:
-    """Minimum number of agent deletions putting ``target`` into a stable matching."""
-    a, b = sorted(target)
-    diag = diagnose_fixed_instance(fixing_deletions(inst, a, b))
-    return diag.odd_count + len(diag.forbidden_singletons)
+# (action, goal kind) of each problem with a polynomial solver below.
+POLY_PROBLEMS = frozenset(
+    {(DELETE_AGENTS, "mp"), (DELETE_AGENTS, "ma"), (DELETE_ACCEPTABILITY, "ms")}
+)
 
 
 def solve_delag_mp(inst: RoommatesInstance, target: Pair, budget: int) -> ControlOutcome:
@@ -121,7 +62,7 @@ def solve_delag_mp(inst: RoommatesInstance, target: Pair, budget: int) -> Contro
     a, b = sorted(target)
     ctx = fixing_deletions(inst, a, b)
     diag = diagnose_fixed_instance(ctx)
-    optimum = diag.odd_count + len(diag.forbidden_singletons)
+    optimum = diag.cost
     witness = frozenset(
         {min(party) for party in diag.partition.odd_parties()} | diag.forbidden_singletons
     )
@@ -185,3 +126,34 @@ def solve_delacc_ms(inst: RoommatesInstance, matching: Matching, budget: int) ->
                 f"removing {' '.join(sorted(map(pair_text, blockers)))} did not stabilise"
             )
     return ControlOutcome(verdict=optimum <= budget, optimum=optimum, witness=blockers)
+
+
+def solve(
+    query: ControlQuery, method: str = "auto", cap: int = DEFAULT_CANDIDATE_CAP
+) -> ControlOutcome:
+    """Solve any control query.
+
+    ``method`` is ``"poly"`` (only for :data:`POLY_PROBLEMS`), ``"exact"``
+    (exhaustive search over at most ``cap`` candidate actions) or
+    ``"auto"``, which picks ``"poly"`` wherever it applies.  Raises
+    :class:`InvalidQueryError` for a malformed query or a ``"poly"``
+    request on a problem without a polynomial solver.
+    """
+    is_poly = (query.action, query.goal.kind) in POLY_PROBLEMS
+    if method == "auto":
+        method = "poly" if is_poly else "exact"
+    if method == "exact":
+        return solve_exact(query, cap=cap)
+    if method != "poly":
+        raise ValueError(f"unknown method {method!r}")
+    problems = validate_query(query)
+    if problems:
+        raise InvalidQueryError("; ".join(problems))
+    if not is_poly:
+        raise InvalidQueryError(f"no polynomial solver for {query.action}-{query.goal.kind}")
+    inst, goal, budget = query.instance, query.goal, query.budget
+    if goal.kind == "mp":
+        return solve_delag_mp(inst, goal.pair, budget)
+    if goal.kind == "ma":
+        return solve_delag_ma(inst, goal.agent, budget)
+    return solve_delacc_ms(inst, goal.matching, budget)

@@ -29,14 +29,7 @@ from itertools import combinations
 
 from .control import ControlGoal, ControlQuery
 from .errors import CapExceededError, ParseError
-from .model import (
-    Pair,
-    SM,
-    SR,
-    make_instance,
-    _ID_RE,
-    _content_lines,
-)
+from .model import ID_RE, SM, SR, Pair, content_lines, make_instance
 
 BRUTE_VERTEX_CAP = 12
 
@@ -76,11 +69,11 @@ def parse_graph(text: str) -> UndirectedGraph:
     """Parse ``vertices v1 v2 ...`` and ``edge u v`` lines."""
     vertices: list[str] = []
     edges: list[tuple[str, str]] = []
-    for lineno, line in _content_lines(text):
+    for lineno, line in content_lines(text):
         tokens = line.split()
         if tokens[0] == "vertices":
             for tok in tokens[1:]:
-                if not _ID_RE.match(tok):
+                if not ID_RE.match(tok):
                     raise ParseError(f"invalid vertex name {tok!r}", lineno)
                 vertices.append(tok)
         elif tokens[0] == "edge":
@@ -119,17 +112,14 @@ def brute_clique(graph: UndirectedGraph, k: int, cap: int = BRUTE_VERTEX_CAP) ->
 
 
 def brute_independent_set(graph: UndirectedGraph, k: int, cap: int = BRUTE_VERTEX_CAP) -> bool:
-    """Does the graph contain ``k`` pairwise non-adjacent vertices?"""
+    """Does the graph contain ``k`` pairwise non-adjacent vertices?
+
+    Exactly when the complement graph contains a ``k``-clique.
+    """
     if len(graph.vertices) > cap:
         raise CapExceededError(f"graph exceeds the brute-force cap of {cap} vertices")
-    if k <= 0:
-        return True
-    if k > len(graph.vertices):
-        return False
-    for combo in combinations(sorted(graph.vertices), k):
-        if not any(frozenset(p) in graph.edges for p in combinations(combo, 2)):
-            return True
-    return False
+    non_edges = frozenset(map(frozenset, combinations(graph.vertices, 2))) - graph.edges
+    return brute_clique(UndirectedGraph(vertices=graph.vertices, edges=non_edges), k, cap)
 
 
 @dataclass(frozen=True)

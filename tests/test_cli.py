@@ -62,6 +62,13 @@ def test_validate_rejects_empty_preference_entry(instance_file, capsys):
     assert "line 5" in err and "empty preference entry" in err
 
 
+def test_undecodable_file_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "binary.sr"
+    path.write_bytes(b"problem: sr\n\xff\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3 and out == "" and err.startswith("invalid input: 'utf-8' codec")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/path.sr")
     assert code == 2
@@ -370,6 +377,33 @@ def test_gen_bipartite_to_stdout(capsys):
 def test_gen_needs_sizes(capsys):
     code, _, err = run(capsys, "gen", "--density", "0.5", "--seed", "1")
     assert code == 3
+
+
+def test_gen_rejects_out_of_range_density(capsys):
+    code, out, err = run(capsys, "gen", "--n", "4", "--density", "2", "--seed", "1")
+    assert code == 3 and out == "" and "density" in err
+
+
+@pytest.mark.parametrize(
+    "sizes", [["--n", "-3"], ["--bipartite", "--na", "-1", "--nb", "2"]]
+)
+def test_gen_rejects_negative_sizes(capsys, sizes):
+    code, out, err = run(capsys, "gen", *sizes, "--density", "0.5", "--seed", "1")
+    assert code == 3 and out == "" and "non-negative" in err
+
+
+def test_internal_value_error_is_not_reported_as_invalid_input(
+    instance_file, capsys, monkeypatch
+):
+    import stablectl.poly
+
+    def faulty(*args):
+        raise ValueError("solver fault")
+
+    monkeypatch.setattr(stablectl.poly, "solve_delag_mp", faulty)
+    path = instance_file(THREE_CYCLE)
+    with pytest.raises(ValueError, match="solver fault"):
+        main(["solve", path, "--problem", "delag-mp", "--target-pair", "a,b", "--budget", "1"])
 
 
 # -- module entry point ----------------------------------------------------------

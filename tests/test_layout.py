@@ -1,0 +1,104 @@
+"""Package structure rules, checked on the source text alone.
+
+* Intra-package imports sit at module level, never inside a function.
+* No module imports another module's private (``_``-prefixed) names.
+* The module import graph is acyclic.
+* Every ``(module, function)`` pair that the benchmark's tracer wraps
+  (``TARGETS`` in ``bench/spans.py``, read with ``ast``) names a
+  function of the package.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stablectl"
+SPANS = ROOT / "bench" / "spans.py"
+
+
+def modules() -> dict:
+    """Module name -> parsed source, for every module of the package."""
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+MODULE_NAMES = frozenset(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def package_imports(tree: ast.Module):
+    """``(node, imported module names)`` for each intra-package import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "stablectl":
+                continue
+            path = (node.module or "").split(".")
+            if node.level == 0:
+                path = path[1:]
+            if path and path[0]:
+                yield node, {path[0]}
+            else:  # ``from . import x, y``
+                yield node, {a.name for a in node.names if a.name in MODULE_NAMES}
+        elif isinstance(node, ast.Import):
+            targets = {a.name.split(".")[1] for a in node.names if a.name.startswith("stablectl.")}
+            if targets:
+                yield node, targets
+
+
+def test_no_function_level_package_imports():
+    lazy = []
+    for name, tree in modules().items():
+        top = {id(node) for node in tree.body}
+        for node, _ in package_imports(tree):
+            if id(node) not in top:
+                lazy.append(f"{name}.py:{node.lineno}")
+    assert lazy == []
+
+
+def test_no_private_names_imported_across_modules():
+    private = []
+    for name, tree in modules().items():
+        for node, _ in package_imports(tree):
+            private += [
+                f"{name}.py:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")
+            ]
+    assert private == []
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {
+        name: {dep for _, deps in package_imports(tree) for dep in deps} - {name}
+        for name, tree in modules().items()
+    }
+    done: set = set()
+
+    def visit(name: str, path: tuple) -> None:
+        assert name not in path, "import cycle: " + " -> ".join(path + (name,))
+        if name in done:
+            return
+        for dep in sorted(graph[name]):
+            visit(dep, path + (name,))
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name, ())
+
+
+def test_benchmark_trace_targets_resolve():
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    assigned = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    assert len(assigned) == 1
+    targets = ast.literal_eval(assigned[0])
+    assert targets
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fn, _ in targets
+        if not callable(getattr(importlib.import_module(f"stablectl.{mod}"), fn, None))
+    ]
+    assert missing == []

@@ -3,11 +3,14 @@ import random
 import pytest
 
 from helpers import mutual_pair, pairs_of, three_cycle
-from stablectl.control import DELETE_AGENTS, ControlGoal, ControlQuery
+from stablectl import poly
+from stablectl.control import ACTIONS, DELETE_AGENTS, GOAL_KINDS, ControlGoal, ControlQuery
+from stablectl.errors import InvalidQueryError
 from stablectl.exact import solve_exact
-from stablectl.generators import random_sr
+from stablectl.generators import random_query, random_sr
 from stablectl.model import delete_agents, make_sr, pair
 from stablectl.poly import (
+    POLY_PROBLEMS,
     fixing_deletions,
     solve_delacc_ms,
     solve_delag_ma,
@@ -234,3 +237,75 @@ def test_delacc_ms_counts_blockers_exactly():
             assert out.optimum == len(blockers)
             assert out.verdict == (len(blockers) <= budget)
             assert out.witness == blockers
+
+
+# -- solve (dispatch) ----------------------------------------------------------
+
+ALL_PROBLEMS = [(action, kind) for action in ACTIONS for kind in GOAL_KINDS]
+OTHER_PROBLEMS = [p for p in ALL_PROBLEMS if p not in POLY_PROBLEMS]
+
+
+def small_queries(action, kind, count=4):
+    """Seeded queries of one kind on 4-6 agent markets, skipping seeds without a target."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        inst = random_sr(4 + seed % 3, 0.6, seed)
+        try:
+            out.append(random_query(inst, action, kind, seed))
+        except ValueError:
+            pass
+        seed += 1
+    return out
+
+
+def test_poly_problems_are_the_three_tractable_ones():
+    assert POLY_PROBLEMS == {("delag", "mp"), ("delag", "ma"), ("delacc", "ms")}
+    assert len(ALL_PROBLEMS) == 15 and len(OTHER_PROBLEMS) == 12
+
+
+@pytest.mark.parametrize("action,kind", ALL_PROBLEMS)
+def test_solve_auto_uses_poly_exactly_for_poly_problems(action, kind, monkeypatch):
+    called = []
+
+    def recording(name):
+        original = getattr(poly, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve_delag_mp", "solve_delag_ma", "solve_delacc_ms", "solve_exact"):
+        monkeypatch.setattr(poly, name, recording(name))
+    expected = f"solve_{action}_{kind}" if (action, kind) in POLY_PROBLEMS else "solve_exact"
+    for q in small_queries(action, kind):
+        called.clear()
+        poly.solve(q)
+        # solve_delag_ma finishes with a call to solve_delag_mp.
+        assert called[0] == expected
+        assert ("solve_exact" in called) == (expected == "solve_exact")
+
+
+@pytest.mark.parametrize("action,kind", OTHER_PROBLEMS)
+def test_solve_poly_rejects_problems_without_a_poly_solver(action, kind):
+    for q in small_queries(action, kind, count=2):
+        with pytest.raises(InvalidQueryError, match="no polynomial solver"):
+            poly.solve(q, method="poly")
+
+
+def test_solve_rejects_an_unknown_method():
+    q = small_queries("delag", "mp", count=1)[0]
+    with pytest.raises(ValueError, match="unknown method"):
+        poly.solve(q, method="fast")
+
+
+@pytest.mark.parametrize("action,kind", sorted(POLY_PROBLEMS))
+def test_solve_poly_and_exact_agree_on_the_optimum(action, kind):
+    for q in small_queries(action, kind, count=12):
+        fast = poly.solve(q, method="poly")
+        slow = poly.solve(q, method="exact")
+        assert fast.optimum == slow.optimum
+        assert fast.verdict == slow.verdict
+        assert poly.solve(q) == fast
