@@ -27,14 +27,18 @@ results they act on.
 
 Engine bookkeeping and cost, for ``n`` agents and ``m`` acceptable pairs:
 the table interns the agents as ``0..n-1`` in processing order and builds
-integer preference lists, rank maps and live flags once, in O(n + m).
-Per-agent head, second and tail pointers only move inwards, so all list
-access over a run costs O(n + m) in total.  Every pair is deleted at most
-once, and a deletion puts back on the worklist only the agents whose held
-proposal fell with the pair, so all proposals cost O(n + m) as well.
-The rotation start is a pointer that only moves forward through the
-processing order.  On top of that, each of the ``r`` rotations pays an
-O(n) table consistency check and a walk from the rotation start, for
+integer preference lists and rank maps once, in O(n + m).  Every
+reduction deletes the tail of some list, so a tail position per agent is
+the only deletion state: an entry is live when it lies within the tails
+of both lists that hold the pair.  A cut moves one tail and releases at
+most one held proposal, in O(1), whatever the number of pairs it
+deletes.  Per-agent head, second and tail pointers only move inwards,
+passing each dead entry once, so all list access over a run costs
+amortised O(n + m) in total, and so do all proposals, since only an
+agent whose held proposal fell goes back on the worklist.  The rotation
+start is a pointer that only moves forward through the processing order.
+On top of that, each of the ``r`` rotations pays an O(n) table
+consistency check and a walk from the rotation start, for
 O(n + m + r * n) in all; ``r`` stays small on the sparse random markets
 the benchmark measures, where time per pair is nearly flat in ``n``.
 """
@@ -85,8 +89,9 @@ class StablePartition:
             out.append(tuple(cycle))
         return tuple(sorted(out))
 
-    def odd_parties(self, min_size: int = 3) -> tuple:
-        return tuple(p for p in self.parties if len(p) % 2 == 1 and len(p) >= min_size)
+    def odd_parties(self) -> tuple:
+        """The parties of odd size three or more."""
+        return tuple(p for p in self.parties if len(p) % 2 == 1 and len(p) >= 3)
 
     @cached_property
     def singletons(self) -> frozenset:
@@ -206,17 +211,20 @@ class _Table:
     """Mutable reduced preference table over integer-interned agents.
 
     Agent ``i`` is ``order[i]``.  ``pref[i]`` is its preference list as
-    agent indices, ``rank[i]`` maps an index to its position there, and
-    ``live[i][p]`` says whether the entry at position ``p`` survives;
-    pairs are always removed from both sides.  The position pointers
-    ``head``, ``sec`` and ``tail`` only move inwards and never pass the
-    first, second and last live entry, so list access costs amortised
-    O(1).  ``holder[v]`` is the agent whose proposal ``v`` currently holds
-    (-1 for none).  ``work`` holds the agents that may have to propose
-    again: every agent at the start, then each agent whose held proposal
-    falls with a deleted pair.  The stable-table invariant, restored by
-    :meth:`stabilize`, is that every agent with a non-empty list proposes
-    to the head of its list and holds a proposal from its tail.
+    agent indices and ``rank[i]`` maps an index to its position there.
+    Every reduction deletes a tail of some list, so the tail position
+    ``tail[i]`` is the only deletion state: the entry at position ``p``
+    of ``u``'s list, naming ``v``, is live exactly when ``p <= tail[u]``
+    and ``rank[v][u] <= tail[v]``, a rule that gives both sides of a pair
+    the same fate.  The position pointers ``head``, ``sec`` and ``tail``
+    only move inwards and never pass the first, second and last live
+    entry, so list access costs amortised O(1).  ``held[v]`` is the
+    position on ``v``'s list of the proposal ``v`` holds (-1 for none).
+    ``work`` holds the agents that may have to propose again: every agent
+    at the start, then each agent whose held proposal falls with a cut.
+    The stable-table invariant, restored by :meth:`stabilize`, is that
+    every agent with a non-empty list proposes to the head of its list
+    and holds a proposal from its tail.
     """
 
     def __init__(self, inst: RoommatesInstance, order: Sequence[AgentId]):
@@ -224,104 +232,92 @@ class _Table:
         index = {u: i for i, u in enumerate(self.names)}
         self.pref = [[index[v] for v in inst.prefs[u]] for u in self.names]
         self.rank = [{v: r for r, v in enumerate(lst)} for lst in self.pref]
-        self.live = [bytearray(b"\x01") * len(lst) for lst in self.pref]
-        self.size = [len(lst) for lst in self.pref]
         n = len(self.names)
         self.head = [0] * n
         self.sec = [1] * n
         self.tail = [len(lst) - 1 for lst in self.pref]
-        self.holder = [-1] * n
-        self.locked = bytearray(n)
+        self.held = [-1] * n
         self.parties: list[tuple[AgentId, ...]] = []
         self.work = list(range(n - 1, -1, -1))
 
-    # -- list access ----------------------------------------------------
+    # -- list access (-1 when the entry asked for does not exist) --------
 
     def first(self, u: int) -> int:
-        live, h = self.live[u], self.head[u]
-        while not live[h]:
+        pref, rank, tail = self.pref[u], self.rank, self.tail
+        h, t = self.head[u], tail[u]
+        while h <= t and rank[pref[h]][u] > tail[pref[h]]:
             h += 1
         self.head[u] = h
-        return self.pref[u][h]
+        return pref[h] if h <= t else -1
 
     def second(self, u: int) -> int:
-        self.first(u)
-        live = self.live[u]
-        s = max(self.sec[u], self.head[u] + 1)
-        while not live[s]:
+        if self.first(u) < 0:
+            return -1
+        pref, rank, tail = self.pref[u], self.rank, self.tail
+        s, t = max(self.sec[u], self.head[u] + 1), tail[u]
+        while s <= t and rank[pref[s]][u] > tail[pref[s]]:
             s += 1
         self.sec[u] = s
-        return self.pref[u][s]
+        return pref[s] if s <= t else -1
 
     def last(self, u: int) -> int:
-        live, t = self.live[u], self.tail[u]
-        while not live[t]:
+        pref, rank, tail = self.pref[u], self.rank, self.tail
+        t = tail[u]
+        while t >= 0 and rank[pref[t]][u] > tail[pref[t]]:
             t -= 1
-        self.tail[u] = t
-        return self.pref[u][t]
-
-    def delete(self, u: int, r: int) -> None:
-        """Remove the live entry at position ``r`` of ``u``'s list from both sides.
-
-        An agent whose held proposal falls with the pair goes back on ``work``.
-        """
-        v = self.pref[u][r]
-        self.live[u][r] = 0
-        self.live[v][self.rank[v][u]] = 0
-        self.size[u] -= 1
-        self.size[v] -= 1
-        holder = self.holder
-        if holder[u] == v:
-            holder[u] = -1
-            self.work.append(v)
-        if holder[v] == u:
-            holder[v] = -1
-            self.work.append(u)
+        tail[u] = t
+        return pref[t] if t >= 0 else -1
 
     def cut(self, v: int, r: int) -> None:
-        """Delete every entry of ``v``'s list ranked below position ``r``."""
-        live, delete, t = self.live[v], self.delete, self.tail[v]
-        while t > r:
-            if live[t]:
-                delete(v, t)
-            t -= 1
-        self.tail[v] = t
+        """Delete every entry of ``v``'s list ranked below position ``r``.
+
+        The proposal ``v`` holds falls if it ranks below ``r``, and its
+        proposer goes back on ``work``.  ``v``'s own proposal survives,
+        since the head never passes a live entry: a proposal cuts at the
+        live proposing entry, and a rotation cuts ``y[i+1]``'s list at
+        ``x[i]``, which stays live as ``x[i]``'s new first entry.  Locking
+        an odd party cuts every member's list, so each proposal held
+        inside it falls with its holder's list.
+        """
+        if r >= self.tail[v]:
+            return
+        self.tail[v] = r
+        held = self.held
+        if held[v] > r:
+            self.work.append(self.pref[v][held[v]])
+            held[v] = -1
 
     # -- proposal rounds -------------------------------------------------
 
     def stabilize(self) -> None:
         """Run proposals until every non-empty list is head-held and tail-holding.
 
+        A list is cut below every proposal it accepts, so a live proposal
+        never ranks below the one its target holds and is never refused.
         The deletions reached do not depend on the order in which agents
         propose, so the worklist is processed last in, first out.
         """
-        work, size, locked, holder, rank = self.work, self.size, self.locked, self.holder, self.rank
+        work, held, rank = self.work, self.held, self.rank
         while work:
             u = work.pop()
-            if locked[u]:
+            v = self.first(u)
+            if v < 0:
                 continue
-            while size[u]:
-                v = self.first(u)
-                h = holder[v]
-                if h == u:
-                    break
-                rank_v = rank[v]
-                if h < 0 or rank_v[u] < rank_v[h]:
-                    # Cut before taking over ``holder[v]``, so that the
-                    # displaced proposer ``h`` goes back on the worklist.
-                    self.cut(v, rank_v[u])
-                    holder[v] = u
-                    break
-                self.delete(u, self.head[u])
+            r = rank[v][u]
+            if held[v] != r:
+                # Cut before taking over ``held[v]``, so that the
+                # displaced proposer goes back on the worklist.
+                self.cut(v, r)
+                held[v] = r
         self._check_consistency()
 
     def _check_consistency(self) -> None:
-        holder, first, last = self.holder, self.first, self.last
-        for u, (k, lock) in enumerate(zip(self.size, self.locked)):
-            if lock or not k:
-                continue
+        held, rank, first, last = self.held, self.rank, self.first, self.last
+        for u in range(len(self.names)):
             f = first(u)
-            if holder[f] != u or last(f) != u:
+            if f < 0:
+                continue
+            if held[f] != rank[f][u] or last(f) != u:
                 raise InternalError(f"proposal table inconsistent at agent {self.names[u]}")
 
     # -- rotations --------------------------------------------------------
@@ -350,11 +346,11 @@ class _Table:
 
         A self-paired rotation decomposes into cycles of the map sending
         each member to the head of its list.  Odd cycles are odd parties:
-        eliminating them would empty their lists, so they are frozen in
-        place and taken out of the table.  Even cycles stay; ordinary
-        elimination resolves them into pairs.  Each cycle starts at its
-        member with the smallest name.  Returns whether any party was
-        locked.
+        eliminating them would empty their lists, so they are recorded and
+        taken out of the table by cutting their lists to nothing.  Even
+        cycles stay; ordinary elimination resolves them into pairs.  Each
+        cycle starts at its member with the smallest name.  Returns
+        whether any party was locked.
         """
         names = self.names
         succ = {x: self.first(x) for x in xs}
@@ -377,7 +373,6 @@ class _Table:
                 locked_members.extend(cycle)
         for x in locked_members:
             self.cut(x, -1)
-            self.locked[x] = 1
         return bool(locked_members)
 
     # -- main loop ---------------------------------------------------------
@@ -385,15 +380,15 @@ class _Table:
     def run(self) -> StablePartition:
         """Stabilize, then resolve rotations until no list has two entries.
 
-        The rotation start is the first agent in ``order`` that is not
-        locked and has at least two entries.  Lists only shrink and locks
-        are permanent, so that agent never moves backwards in ``order``.
+        The rotation start is the first agent in ``order`` with at least
+        two entries; locked agents have none.  Lists only shrink, so that
+        agent never moves backwards in ``order``.
         """
         self.stabilize()
-        size, locked = self.size, self.locked
+        second = self.second
         start, n = 0, len(self.names)
         while True:
-            while start < n and (locked[start] or size[start] < 2):
+            while start < n and second(start) < 0:
                 start += 1
             if start == n:
                 break
@@ -410,12 +405,12 @@ class _Table:
                 succ[u] = party[(i + 1) % len(party)]
         names = self.names
         for u, name in enumerate(names):
-            if self.locked[u]:
-                continue
-            if not self.size[u]:
-                succ[name] = name
+            if name in succ:  # a locked party member
                 continue
             v = self.first(u)
+            if v < 0:
+                succ[name] = name
+                continue
             if self.first(v) != u:
                 raise InternalError(f"non-mutual residual pair at agent {name}")
             succ[name] = names[v]

@@ -43,7 +43,6 @@ from .model import (
     parse_matching,
     serialize_instance,
     serialize_matching,
-    validate,
 )
 from .stability import DEFAULT_ENUM_CAP, enumerate_stable_matchings
 
@@ -81,10 +80,10 @@ def _read(path: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    inst = parse_instance(_read(args.instance), check=False)
-    violations = validate(inst)
-    if violations:
-        for v in violations:
+    try:
+        parse_instance(_read(args.instance))
+    except InvalidInstanceError as exc:
+        for v in exc.violations:
             print(v)
         return EXIT_INVALID
     print("ok")

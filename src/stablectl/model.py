@@ -271,15 +271,15 @@ def _check_id(token: str, lineno: int) -> str:
     return token
 
 
-def parse_instance(text: str, check: bool = True) -> RoommatesInstance:
-    """Parse the instance file format.
+def parse_instance(text: str) -> RoommatesInstance:
+    """Parse the instance file format and validate the result.
 
-    Raises :class:`ParseError` on malformed text.  With ``check`` (the
-    default) the parsed instance is also validated and
-    :class:`InvalidInstanceError` is raised if any invariant fails.
+    Raises :class:`ParseError` on malformed text and
+    :class:`InvalidInstanceError`, listing every violation, when the
+    parsed instance breaks an invariant.
     """
     kind: str | None = None
-    agents: list[AgentId] = []
+    agents: dict[AgentId, None] = {}  # declaration order, O(1) membership
     side: dict[AgentId, str] = {}
     addable: set[AgentId] = set()
     prefs: dict[AgentId, tuple[AgentId, ...]] = {}
@@ -309,7 +309,7 @@ def parse_instance(text: str, check: bool = True) -> RoommatesInstance:
                     raise ParseError(f"unknown agent attribute {tok!r}", lineno)
             if kind == SM and name not in side:
                 raise ParseError(f"agent {name} needs side=a or side=b", lineno)
-            agents.append(name)
+            agents[name] = None
         elif line.startswith("pref "):
             head, sep, tail = line[len("pref "):].partition(":")
             if not sep:
@@ -339,10 +339,9 @@ def parse_instance(text: str, check: bool = True) -> RoommatesInstance:
         side=side,
         addable=frozenset(addable),
     )
-    if check:
-        violations = validate(inst)
-        if violations:
-            raise InvalidInstanceError(violations)
+    violations = validate(inst)
+    if violations:
+        raise InvalidInstanceError(violations)
     return inst
 
 

@@ -51,6 +51,23 @@ def test_validate_reports_violations(instance_file, capsys):
     assert code == 3 and "asymmetric" in out
 
 
+def test_validate_prints_every_violation_in_order(instance_file, capsys):
+    text = (
+        "problem: sr\n"
+        "agent a\nagent b\nagent c\n"
+        "pref a: a > b > z\npref b: c\npref c: b > b > a\n"
+    )
+    code, out, err = run(capsys, "validate", instance_file(text))
+    assert code == 3 and err == ""
+    assert out == (
+        "agent a lists itself\n"
+        "agent a lists unknown agent z\n"
+        "agent c has duplicate preference entries\n"
+        "asymmetric acceptability between a and b\n"
+        "asymmetric acceptability between c and a\n"
+    )
+
+
 def test_validate_parse_error(instance_file, capsys):
     code, _, err = run(capsys, "validate", instance_file(MALFORMED))
     assert code == 2 and "line 3" in err

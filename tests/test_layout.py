@@ -6,6 +6,10 @@
 * Every ``(module, function)`` pair that the benchmark's tracer wraps
   (``TARGETS`` in ``bench/spans.py``, read with ``ast``) names a
   function of the package.
+* Every package name that the benchmark's workloads reach as
+  ``m.<module>.<name>``, directly or through a local alias such as
+  ``C, P = m.classic, m.poly`` (``bench/workloads.py``, read with
+  ``ast``), resolves on the package.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stablectl"
 SPANS = ROOT / "bench" / "spans.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def modules() -> dict:
@@ -101,4 +106,64 @@ def test_benchmark_trace_targets_resolve():
         for mod, fn, _ in targets
         if not callable(getattr(importlib.import_module(f"stablectl.{mod}"), fn, None))
     ]
+    assert missing == []
+
+
+def attribute_chain(node: ast.expr):
+    """``(root name, attribute names)`` of ``a.b.c``; ``None`` for any other expression."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return (node.id, attrs[::-1]) if isinstance(node, ast.Name) else None
+
+
+def workload_package_chains() -> set:
+    """``(module, name, ...)`` for every package reference in the workloads.
+
+    The package namespace is the parameter ``m``; a name that a function
+    binds to ``m.<module>...``, alone or in a tuple assignment, is an
+    alias for that chain within the function.
+    """
+    chains = set()
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {"m": ()}
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                names, values = [target], [node.value]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    names, values = target.elts, node.value.elts
+                for name, value in zip(names, values):
+                    chain = attribute_chain(value)
+                    if isinstance(name, ast.Name) and chain and chain[0] == "m":
+                        aliases[name.id] = tuple(chain[1])
+        for node in ast.walk(func):
+            chain = attribute_chain(node)
+            if chain and chain[0] in aliases:
+                chains.add(aliases[chain[0]] + tuple(chain[1]))
+    return {c for c in chains if c}
+
+
+def test_benchmark_workload_names_resolve():
+    chains = workload_package_chains()
+    # Direct references and references through aliases are both seen.
+    assert ("poly", "fixing_deletions") in chains
+    assert ("classic", "gale_shapley") in chains  # C = m.classic
+    assert ("reductions", "make_graph") in chains  # R = m.reductions
+    assert ("control", "ControlGoal", "ma") in chains  # G = m.control.ControlGoal
+    missing = []
+    for module, *names in sorted(chains):
+        if module not in MODULE_NAMES:
+            missing.append(module)
+            continue
+        obj = importlib.import_module(f"stablectl.{module}")
+        for name in names:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(".".join([module, *names]))
     assert missing == []

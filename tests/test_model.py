@@ -232,7 +232,7 @@ def test_matching_file_rejects_bad_lines():
 def test_parse_rejects_empty_preference_entries(line):
     text = "problem: sr\nagent a\nagent b\nagent c\n" + line + "\npref b: a\npref c: a\n"
     with pytest.raises(ParseError) as err:
-        parse_instance(text, check=False)
+        parse_instance(text)
     assert err.value.line == 5
     assert "empty preference entry" in str(err.value)
 
