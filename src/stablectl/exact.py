@@ -6,6 +6,18 @@ true minimum and the witness is the smallest successful set in that
 order.  The search refuses instances whose candidate count exceeds the
 cap instead of truncating: answers are exact or absent, never
 approximate.
+
+The search result does not depend on the budget, so it runs once per
+action and goal on an instance and is kept in that instance's
+``search_memo``; a later call at another budget (or the same one) only
+derives its verdict from it.  The memo lives and dies with the instance,
+which is immutable, so it cannot go stale; an equal but distinct instance
+searches again.  The cap is checked on every call, memo hit or not.
+
+Under acceptability deletion with an ``ms`` goal, deleting a target pair
+fails by definition, so the search leaves those pairs out of its
+candidates.  The cap still counts them, and the surviving candidates keep
+their relative order, so the optimum and the witness are unchanged.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .control import (
+    DELETE_ACCEPTABILITY,
     ControlOutcome,
     ControlQuery,
     action_universe,
@@ -61,7 +74,13 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
         raise CapExceededError(
             f"{len(candidates)} candidate actions exceed the search cap of {cap}"
         )
-    hit = _first_success(query, candidates, len(candidates))
+    memo = query.instance.search_memo
+    key = (query.action, query.goal)
+    if key not in memo:
+        if query.action == DELETE_ACCEPTABILITY and query.goal.kind == "ms":
+            candidates = [p for p in candidates if p not in query.goal.matching]
+        memo[key] = _first_success(query, candidates, len(candidates))
+    hit = memo[key]
     if hit is None:
         return ControlOutcome(verdict=False, optimum=None, witness=None)
     size, witness = hit

@@ -6,7 +6,10 @@ on ``u``'s list exactly when ``u`` appears on ``v``'s.  Marriage instances
 are roommates instances with a bipartition label on every agent; every
 algorithm in this package treats them uniformly.
 
-Instances are immutable values.  All mutating operations (agent deletion,
+Instances are immutable, hashable values: ``prefs`` and ``side`` are
+read-only mappings copied once at construction, so values derived from an
+instance and cached on it (``_ranks``, ``acceptable_pairs``,
+``search_memo``) cannot go stale.  All mutating operations (agent deletion,
 acceptability deletion, induction on a chosen addable subset) return fresh
 instances and never touch their input.
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidInstanceError, ParseError
@@ -74,14 +78,39 @@ class RoommatesInstance:
     first.  ``side`` maps agents to ``"a"`` or ``"b"`` and is non-empty
     exactly for marriage instances.  ``addable`` marks the pool of agents
     an agent-addition controller may bring into the market; it is empty
-    for ordinary instances.
+    for ordinary instances.  Both mappings are stored as read-only copies
+    of the ones passed in.
     """
 
     kind: str
     agents: frozenset
-    prefs: dict
-    side: dict = field(default_factory=dict)
+    prefs: Mapping
+    side: Mapping = field(default_factory=dict)
     addable: frozenset = frozenset()
+
+    def __post_init__(self) -> None:
+        prefs = {u: tuple(lst) for u, lst in self.prefs.items()}
+        object.__setattr__(self, "prefs", MappingProxyType(prefs))
+        object.__setattr__(self, "side", MappingProxyType(dict(self.side)))
+
+    def __reduce__(self):
+        # Read-only views do not pickle; rebuild from plain copies instead.
+        fields = (self.kind, self.agents, dict(self.prefs), dict(self.side), self.addable)
+        return RoommatesInstance, fields
+
+    def __hash__(self) -> int:
+        prefs, side = frozenset(self.prefs.items()), frozenset(self.side.items())
+        return hash((self.kind, self.agents, prefs, side, self.addable))
+
+    @cached_property
+    def search_memo(self) -> dict:
+        """Results that a search derives from this instance alone.
+
+        ``exact.solve_exact`` keeps its budget-independent optimum here,
+        keyed by action and goal.  The memo lives and dies with the
+        instance: an equal but distinct instance starts with an empty one.
+        """
+        return {}
 
     @cached_property
     def _ranks(self) -> dict:
@@ -114,6 +143,22 @@ class RoommatesInstance:
         return r[x] < r[y]
 
 
+def _derived(
+    kind: str, agents: frozenset, prefs: Mapping, side: Mapping, addable: frozenset
+) -> RoommatesInstance:
+    """An instance over ``prefs`` and ``side`` as they are, without a copy.
+
+    Each must be a fresh dict that nothing else holds, or another
+    instance's read-only view, so the result is as immutable as one built
+    through the constructor.
+    """
+    inst = object.__new__(RoommatesInstance)
+    values = {"kind": kind, "agents": agents, "prefs": prefs, "side": side, "addable": addable}
+    for name, value in values.items():
+        object.__setattr__(inst, name, MappingProxyType(value) if type(value) is dict else value)
+    return inst
+
+
 def make_instance(
     kind: str,
     prefs: Mapping[AgentId, Sequence[AgentId]],
@@ -124,8 +169,8 @@ def make_instance(
     return RoommatesInstance(
         kind=kind,
         agents=frozenset(prefs),
-        prefs={u: tuple(lst) for u, lst in prefs.items()},
-        side=dict(side or {}),
+        prefs=prefs,
+        side=side or {},
         addable=frozenset(addable),
     )
 
@@ -205,33 +250,37 @@ def delete_agents(inst: RoommatesInstance, agents: Iterable[AgentId]) -> Roommat
     gone = frozenset(agents)
     _reject_unknown(gone - inst.agents, "agents")
     keep = inst.agents - gone
-    return RoommatesInstance(
-        kind=inst.kind,
-        agents=keep,
-        prefs={u: tuple(v for v in inst.prefs[u] if v in keep) for u in inst.prefs if u in keep},
-        side={u: s for u, s in inst.side.items() if u in keep},
-        addable=inst.addable & keep,
+    return _derived(
+        inst.kind,
+        keep,
+        {u: tuple(v for v in inst.prefs[u] if v in keep) for u in inst.prefs if u in keep},
+        {u: s for u, s in inst.side.items() if u in keep},
+        inst.addable & keep,
     )
 
 
 def delete_pairs(inst: RoommatesInstance, pairs: Iterable[Pair]) -> RoommatesInstance:
     """Remove the given acceptable pairs from both preference lists."""
+    ranks = inst._ranks
     banned = {u: set() for u in inst.agents}
     unknown = []
     for p in frozenset(pairs):
-        if not inst.is_acceptable_pair(p):
-            unknown.append(p)
-            continue
-        u, v = p
-        banned[u].add(v)
-        banned[v].add(u)
+        # ``inst.is_acceptable_pair(p)``, inlined: callers pass tens of
+        # thousands of pairs.
+        if isinstance(p, frozenset) and len(p) == 2:
+            u, v = p
+            if v in ranks.get(u, ()) and u in ranks.get(v, ()):
+                banned[u].add(v)
+                banned[v].add(u)
+                continue
+        unknown.append(p)
     _reject_unknown(unknown, "acceptable pairs")
-    return RoommatesInstance(
-        kind=inst.kind,
-        agents=inst.agents,
-        prefs={u: tuple(v for v in lst if v not in banned[u]) for u, lst in inst.prefs.items()},
-        side=dict(inst.side),
-        addable=inst.addable,
+    return _derived(
+        inst.kind,
+        inst.agents,
+        {u: tuple(v for v in lst if v not in banned[u]) for u, lst in inst.prefs.items()},
+        inst.side,
+        inst.addable,
     )
 
 
@@ -244,13 +293,7 @@ def induce_with_added(inst: RoommatesInstance, added: Iterable[AgentId]) -> Room
     chosen = frozenset(added)
     _reject_unknown(chosen - inst.addable, "addable agents")
     reduced = delete_agents(inst, inst.addable - chosen)
-    return RoommatesInstance(
-        kind=reduced.kind,
-        agents=reduced.agents,
-        prefs=reduced.prefs,
-        side=reduced.side,
-        addable=frozenset(),
-    )
+    return _derived(reduced.kind, reduced.agents, reduced.prefs, reduced.side, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +375,7 @@ def parse_instance(text: str) -> RoommatesInstance:
     if missing:
         raise ParseError(f"missing pref line for: {' '.join(sorted(missing))}")
 
-    inst = RoommatesInstance(
-        kind=kind,
-        agents=frozenset(agents),
-        prefs=prefs,
-        side=side,
-        addable=frozenset(addable),
-    )
+    inst = _derived(kind, frozenset(agents), prefs, side, frozenset(addable))
     violations = validate(inst)
     if violations:
         raise InvalidInstanceError(violations)

@@ -5,6 +5,7 @@ lines and timings.  The final criterion replays every exact solve recorded
 by the earlier ones, so the file is meant to run as a whole.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -299,8 +300,10 @@ def test_criterion_10_monotonicity_and_witness_validity():
             assert outcome.witness is not None and len(outcome.witness) <= query.budget
             controlled = apply_actions(query, outcome.witness)
             assert goal_holds(controlled, query.goal, action=query.action)
+            # A fresh equal instance, so the re-solve searches again
+            # instead of reading the first solve's memo.
             bumped = ControlQuery(
-                instance=query.instance,
+                instance=dataclasses.replace(query.instance),
                 action=query.action,
                 goal=query.goal,
                 budget=query.budget + 1,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -201,8 +202,10 @@ def test_budget_monotonicity_in_subset_semantics():
         except ValueError:
             continue
         lower = solve_exact(q)
+        # A fresh equal instance, so the second solve searches again.
+        fresh = dataclasses.replace(q.instance)
         higher = solve_exact(
-            ControlQuery(instance=q.instance, action=q.action, goal=q.goal, budget=q.budget + 1)
+            ControlQuery(instance=fresh, action=q.action, goal=q.goal, budget=q.budget + 1)
         )
         if lower.verdict:
             assert higher.verdict

@@ -1,14 +1,20 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mutual_pair, three_cycle
+from helpers import mutual_pair, three_cycle, two_by_two_sm
+from stablectl.control import DELETE_AGENTS, ControlGoal, ControlQuery
 from stablectl.errors import InvalidInstanceError, ParseError
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import (
     delete_agents,
     delete_pairs,
     induce_with_added,
+    RoommatesInstance,
     make_sm,
     make_sr,
     pair,
@@ -261,3 +267,51 @@ def test_delete_pairs_names_the_unknown_pairs():
     with pytest.raises(ValueError) as err:
         delete_pairs(mutual_pair(), {pair("a", "b"), pair("a", "zz")})
     assert str(err.value) == f"unknown acceptable pairs: {frozenset({'a', 'zz'})}"
+    # Neither a triple holding an acceptable pair nor a two-letter string
+    # naming one is a pair.
+    triple = frozenset({"a", "b", "c"})
+    with pytest.raises(ValueError) as err:
+        delete_pairs(mutual_pair(), {pair("a", "b"), triple, "ab"})
+    assert str(err.value) == f"unknown acceptable pairs: ab {triple}"
+
+
+def test_instance_mappings_are_read_only():
+    inst = two_by_two_sm()
+    with pytest.raises(TypeError):
+        inst.prefs["m1"] = ("w2",)
+    with pytest.raises(TypeError):
+        inst.side["m1"] = "b"
+    for derived in (delete_agents(inst, ["m1"]), delete_pairs(inst, [pair("m1", "w1")])):
+        with pytest.raises(TypeError):
+            derived.prefs["m2"] = ()
+        with pytest.raises(TypeError):
+            derived.side["m2"] = "b"
+
+
+def test_instances_keep_no_handle_on_their_inputs():
+    prefs = {"m": ["w"], "w": ["m"]}
+    side = {"m": "a", "w": "b"}
+    built = [
+        make_sm(prefs, side),
+        RoommatesInstance(kind="sm", agents=frozenset(prefs), prefs=prefs, side=side),
+    ]
+    prefs["m"].append("x")
+    prefs["x"] = ["m"]
+    side["m"] = "b"
+    for inst in built:
+        assert inst.prefs == {"m": ("w",), "w": ("m",)}
+        assert inst.side == {"m": "a", "w": "b"}
+        assert inst.rank("w", "m") == 0 and not validate(inst)
+
+
+def test_instances_and_queries_hash_by_value():
+    inst, twin = random_sr(6, 0.6, 3), random_sr(6, 0.6, 3)
+    assert inst == twin and inst is not twin and hash(inst) == hash(twin)
+    copies = (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst)), dataclasses.replace(inst))
+    for other in (parse_instance(serialize_instance(inst)), *copies):
+        assert other == inst and hash(other) == hash(inst)
+    sm = random_sm(3, 3, 1.0, 5)
+    assert hash(sm) == hash(make_sm(dict(sm.prefs), dict(sm.side)))
+    assert hash(delete_agents(sm, ["m00"])) == hash(delete_agents(sm, ["m00"]))
+    query = ControlQuery(instance=inst, action=DELETE_AGENTS, goal=ControlGoal.esm(), budget=1)
+    assert hash(query) == hash(dataclasses.replace(query, instance=twin))
