@@ -127,7 +127,8 @@ class RoommatesInstance:
         return frozenset(pairs)
 
     def acceptable(self, u: AgentId, v: AgentId) -> bool:
-        return v in self._ranks.get(u, {}) and u in self._ranks.get(v, {})
+        ranks = self._ranks
+        return v in ranks.get(u, ()) and u in ranks.get(v, ())
 
     def is_acceptable_pair(self, p) -> bool:
         """``p in self.acceptable_pairs``, without building that set."""
@@ -141,22 +142,6 @@ class RoommatesInstance:
         """True iff ``u`` strictly prefers ``x`` to ``y``."""
         r = self._ranks[u]
         return r[x] < r[y]
-
-
-def _derived(
-    kind: str, agents: frozenset, prefs: Mapping, side: Mapping, addable: frozenset
-) -> RoommatesInstance:
-    """An instance over ``prefs`` and ``side`` as they are, without a copy.
-
-    Each must be a fresh dict that nothing else holds, or another
-    instance's read-only view, so the result is as immutable as one built
-    through the constructor.
-    """
-    inst = object.__new__(RoommatesInstance)
-    values = {"kind": kind, "agents": agents, "prefs": prefs, "side": side, "addable": addable}
-    for name, value in values.items():
-        object.__setattr__(inst, name, MappingProxyType(value) if type(value) is dict else value)
-    return inst
 
 
 def make_instance(
@@ -250,12 +235,12 @@ def delete_agents(inst: RoommatesInstance, agents: Iterable[AgentId]) -> Roommat
     gone = frozenset(agents)
     _reject_unknown(gone - inst.agents, "agents")
     keep = inst.agents - gone
-    return _derived(
-        inst.kind,
-        keep,
-        {u: tuple(v for v in inst.prefs[u] if v in keep) for u in inst.prefs if u in keep},
-        {u: s for u, s in inst.side.items() if u in keep},
-        inst.addable & keep,
+    return RoommatesInstance(
+        kind=inst.kind,
+        agents=keep,
+        prefs={u: tuple(v for v in inst.prefs[u] if v in keep) for u in inst.prefs if u in keep},
+        side={u: s for u, s in inst.side.items() if u in keep},
+        addable=inst.addable & keep,
     )
 
 
@@ -265,8 +250,8 @@ def delete_pairs(inst: RoommatesInstance, pairs: Iterable[Pair]) -> RoommatesIns
     banned = {u: set() for u in inst.agents}
     unknown = []
     for p in frozenset(pairs):
-        # ``inst.is_acceptable_pair(p)``, inlined: callers pass tens of
-        # thousands of pairs.
+        # ``inst.is_acceptable_pair(p)``, inlined: pair fixing passes tens of
+        # thousands of pairs.  test_model checks that the two agree.
         if isinstance(p, frozenset) and len(p) == 2:
             u, v = p
             if v in ranks.get(u, ()) and u in ranks.get(v, ()):
@@ -275,12 +260,12 @@ def delete_pairs(inst: RoommatesInstance, pairs: Iterable[Pair]) -> RoommatesIns
                 continue
         unknown.append(p)
     _reject_unknown(unknown, "acceptable pairs")
-    return _derived(
-        inst.kind,
-        inst.agents,
-        {u: tuple(v for v in lst if v not in banned[u]) for u, lst in inst.prefs.items()},
-        inst.side,
-        inst.addable,
+    return RoommatesInstance(
+        kind=inst.kind,
+        agents=inst.agents,
+        prefs={u: tuple(v for v in lst if v not in banned[u]) for u, lst in inst.prefs.items()},
+        side=inst.side,
+        addable=inst.addable,
     )
 
 
@@ -293,7 +278,13 @@ def induce_with_added(inst: RoommatesInstance, added: Iterable[AgentId]) -> Room
     chosen = frozenset(added)
     _reject_unknown(chosen - inst.addable, "addable agents")
     reduced = delete_agents(inst, inst.addable - chosen)
-    return _derived(reduced.kind, reduced.agents, reduced.prefs, reduced.side, frozenset())
+    return RoommatesInstance(
+        kind=reduced.kind,
+        agents=reduced.agents,
+        prefs=reduced.prefs,
+        side=reduced.side,
+        addable=frozenset(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +366,13 @@ def parse_instance(text: str) -> RoommatesInstance:
     if missing:
         raise ParseError(f"missing pref line for: {' '.join(sorted(missing))}")
 
-    inst = _derived(kind, frozenset(agents), prefs, side, frozenset(addable))
+    inst = RoommatesInstance(
+        kind=kind,
+        agents=frozenset(agents),
+        prefs=prefs,
+        side=side,
+        addable=frozenset(addable),
+    )
     violations = validate(inst)
     if violations:
         raise InvalidInstanceError(violations)

@@ -275,6 +275,22 @@ def test_delete_pairs_names_the_unknown_pairs():
     assert str(err.value) == f"unknown acceptable pairs: ab {triple}"
 
 
+def test_delete_pairs_accepts_exactly_the_acceptable_pairs():
+    # delete_pairs inlines is_acceptable_pair; the two must agree on every
+    # candidate, pairs of agents and malformed values alike.
+    for seed in range(10):
+        inst = random_sr(6, 0.5, seed) if seed % 2 else random_sm(3, 3, 0.6, seed)
+        agents = sorted(inst.agents) + ["zz"]
+        candidates = [frozenset((u, v)) for u in agents for v in agents]
+        candidates += [tuple(agents[:2]), frozenset(agents[:3]), agents[0] + agents[1]]
+        for p in candidates:
+            if inst.is_acceptable_pair(p):
+                assert p not in delete_pairs(inst, [p]).acceptable_pairs
+            else:
+                with pytest.raises(ValueError, match="^unknown acceptable pairs: "):
+                    delete_pairs(inst, [p])
+
+
 def test_instance_mappings_are_read_only():
     inst = two_by_two_sm()
     with pytest.raises(TypeError):
