@@ -14,8 +14,10 @@ Four entry points:
   parties when no odd party of size >= 3 exists.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
   pair into some stable matching, read off the stable partition of the
-  instance *fixed* for that pair (:func:`fixing_deletions`).  The control
-  goal ``mp`` and the polynomial solvers in :mod:`stablectl.poly` share it.
+  instance *fixed* for that pair (:func:`fixing_deletions`): every agent
+  that an endpoint prefers to the other cuts its list just above that
+  endpoint.  The control goal ``mp`` and the polynomial solvers in
+  :mod:`stablectl.poly` share it.
 
 The partition engine runs the classical proposal ("phase 1") table
 reduction followed by repeated rotation elimination.  When a rotation's
@@ -50,7 +52,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InternalError
-from .model import SM, AgentId, Matching, Pair, RoommatesInstance, delete_pairs
+from .model import SM, AgentId, Matching, Pair, RoommatesInstance
 
 # ---------------------------------------------------------------------------
 # Stable partitions
@@ -473,15 +475,15 @@ class FixingContext:
     """The instance reduced so that a target pair is mutually top-ranked.
 
     ``a_star`` holds the agents ``a`` prefers to ``b``; ``b_star`` the
-    agents ``b`` prefers to ``a``.  ``fixing_pairs`` is the deleted edge
-    set and ``reduced`` the instance without it.
+    agents ``b`` prefers to ``a``.  ``reduced`` is the instance in which
+    every agent of ``a_star`` (resp. ``b_star``) has its list cut just
+    above ``a`` (resp. ``b``).
     """
 
     a: AgentId
     b: AgentId
     a_star: frozenset
     b_star: frozenset
-    fixing_pairs: frozenset
     reduced: RoommatesInstance
 
 
@@ -504,31 +506,33 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
 
     Removed are the pairs ``{x, y}`` where ``x`` prefers ``a`` to ``y``
     (or ``y`` is ``a`` itself) for some ``x`` that ``a`` prefers to ``b``,
-    and symmetrically on ``b``'s side.  Afterwards ``a`` and ``b`` are
-    each other's first choices.
+    and symmetrically on ``b``'s side: each such ``x`` keeps only the head
+    of its list above the endpoint, and leaves the list of every ``y`` in
+    the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
+    first choices.
     """
     if a == b or not inst.acceptable(a, b):
         raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    a_star = frozenset(x for x in inst.prefs[a] if inst.prefers(a, x, b))
-    b_star = frozenset(x for x in inst.prefs[b] if inst.prefers(b, x, a))
-    fixing = set()
+    a_star = frozenset(inst.prefs[a][: inst.rank(a, b)])
+    b_star = frozenset(inst.prefs[b][: inst.rank(b, a)])
+    cut = {}  # agent of a star -> number of entries it keeps
     for star, anchor in ((a_star, a), (b_star, b)):
         for x in star:
-            # ``anchor`` itself and every entry ``x`` ranks below it.
-            for y in inst.prefs[x][inst.rank(x, anchor):]:
-                fixing.add(frozenset((x, y)))
-    ctx = FixingContext(
-        a=a,
-        b=b,
-        a_star=a_star,
-        b_star=b_star,
-        fixing_pairs=frozenset(fixing),
-        reduced=delete_pairs(inst, fixing),
+            cut[x] = min(inst.rank(x, anchor), cut.get(x, len(inst.prefs[x])))
+    dropped = {}  # agent -> the agents whose cut-off tails hold it
+    for x, r in cut.items():
+        for y in inst.prefs[x][r:]:
+            dropped.setdefault(y, set()).add(x)
+    prefs = {}
+    for u, lst in inst.prefs.items():
+        gone, lst = dropped.get(u), lst[: cut.get(u)]
+        prefs[u] = tuple(v for v in lst if v not in gone) if gone else lst
+    reduced = RoommatesInstance(
+        kind=inst.kind, agents=inst.agents, prefs=prefs, side=inst.side, addable=inst.addable
     )
-    reduced = ctx.reduced
     if reduced.prefs[a][0] != b or reduced.prefs[b][0] != a:
         raise InternalError("fixing deletions did not make the target mutually top-ranked")
-    return ctx
+    return FixingContext(a=a, b=b, a_star=a_star, b_star=b_star, reduced=reduced)
 
 
 def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:

@@ -39,6 +39,7 @@ from .errors import (
     StablectlError,
 )
 from .model import (
+    pair_text,
     parse_instance,
     parse_matching,
     serialize_instance,
@@ -138,9 +139,7 @@ def _render_outcome(outcome: ControlOutcome) -> None:
     print(f"verdict: {'yes' if outcome.verdict else 'no'}")
     print(f"optimum: {outcome.optimum if outcome.optimum is not None else 'unknown'}")
     if outcome.witness:
-        items = sorted(
-            ",".join(sorted(w)) if isinstance(w, frozenset) else w for w in outcome.witness
-        )
+        items = sorted(pair_text(w) if isinstance(w, frozenset) else w for w in outcome.witness)
         print(f"actions: {' '.join(items)}")
     else:
         print("actions:")
@@ -180,7 +179,7 @@ def cmd_reduce(args) -> int:
     if query.goal.agent is not None:
         sidecar_lines.append(f"target-agent: {query.goal.agent}")
     if query.goal.pair is not None:
-        sidecar_lines.append(f"target-pair: {','.join(sorted(query.goal.pair))}")
+        sidecar_lines.append(f"target-pair: {pair_text(query.goal.pair)}")
     if query.goal.matching is not None:
         matching_path = out.with_name(out.name + ".matching")
         matching_path.write_text(serialize_matching(query.goal.matching), encoding="utf-8")
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--problem",
         required=True,
-        help="one of {addag,delag,delacc}-{ma,mp,ms,esm,epsm}",
+        help=f"one of {{{','.join(ACTIONS)}}}-{{{','.join(GOAL_KINDS)}}}",
     )
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--target-agent")

@@ -119,12 +119,12 @@ class RoommatesInstance:
     @cached_property
     def acceptable_pairs(self) -> frozenset:
         """All mutually acceptable pairs, derived from the preference lists."""
-        pairs = set()
-        for u, lst in self.prefs.items():
-            for v in lst:
-                if u in self._ranks.get(v, {}):
-                    pairs.add(frozenset((u, v)))
-        return frozenset(pairs)
+        return frozenset(
+            frozenset((u, v))
+            for u, lst in self.prefs.items()
+            for v in lst
+            if u < v and self.acceptable(u, v)
+        )
 
     def acceptable(self, u: AgentId, v: AgentId) -> bool:
         ranks = self._ranks
@@ -230,35 +230,36 @@ def _reject_unknown(unknown, what: str) -> None:
         raise ValueError(f"unknown {what}: {' '.join(sorted(map(str, unknown)))}")
 
 
-def delete_agents(inst: RoommatesInstance, agents: Iterable[AgentId]) -> RoommatesInstance:
-    """Remove the given agents and restrict every preference list to survivors."""
-    gone = frozenset(agents)
-    _reject_unknown(gone - inst.agents, "agents")
-    keep = inst.agents - gone
+def _keep_agents(inst: RoommatesInstance, keep: frozenset, addable: frozenset) -> RoommatesInstance:
+    """``inst`` restricted to ``keep``, with ``addable`` as its pool."""
     return RoommatesInstance(
         kind=inst.kind,
         agents=keep,
         prefs={u: tuple(v for v in inst.prefs[u] if v in keep) for u in inst.prefs if u in keep},
         side={u: s for u, s in inst.side.items() if u in keep},
-        addable=inst.addable & keep,
+        addable=addable,
     )
+
+
+def delete_agents(inst: RoommatesInstance, agents: Iterable[AgentId]) -> RoommatesInstance:
+    """Remove the given agents and restrict every preference list to survivors."""
+    gone = frozenset(agents)
+    _reject_unknown(gone - inst.agents, "agents")
+    keep = inst.agents - gone
+    return _keep_agents(inst, keep, inst.addable & keep)
 
 
 def delete_pairs(inst: RoommatesInstance, pairs: Iterable[Pair]) -> RoommatesInstance:
     """Remove the given acceptable pairs from both preference lists."""
-    ranks = inst._ranks
     banned = {u: set() for u in inst.agents}
     unknown = []
     for p in frozenset(pairs):
-        # ``inst.is_acceptable_pair(p)``, inlined: pair fixing passes tens of
-        # thousands of pairs.  test_model checks that the two agree.
-        if isinstance(p, frozenset) and len(p) == 2:
+        if inst.is_acceptable_pair(p):
             u, v = p
-            if v in ranks.get(u, ()) and u in ranks.get(v, ()):
-                banned[u].add(v)
-                banned[v].add(u)
-                continue
-        unknown.append(p)
+            banned[u].add(v)
+            banned[v].add(u)
+        else:
+            unknown.append(p)
     _reject_unknown(unknown, "acceptable pairs")
     return RoommatesInstance(
         kind=inst.kind,
@@ -277,14 +278,7 @@ def induce_with_added(inst: RoommatesInstance, added: Iterable[AgentId]) -> Room
     """
     chosen = frozenset(added)
     _reject_unknown(chosen - inst.addable, "addable agents")
-    reduced = delete_agents(inst, inst.addable - chosen)
-    return RoommatesInstance(
-        kind=reduced.kind,
-        agents=reduced.agents,
-        prefs=reduced.prefs,
-        side=reduced.side,
-        addable=frozenset(),
-    )
+    return _keep_agents(inst, inst.agents - (inst.addable - chosen), frozenset())
 
 
 # ---------------------------------------------------------------------------

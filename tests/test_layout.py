@@ -1,7 +1,8 @@
 """Package structure rules, checked on the source text alone.
 
 * Intra-package imports sit at module level, never inside a function.
-* No module imports another module's private (``_``-prefixed) names.
+* No module imports another module's private (``_``-prefixed) names, nor
+  reads a private attribute (``obj._name``) that it does not define itself.
 * The module import graph is acyclic.
 * Every ``(module, function)`` pair that the benchmark's tracer wraps
   (``TARGETS`` in ``bench/spans.py``, read with ``ast``) names a
@@ -69,6 +70,27 @@ def test_no_private_names_imported_across_modules():
                 f"{name}.py:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")
             ]
     assert private == []
+
+
+def test_no_private_attributes_read_across_modules():
+    foreign = []
+    for name, tree in modules().items():
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id if isinstance(node, ast.Name) else node.attr)
+        foreign += [
+            f"{name}.py:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and node.attr not in defined
+        ]
+    assert foreign == []
 
 
 def test_module_import_graph_is_acyclic():

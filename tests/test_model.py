@@ -276,8 +276,6 @@ def test_delete_pairs_names_the_unknown_pairs():
 
 
 def test_delete_pairs_accepts_exactly_the_acceptable_pairs():
-    # delete_pairs inlines is_acceptable_pair; the two must agree on every
-    # candidate, pairs of agents and malformed values alike.
     for seed in range(10):
         inst = random_sr(6, 0.5, seed) if seed % 2 else random_sm(3, 3, 0.6, seed)
         agents = sorted(inst.agents) + ["zz"]

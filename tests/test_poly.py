@@ -7,8 +7,8 @@ from stablectl import poly
 from stablectl.control import ACTIONS, DELETE_AGENTS, GOAL_KINDS, ControlGoal, ControlQuery
 from stablectl.errors import InvalidQueryError
 from stablectl.exact import solve_exact
-from stablectl.generators import random_query, random_sr
-from stablectl.model import delete_agents, make_sr, pair
+from stablectl.generators import random_query, random_sm, random_sr
+from stablectl.model import delete_agents, delete_pairs, make_instance, make_sr, pair
 from stablectl.poly import (
     POLY_PROBLEMS,
     fixing_deletions,
@@ -25,7 +25,7 @@ from stablectl.stability import enumerate_stable_matchings, is_stable
 def test_fixing_mutual_top_pair_deletes_nothing():
     ctx = fixing_deletions(mutual_pair(), "a", "b")
     assert ctx.a_star == frozenset() and ctx.b_star == frozenset()
-    assert ctx.fixing_pairs == frozenset()
+    assert mutual_pair().acceptable_pairs - ctx.reduced.acceptable_pairs == frozenset()
     assert ctx.reduced == mutual_pair()
 
 
@@ -33,14 +33,14 @@ def test_fixing_three_cycle():
     ctx = fixing_deletions(three_cycle(), "a", "b")
     assert ctx.a_star == frozenset()
     assert ctx.b_star == {"c"}
-    assert ctx.fixing_pairs == pairs_of(("b", "c"))
+    assert three_cycle().acceptable_pairs - ctx.reduced.acceptable_pairs == pairs_of(("b", "c"))
 
 
 def test_fixing_with_competition_on_target_side():
     inst = make_sr({"a": ["c", "b"], "b": ["a"], "c": ["a"]})
     ctx = fixing_deletions(inst, "a", "b")
     assert ctx.a_star == {"c"} and ctx.b_star == frozenset()
-    assert ctx.fixing_pairs == pairs_of(("a", "c"))
+    assert inst.acceptable_pairs - ctx.reduced.acceptable_pairs == pairs_of(("a", "c"))
 
 
 def test_fixing_rejects_unacceptable_pair():
@@ -57,11 +57,39 @@ def test_fixing_makes_target_mutually_top():
             ctx = fixing_deletions(inst, a, b)
             assert ctx.reduced.prefs[a][0] == b
             assert ctx.reduced.prefs[b][0] == a
-            assert target not in ctx.fixing_pairs
+            assert target not in inst.acceptable_pairs - ctx.reduced.acceptable_pairs
             # Agents that outrank the target hold no options below it.
             for x in ctx.a_star:
                 for y in ctx.reduced.prefs[x]:
                     assert y != a and not inst.prefers(x, a, y)
+
+
+def test_fixing_matches_the_pairwise_rule():
+    # Sparse to complete SR and SM markets, each with its generated
+    # (shuffled) lists and with every list sorted by name.
+    markets = []
+    for seed in range(16):
+        density = 0.5 + seed % 4 / 6
+        inst = random_sr(9, density, seed) if seed % 2 else random_sm(4, 5, density, seed)
+        ordered = {u: sorted(lst) for u, lst in inst.prefs.items()}
+        markets += [inst, make_instance(inst.kind, ordered, inst.side)]
+    for inst in markets:
+        for target in sorted(inst.acceptable_pairs, key=sorted):
+            a, b = sorted(target)
+            a_star = {x for x in inst.prefs[a] if inst.prefers(a, x, b)}
+            b_star = {x for x in inst.prefs[b] if inst.prefers(b, x, a)}
+            # {x, y} goes when x is in a star and y is that star's endpoint
+            # or an agent x ranks below it.
+            doomed = {
+                pair(x, y)
+                for star, anchor in ((a_star, a), (b_star, b))
+                for x in star
+                for y in inst.prefs[x]
+                if y == anchor or inst.prefers(x, anchor, y)
+            }
+            ctx = fixing_deletions(inst, a, b)
+            assert (ctx.a_star, ctx.b_star) == (a_star, b_star)
+            assert ctx.reduced == delete_pairs(inst, doomed)
 
 
 def test_diagnosis_never_implicates_the_target_pair():
@@ -218,8 +246,6 @@ def test_delacc_ms_single_blocker():
     assert out0.witness == pairs_of(("u1", "u2"))
     out1 = solve_delacc_ms(inst, matching, 1)
     assert out1.verdict
-    from stablectl.model import delete_pairs
-
     assert is_stable(delete_pairs(inst, out1.witness), matching)
 
 
