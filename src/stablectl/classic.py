@@ -527,9 +527,7 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
     for u, lst in inst.prefs.items():
         gone, lst = dropped.get(u), lst[: cut.get(u)]
         prefs[u] = tuple(v for v in lst if v not in gone) if gone else lst
-    reduced = RoommatesInstance(
-        kind=inst.kind, agents=inst.agents, prefs=prefs, side=inst.side, addable=inst.addable
-    )
+    reduced = RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
     if reduced.prefs[a][0] != b or reduced.prefs[b][0] != a:
         raise InternalError("fixing deletions did not make the target mutually top-ranked")
     return FixingContext(a=a, b=b, a_star=a_star, b_star=b_star, reduced=reduced)

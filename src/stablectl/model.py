@@ -1,10 +1,12 @@
 """Instance model for stable roommates and stable marriage markets.
 
-An instance is a set of agents, each holding a strict preference list over
-the agents it finds acceptable.  Acceptability is symmetric: ``v`` appears
-on ``u``'s list exactly when ``u`` appears on ``v``'s.  Marriage instances
-are roommates instances with a bipartition label on every agent; every
-algorithm in this package treats them uniformly.
+An instance is its preference lists: each agent holds a strict preference
+list over the agents it finds acceptable, and the agent set is the keys of
+those lists.  Acceptability is symmetric: ``v`` appears on ``u``'s list
+exactly when ``u`` appears on ``v``'s.  Marriage instances are roommates
+instances with a bipartition label on every agent; every algorithm in this
+package treats them uniformly.  :func:`validate` checks every invariant in
+one walk over the agents.
 
 Instances are immutable, hashable values: ``prefs`` and ``side`` are
 read-only mappings copied once at construction, so values derived from an
@@ -75,15 +77,16 @@ class RoommatesInstance:
     """A stable roommates (or marriage) market.
 
     ``prefs`` maps every agent to its preference tuple, most preferred
-    first.  ``side`` maps agents to ``"a"`` or ``"b"`` and is non-empty
-    exactly for marriage instances.  ``addable`` marks the pool of agents
-    an agent-addition controller may bring into the market; it is empty
-    for ordinary instances.  Both mappings are stored as read-only copies
-    of the ones passed in.
+    first.  The agent set is the keys of ``prefs``: ``agents`` is derived
+    from them, never passed.  ``side`` maps agents to ``"a"`` or ``"b"``
+    and is non-empty exactly for marriage instances.  ``addable`` marks the
+    pool of agents an agent-addition controller may bring into the market;
+    it is empty for ordinary instances.  Both mappings are stored as
+    read-only copies of the ones passed in.
     """
 
     kind: str
-    agents: frozenset
+    agents: frozenset = field(init=False, compare=False)
     prefs: Mapping
     side: Mapping = field(default_factory=dict)
     addable: frozenset = frozenset()
@@ -91,16 +94,17 @@ class RoommatesInstance:
     def __post_init__(self) -> None:
         prefs = {u: tuple(lst) for u, lst in self.prefs.items()}
         object.__setattr__(self, "prefs", MappingProxyType(prefs))
+        object.__setattr__(self, "agents", frozenset(prefs))
         object.__setattr__(self, "side", MappingProxyType(dict(self.side)))
 
     def __reduce__(self):
         # Read-only views do not pickle; rebuild from plain copies instead.
-        fields = (self.kind, self.agents, dict(self.prefs), dict(self.side), self.addable)
+        fields = (self.kind, dict(self.prefs), dict(self.side), self.addable)
         return RoommatesInstance, fields
 
     def __hash__(self) -> int:
         prefs, side = frozenset(self.prefs.items()), frozenset(self.side.items())
-        return hash((self.kind, self.agents, prefs, side, self.addable))
+        return hash((self.kind, prefs, side, self.addable))
 
     @cached_property
     def search_memo(self) -> dict:
@@ -151,13 +155,7 @@ def make_instance(
     addable: Iterable[AgentId] = (),
 ) -> RoommatesInstance:
     """Normalise plain mappings into a :class:`RoommatesInstance`."""
-    return RoommatesInstance(
-        kind=kind,
-        agents=frozenset(prefs),
-        prefs=prefs,
-        side=side or {},
-        addable=frozenset(addable),
-    )
+    return RoommatesInstance(kind=kind, prefs=prefs, side=side or {}, addable=frozenset(addable))
 
 
 def make_sr(prefs: Mapping[AgentId, Sequence[AgentId]], addable: Iterable[AgentId] = ()) -> RoommatesInstance:
@@ -176,49 +174,39 @@ def validate(inst: RoommatesInstance) -> list[str]:
     """Check every structural invariant; return violation descriptions.
 
     An empty result means the instance is valid.  Violations are reported
-    in a deterministic order and never raised.
+    in a deterministic order and never raised: grouped by category, and
+    within a category by sorted agent, then by list position.  One walk
+    over the agents reads membership and symmetry off the cached ranks; an
+    asymmetric pair is met only from the side that lists it.
     """
-    out: list[str] = []
-    if inst.kind not in (SR, SM):
-        out.append(f"unknown problem kind {inst.kind!r}")
-    if set(inst.prefs) != set(inst.agents):
-        missing = sorted(inst.agents - set(inst.prefs))
-        extra = sorted(set(inst.prefs) - inst.agents)
-        if missing:
-            out.append(f"agents without preference list: {' '.join(missing)}")
-        if extra:
-            out.append(f"preference lists for undeclared agents: {' '.join(extra)}")
+    ranks, side, sm = inst._ranks, inst.side, inst.kind == SM
+    ids, entries, asymmetric, labels, same_side = [], [], [], [], []
     for u in sorted(inst.agents):
+        lst, mine = inst.prefs[u], ranks[u]
         if not ID_RE.match(u):
-            out.append(f"invalid agent identifier {u!r}")
-    for u in sorted(set(inst.prefs) & set(inst.agents)):
-        lst = inst.prefs[u]
-        if u in lst:
-            out.append(f"agent {u} lists itself")
-        if len(set(lst)) != len(lst):
-            out.append(f"agent {u} has duplicate preference entries")
-        for v in lst:
-            if v not in inst.agents:
-                out.append(f"agent {u} lists unknown agent {v}")
-    # Symmetry of acceptability.
-    seen = set()
-    for u in sorted(set(inst.prefs) & set(inst.agents)):
-        for v in inst.prefs[u]:
-            if v not in inst.agents or frozenset((u, v)) in seen:
-                continue
-            seen.add(frozenset((u, v)))
-            if u not in inst.prefs.get(v, ()):
-                out.append(f"asymmetric acceptability between {u} and {v}")
-    if inst.kind == SM:
-        for u in sorted(inst.agents):
-            s = inst.side.get(u)
-            if s not in ("a", "b"):
-                out.append(f"agent {u} has no valid side label")
-        for u in sorted(set(inst.prefs) & set(inst.agents)):
-            for v in inst.prefs[u]:
-                if v in inst.agents and inst.side.get(u) == inst.side.get(v):
-                    out.append(f"same-side preference entry {v} on list of {u}")
-    elif inst.side:
+            ids.append(f"invalid agent identifier {u!r}")
+        if u in mine:
+            entries.append(f"agent {u} lists itself")
+        if len(mine) != len(lst):
+            entries.append(f"agent {u} has duplicate preference entries")
+        entries += [f"agent {u} lists unknown agent {v}" for v in lst if v not in ranks]
+        asymmetric += [
+            f"asymmetric acceptability between {u} and {v}"
+            for v in mine  # each entry once, in order of first appearance
+            if v in ranks and u not in ranks[v]
+        ]
+        if sm:
+            su = side.get(u)
+            if su not in ("a", "b"):
+                labels.append(f"agent {u} has no valid side label")
+            same_side += [
+                f"same-side preference entry {v} on list of {u}"
+                for v in lst
+                if v in ranks and side.get(v) == su
+            ]
+    out = [f"unknown problem kind {inst.kind!r}"] if inst.kind not in (SR, SM) else []
+    out += ids + entries + asymmetric + labels + same_side
+    if side and not sm:
         out.append("side labels are only allowed on sm instances")
     for u in sorted(inst.addable - inst.agents):
         out.append(f"addable agent {u} is not part of the instance")
@@ -234,7 +222,6 @@ def _keep_agents(inst: RoommatesInstance, keep: frozenset, addable: frozenset) -
     """``inst`` restricted to ``keep``, with ``addable`` as its pool."""
     return RoommatesInstance(
         kind=inst.kind,
-        agents=keep,
         prefs={u: tuple(v for v in inst.prefs[u] if v in keep) for u in inst.prefs if u in keep},
         side={u: s for u, s in inst.side.items() if u in keep},
         addable=addable,
@@ -263,7 +250,6 @@ def delete_pairs(inst: RoommatesInstance, pairs: Iterable[Pair]) -> RoommatesIns
     _reject_unknown(unknown, "acceptable pairs")
     return RoommatesInstance(
         kind=inst.kind,
-        agents=inst.agents,
         prefs={u: tuple(v for v in lst if v not in banned[u]) for u, lst in inst.prefs.items()},
         side=inst.side,
         addable=inst.addable,
@@ -360,13 +346,7 @@ def parse_instance(text: str) -> RoommatesInstance:
     if missing:
         raise ParseError(f"missing pref line for: {' '.join(sorted(missing))}")
 
-    inst = RoommatesInstance(
-        kind=kind,
-        agents=frozenset(agents),
-        prefs=prefs,
-        side=side,
-        addable=frozenset(addable),
-    )
+    inst = RoommatesInstance(kind=kind, prefs=prefs, side=side, addable=frozenset(addable))
     violations = validate(inst)
     if violations:
         raise InvalidInstanceError(violations)

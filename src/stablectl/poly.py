@@ -61,12 +61,18 @@ def solve_delag_mp(inst: RoommatesInstance, target: Pair, budget: int) -> Contro
     """Agent deletion until ``target`` lies in some stable matching."""
     a, b = sorted(target)
     ctx = fixing_deletions(inst, a, b)
-    diag = diagnose_fixed_instance(ctx)
+    return _mp_outcome(inst, ctx, diagnose_fixed_instance(ctx), budget)
+
+
+def _mp_outcome(
+    inst: RoommatesInstance, ctx: FixingContext, diag: PartitionDiagnosis, budget: int
+) -> ControlOutcome:
+    """The pair goal's outcome, read off the diagnosed fixed instance."""
     optimum = diag.cost
     witness = frozenset(
         {min(party) for party in diag.partition.odd_parties()} | diag.forbidden_singletons
     )
-    if len(witness) != optimum or witness & {a, b}:
+    if len(witness) != optimum or witness & {ctx.a, ctx.b}:
         raise InternalError("malformed deletion witness")
     if optimum <= budget:
         _verify_mp_witness(inst, ctx, witness)
@@ -98,17 +104,15 @@ def solve_delag_ma(inst: RoommatesInstance, target: AgentId, budget: int) -> Con
     """
     if target not in inst.agents:
         raise ValueError(f"unknown agent {target!r}")
-    best: tuple[int, AgentId] | None = None
+    best: tuple[FixingContext, PartitionDiagnosis] | None = None
     for partner in sorted(inst.prefs[target]):
-        cost = pair_fixing_cost(inst, frozenset((target, partner)))
-        if best is None or cost < best[0]:
-            best = (cost, partner)
+        ctx = fixing_deletions(inst, *sorted((target, partner)))
+        diag = diagnose_fixed_instance(ctx)
+        if best is None or diag.cost < best[1].cost:
+            best = (ctx, diag)
     if best is None:
         return ControlOutcome(verdict=False, optimum=None, witness=None)
-    outcome = solve_delag_mp(inst, frozenset((target, best[1])), budget)
-    if outcome.optimum != best[0]:
-        raise InternalError("partner scan and pair solver disagree")
-    return outcome
+    return _mp_outcome(inst, *best, budget)
 
 
 def solve_delacc_ms(inst: RoommatesInstance, matching: Matching, budget: int) -> ControlOutcome:

@@ -4,6 +4,8 @@
 * No module imports another module's private (``_``-prefixed) names, nor
   reads a private attribute (``obj._name``) that it does not define itself.
 * The module import graph is acyclic.
+* Every import from outside the package, at any level, is of a standard
+  library module: the core has no third-party dependency.
 * Every ``(module, function)`` pair that the benchmark's tracer wraps
   (``TARGETS`` in ``bench/spans.py``, read with ``ast``) names a
   function of the package.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,6 +113,24 @@ def test_module_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, ())
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            foreign += [
+                f"{name}.py:{node.lineno} {top}"
+                for top in tops
+                if top != "stablectl" and top not in sys.stdlib_module_names
+            ]
+    assert foreign == []
 
 
 def test_benchmark_trace_targets_resolve():

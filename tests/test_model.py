@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,16 @@ from hypothesis import strategies as st
 
 from helpers import mutual_pair, three_cycle, two_by_two_sm
 from stablectl.control import DELETE_AGENTS, ControlGoal, ControlQuery
+from stablectl.classic import fixing_deletions
 from stablectl.errors import InvalidInstanceError, ParseError
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import (
     delete_agents,
     delete_pairs,
+    ID_RE,
     induce_with_added,
     RoommatesInstance,
+    make_instance,
     make_sm,
     make_sr,
     pair,
@@ -144,6 +148,176 @@ def test_validate_rejects_identifiers_that_break_the_format():
     for bad in ("a>b", "a#b", "a b", "a:b", "a,b"):
         inst = make_sr({bad: ["x"], "x": [bad]})
         assert any("identifier" in v for v in validate(inst)), bad
+
+
+@pytest.mark.parametrize(
+    "kind,prefs,side,addable,expected",
+    [
+        (
+            "xx",
+            {"a": ["a", "b", "z"], "b": ["a"], "c": ["d", "d"], "d": [], "e:x": []},
+            {"a": "a"},
+            ["a", "q"],
+            [
+                "unknown problem kind 'xx'",
+                "invalid agent identifier 'e:x'",
+                "agent a lists itself",
+                "agent a lists unknown agent z",
+                "agent c has duplicate preference entries",
+                "asymmetric acceptability between c and d",
+                "side labels are only allowed on sm instances",
+                "addable agent q is not part of the instance",
+            ],
+        ),
+        (
+            "sm",
+            {"m1": ["w1", "m2", "w9"], "m2": ["m1"], "w1": ["m1", "w2"], "w2": [], "x": []},
+            {"m1": "a", "m2": "a", "w1": "b", "w2": "c"},
+            ["zz"],
+            [
+                "agent m1 lists unknown agent w9",
+                "asymmetric acceptability between w1 and w2",
+                "agent w2 has no valid side label",
+                "agent x has no valid side label",
+                "same-side preference entry m2 on list of m1",
+                "same-side preference entry m1 on list of m2",
+                "addable agent zz is not part of the instance",
+            ],
+        ),
+        (
+            "sr",
+            {"a": ["b"], "b": []},
+            {"a": "a"},
+            [],
+            [
+                "asymmetric acceptability between a and b",
+                "side labels are only allowed on sm instances",
+            ],
+        ),
+    ],
+)
+def test_validate_reports_every_category_in_order(kind, prefs, side, addable, expected):
+    assert validate(make_instance(kind, prefs, side=side, addable=addable)) == expected
+
+
+def reference_validate(inst):
+    """The multi-loop ``validate`` that the one-walk version replaced."""
+    out = []
+    if inst.kind not in ("sr", "sm"):
+        out.append(f"unknown problem kind {inst.kind!r}")
+    for u in sorted(inst.agents):
+        if not ID_RE.match(u):
+            out.append(f"invalid agent identifier {u!r}")
+    for u in sorted(set(inst.prefs) & set(inst.agents)):
+        lst = inst.prefs[u]
+        if u in lst:
+            out.append(f"agent {u} lists itself")
+        if len(set(lst)) != len(lst):
+            out.append(f"agent {u} has duplicate preference entries")
+        for v in lst:
+            if v not in inst.agents:
+                out.append(f"agent {u} lists unknown agent {v}")
+    seen = set()
+    for u in sorted(set(inst.prefs) & set(inst.agents)):
+        for v in inst.prefs[u]:
+            if v not in inst.agents or frozenset((u, v)) in seen:
+                continue
+            seen.add(frozenset((u, v)))
+            if u not in inst.prefs.get(v, ()):
+                out.append(f"asymmetric acceptability between {u} and {v}")
+    if inst.kind == "sm":
+        for u in sorted(inst.agents):
+            s = inst.side.get(u)
+            if s not in ("a", "b"):
+                out.append(f"agent {u} has no valid side label")
+        for u in sorted(set(inst.prefs) & set(inst.agents)):
+            for v in inst.prefs[u]:
+                if v in inst.agents and inst.side.get(u) == inst.side.get(v):
+                    out.append(f"same-side preference entry {v} on list of {u}")
+    elif inst.side:
+        out.append("side labels are only allowed on sm instances")
+    for u in sorted(inst.addable - inst.agents):
+        out.append(f"addable agent {u} is not part of the instance")
+    return out
+
+
+def corrupted_instance(rng: random.Random):
+    """A seeded SR or SM market, complete or sparse, with a few random corruptions."""
+    complete = rng.random() < 0.3
+    density = 1.0 if complete else rng.choice([0.2, 0.5, 0.8])
+    if rng.random() < 0.5:
+        base = random_sr(rng.randint(0, 12), density, rng.randrange(10**6))
+    else:
+        base = random_sm(rng.randint(0, 6), rng.randint(0, 6), density, rng.randrange(10**6))
+    kind, side, addable = base.kind, dict(base.side), set()
+    prefs = {u: list(lst) for u, lst in base.prefs.items()}
+    for _ in range(rng.randint(0, 4)):
+        agents = sorted(prefs)
+        u = rng.choice(agents) if agents else None
+        move = rng.randrange(10)
+        if u is None or move == 0:
+            kind = rng.choice(["xx", "SR", ""])
+        elif move == 1:  # self-insertion
+            prefs[u].insert(rng.randint(0, len(prefs[u])), u)
+        elif move == 2 and prefs[u]:  # duplicate entry
+            prefs[u].insert(rng.randint(0, len(prefs[u])), rng.choice(prefs[u]))
+        elif move == 3:  # unknown entry
+            prefs[u].insert(rng.randint(0, len(prefs[u])), f"ghost{rng.randrange(3)}")
+        elif move == 4 and prefs[u]:  # dropped back-entry
+            v = rng.choice(prefs[u])
+            if v in prefs and u in prefs[v]:
+                prefs[v].remove(u)
+        elif move == 5:  # side flip, also on an sr market
+            side[u] = {"a": "b", "b": "a"}.get(side.get(u), "a")
+        elif move == 6:  # side removal or a label that is not a side
+            if rng.random() < 0.5:
+                side.pop(u, None)
+            else:
+                side[u] = "c"
+        elif move == 7:  # bad identifier, renamed everywhere
+            bad = rng.choice(["a b", "x:y", "p>q", "h#", "c,d"])
+            if bad not in prefs:
+                prefs[bad] = prefs.pop(u)
+                prefs = {w: [bad if v == u else v for v in lst] for w, lst in prefs.items()}
+                if u in side:
+                    side[bad] = side.pop(u)
+        elif move == 8:  # stray addable agent, next to a legitimate one
+            addable |= {f"stray{rng.randrange(3)}", u}
+        elif move == 9 and len(agents) > 1:  # one-sided new entry
+            v = rng.choice(agents)
+            if v != u and v not in prefs[u]:
+                prefs[u].append(v)
+    return make_instance(kind, prefs, side=side, addable=addable)
+
+
+def test_validate_matches_the_multi_loop_reference():
+    rng = random.Random(20261018)
+    corpus = [corrupted_instance(rng) for _ in range(2400)]
+    flagged = 0
+    for inst in corpus:
+        expected = reference_validate(inst)
+        assert validate(inst) == expected, (inst, expected)
+        flagged += bool(expected)
+    assert 1000 < flagged < len(corpus)
+
+
+def test_agents_are_the_keys_of_the_preference_lists():
+    with pytest.raises(TypeError):
+        RoommatesInstance(kind="sr", agents=frozenset(), prefs={})
+    inst = random_sm(4, 3, 0.8, 2)
+    derived = [
+        inst,
+        make_sr({"a": ["b"], "b": ["a"], "c": []}, addable=["c"]),
+        parse_instance(serialize_instance(inst)),
+        delete_agents(inst, ["m00"]),
+        delete_pairs(inst, sorted(inst.acceptable_pairs, key=sorted)[:2]),
+        induce_with_added(make_sr({"a": ["b"], "b": ["a"], "c": []}, addable=["c"]), []),
+        fixing_deletions(random_sr(8, 1.0, 4), "u00", "u01").reduced,
+        pickle.loads(pickle.dumps(inst)),
+        dataclasses.replace(inst, prefs={"z": ()}),
+    ]
+    for d in derived:
+        assert d.agents == frozenset(d.prefs)
 
 
 def test_delete_agents_restricts_lists():
@@ -307,7 +481,7 @@ def test_instances_keep_no_handle_on_their_inputs():
     side = {"m": "a", "w": "b"}
     built = [
         make_sm(prefs, side),
-        RoommatesInstance(kind="sm", agents=frozenset(prefs), prefs=prefs, side=side),
+        RoommatesInstance(kind="sm", prefs=prefs, side=side),
     ]
     prefs["m"].append("x")
     prefs["x"] = ["m"]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import mutual_pair, pairs_of, three_cycle
-from stablectl import poly
+from stablectl import classic, poly
 from stablectl.control import ACTIONS, DELETE_AGENTS, GOAL_KINDS, ControlGoal, ControlQuery
 from stablectl.errors import InvalidQueryError
 from stablectl.exact import solve_exact
@@ -226,6 +226,30 @@ def test_ma_picks_cheapest_partner():
                 for partner in inst.prefs[agent]
             )
             assert out.optimum == best
+
+
+def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
+    counts = {"fixing": 0, "partition": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    fixing = counting("fixing", classic.fixing_deletions)
+    partition = counting("partition", classic.tan_stable_partition)
+    for module in (classic, poly):
+        monkeypatch.setattr(module, "fixing_deletions", fixing)
+        monkeypatch.setattr(module, "tan_stable_partition", partition)
+    inst = random_sr(40, 0.25, 7)
+    target = max(sorted(inst.agents), key=lambda u: len(inst.prefs[u]))
+    k = len(inst.prefs[target])
+    out = solve_delag_ma(inst, target, budget=len(inst.agents))
+    assert k >= 5 and out.verdict
+    # One fixing and one partition per partner, plus the witness check.
+    assert counts == {"fixing": k, "partition": k + 1}
 
 
 # -- solve_delacc_ms ---------------------------------------------------------
