@@ -16,8 +16,9 @@ Four entry points:
   pair into some stable matching, read off the stable partition of the
   instance *fixed* for that pair (:func:`fixing_deletions`): every agent
   that an endpoint prefers to the other cuts its list just above that
-  endpoint.  The control goal ``mp`` and the polynomial solvers in
-  :mod:`stablectl.poly` share it.
+  endpoint; the goal ``mp`` uses it.  :func:`pair_fixing_witness`, the
+  one rule for which agents a pair costs, reads those deletions and the
+  stable matching they leave off the same partition for the solvers.
 
 The partition engine runs the classical proposal ("phase 1") table
 reduction followed by repeated rotation elimination.  When a rotation's
@@ -455,7 +456,10 @@ def partition_stable_matching(
 
 def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
     """Some stable matching of ``inst``, or ``None`` when none exists."""
-    return partition_stable_matching(inst, tan_stable_partition(inst))
+    try:
+        return partition_stable_matching(inst, tan_stable_partition(inst))
+    except ValueError as exc:  # the engine's own partition failed its axioms
+        raise InternalError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +496,12 @@ class PartitionDiagnosis:
     """What the stable partition of a fixed instance says about deletions."""
 
     partition: StablePartition
-    odd_count: int
     forbidden_singletons: frozenset
 
     @property
     def cost(self) -> int:
         """Agent deletions needed: one per odd party and per forbidden singleton."""
-        return self.odd_count + len(self.forbidden_singletons)
+        return len(self.partition.odd_parties()) + len(self.forbidden_singletons)
 
 
 def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
@@ -535,12 +538,24 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
 
 def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
     partition = tan_stable_partition(ctx.reduced)
-    interested = ctx.a_star | ctx.b_star
     return PartitionDiagnosis(
-        partition=partition,
-        odd_count=len(partition.odd_parties()),
-        forbidden_singletons=partition.singletons & interested,
+        partition=partition, forbidden_singletons=partition.singletons & (ctx.a_star | ctx.b_star)
     )
+
+
+def pair_fixing_witness(ctx: FixingContext, diag: PartitionDiagnosis) -> tuple[frozenset, Matching]:
+    """The deletions that ``diag`` prices, and the stable matching they leave.
+
+    :func:`partition_to_matching` re-checks the partition's axioms, drops
+    one member of each odd party and pairs up the rest; the forbidden
+    singletons go too.  A failed axiom is an engine fault, raised as
+    :class:`InternalError`.
+    """
+    try:
+        dropped, matching = partition_to_matching(ctx.reduced, diag.partition)
+    except ValueError as exc:
+        raise InternalError(str(exc)) from exc
+    return dropped | diag.forbidden_singletons, matching
 
 
 def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:

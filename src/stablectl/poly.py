@@ -10,14 +10,13 @@ Three problems admit efficient algorithms and are solved here exactly
   where the blocking pairs of the target matching are exactly the edges
   that must go.
 
-The pair solver reads its optimum off the stable partition of the
-instance fixed for the target pair; the construction lives next to the
+The pair solver reads its optimum, witness and matching off one stable
+partition of the instance fixed for the target pair, built next to the
 partition engine in :mod:`stablectl.classic`.  :func:`solve` answers any
-control query, with one of these solvers or with the exhaustive search of
-:mod:`stablectl.exact`.
+query, with these solvers or with the search of :mod:`stablectl.exact`.
 
-Every solver re-verifies a positive witness by applying it and checking
-stability; a failure there is a bug, never a verdict.
+Every answer is certified, the pair solver's on the partition that
+decided it; a failed check is a bug, never a verdict.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from .classic import (  # the pair-fixing names are re-exported from here
     diagnose_fixed_instance,
     fixing_deletions,
     pair_fixing_cost,
-    partition_to_matching,
-    tan_stable_partition,
+    pair_fixing_witness,
 )
 from .control import (
     DELETE_ACCEPTABILITY,
@@ -67,32 +65,18 @@ def solve_delag_mp(inst: RoommatesInstance, target: Pair, budget: int) -> Contro
 def _mp_outcome(
     inst: RoommatesInstance, ctx: FixingContext, diag: PartitionDiagnosis, budget: int
 ) -> ControlOutcome:
-    """The pair goal's outcome, read off the diagnosed fixed instance."""
+    """The pair goal's outcome, certified on the diagnosed fixed instance."""
     optimum = diag.cost
-    witness = frozenset(
-        {min(party) for party in diag.partition.odd_parties()} | diag.forbidden_singletons
-    )
+    witness, matching = pair_fixing_witness(ctx, diag)
     if len(witness) != optimum or witness & {ctx.a, ctx.b}:
         raise InternalError("malformed deletion witness")
-    if optimum <= budget:
-        _verify_mp_witness(inst, ctx, witness)
-        return ControlOutcome(verdict=True, optimum=optimum, witness=witness)
-    return ControlOutcome(verdict=False, optimum=optimum, witness=None)
-
-
-def _verify_mp_witness(inst: RoommatesInstance, ctx: FixingContext, witness) -> None:
-    """Check that deleting the witness really makes the target pair stable-matched."""
-    fixed_rest = delete_agents(ctx.reduced, witness)
-    partition = tan_stable_partition(fixed_rest)
-    if partition.odd_parties():
-        raise InternalError("witness deletion left an odd party")
-    if partition.singletons & ((ctx.a_star | ctx.b_star) - witness):
-        raise InternalError("witness deletion left an interested agent unmatched")
-    _, matching = partition_to_matching(fixed_rest, partition)
+    if optimum > budget:
+        return ControlOutcome(verdict=False, optimum=optimum, witness=None)
     if frozenset((ctx.a, ctx.b)) not in matching:
         raise InternalError("stable matching of the fixed instance misses the target")
     if not is_stable(delete_agents(inst, witness), matching):
         raise InternalError("witness matching is unstable in the controlled instance")
+    return ControlOutcome(verdict=True, optimum=optimum, witness=witness)
 
 
 def solve_delag_ma(inst: RoommatesInstance, target: AgentId, budget: int) -> ControlOutcome:

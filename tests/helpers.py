@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from stablectl.classic import StablePartition
 from stablectl.model import make_sm, make_sr
 
 
@@ -15,6 +16,11 @@ def mutual_pair():
 def three_cycle():
     """a: b>c / b: c>a / c: a>b: no stable matching, one odd party."""
     return make_sr({"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"]})
+
+
+def identity_partition(inst, order=None):
+    """Every agent alone: a stand-in engine whose partition a three-cycle's pairs block."""
+    return StablePartition({u: u for u in inst.agents})
 
 
 def four_agent_unsolvable():

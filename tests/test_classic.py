@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_small_sr_instances,
     four_agent_unsolvable,
+    identity_partition,
     mutual_pair,
     pairs_of,
     random_sr_instance,
@@ -23,6 +24,7 @@ from stablectl.classic import (
     tan_stable_partition,
     validate_partition,
 )
+from stablectl.errors import InternalError
 from stablectl.model import make_sm, make_sr
 from stablectl.stability import covered_agents, enumerate_stable_matchings, is_stable
 
@@ -150,6 +152,12 @@ def test_partition_to_matching_all_singletons():
     inst = make_sr({"a": [], "b": []})
     deleted, matching = partition_to_matching(inst, tan_stable_partition(inst))
     assert deleted == frozenset() and matching == frozenset()
+
+
+def test_irving_reports_an_engine_fault_as_an_internal_error(monkeypatch):
+    monkeypatch.setattr("stablectl.classic.tan_stable_partition", identity_partition)
+    with pytest.raises(InternalError, match="invalid partition: pair a,b blocks"):
+        irving_stable_matching(three_cycle())
 
 
 def test_partition_to_matching_rejects_invalid_partition():

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from helpers import identity_partition
 from stablectl.cli import main
 from stablectl.model import parse_instance, parse_matching
 
@@ -421,6 +422,15 @@ def test_internal_value_error_is_not_reported_as_invalid_input(
     path = instance_file(THREE_CYCLE)
     with pytest.raises(ValueError, match="solver fault"):
         main(["solve", path, "--problem", "delag-mp", "--target-pair", "a,b", "--budget", "1"])
+
+
+def test_engine_fault_prints_an_error_and_exits_1(instance_file, capsys, monkeypatch):
+    monkeypatch.setattr("stablectl.classic.tan_stable_partition", identity_partition)
+    path = instance_file(THREE_CYCLE)
+    for query in (["delag-mp", "--target-pair", "a,b"], ["delag-ma", "--target-agent", "a"]):
+        code, out, err = run(capsys, "solve", path, "--problem", *query, "--budget", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid partition: ")
 
 
 # -- module entry point ----------------------------------------------------------

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from helpers import mutual_pair, pairs_of, three_cycle
+from helpers import identity_partition, mutual_pair, pairs_of, three_cycle
 from stablectl import classic, poly
 from stablectl.control import ACTIONS, DELETE_AGENTS, GOAL_KINDS, ControlGoal, ControlQuery
-from stablectl.errors import InvalidQueryError
+from stablectl.errors import InternalError, InvalidQueryError
 from stablectl.exact import solve_exact
 from stablectl.generators import random_query, random_sm, random_sr
 from stablectl.model import delete_agents, delete_pairs, make_instance, make_sr, pair
@@ -102,7 +102,6 @@ def test_diagnosis_never_implicates_the_target_pair():
             a, b = sorted(target)
             ctx = fixing_deletions(inst, a, b)
             diag = diagnose_fixed_instance(ctx)
-            assert diag.odd_count == len(diag.partition.odd_parties())
             for party in diag.partition.odd_parties():
                 assert a not in party and b not in party
             assert diag.forbidden_singletons <= (ctx.a_star | ctx.b_star)
@@ -228,7 +227,8 @@ def test_ma_picks_cheapest_partner():
             assert out.optimum == best
 
 
-def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
+def count_engine_calls(monkeypatch) -> dict:
+    """Count fixings and partitions through every module binding of them."""
     counts = {"fixing": 0, "partition": 0}
 
     def counting(name, fn):
@@ -241,15 +241,63 @@ def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
     fixing = counting("fixing", classic.fixing_deletions)
     partition = counting("partition", classic.tan_stable_partition)
     for module in (classic, poly):
-        monkeypatch.setattr(module, "fixing_deletions", fixing)
-        monkeypatch.setattr(module, "tan_stable_partition", partition)
+        for name, wrapper in (("fixing_deletions", fixing), ("tan_stable_partition", partition)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_mp_fixes_and_partitions_once(monkeypatch):
+    counts = count_engine_calls(monkeypatch)
+    inst = random_sr(40, 0.25, 7)
+    target = min(inst.acceptable_pairs, key=sorted)
+    out = solve_delag_mp(inst, target, budget=len(inst.agents))
+    assert out.verdict
+    assert counts == {"fixing": 1, "partition": 1}
+
+
+def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
+    counts = count_engine_calls(monkeypatch)
     inst = random_sr(40, 0.25, 7)
     target = max(sorted(inst.agents), key=lambda u: len(inst.prefs[u]))
     k = len(inst.prefs[target])
     out = solve_delag_ma(inst, target, budget=len(inst.agents))
     assert k >= 5 and out.verdict
-    # One fixing and one partition per partner, plus the witness check.
-    assert counts == {"fixing": k, "partition": k + 1}
+    assert counts == {"fixing": k, "partition": k}
+
+
+def test_engine_fault_in_the_pair_read_off_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(classic, "tan_stable_partition", identity_partition)
+    with pytest.raises(InternalError, match="invalid partition: pair a,b blocks"):
+        solve_delag_mp(three_cycle(), pair("a", "b"), 3)
+
+
+def test_witness_follows_the_partition_rule_and_clears_the_fixed_instance():
+    # The witness is one member (the smallest) of each odd party plus the
+    # forbidden singletons, and a fresh partition of the fixed instance
+    # minus the witness leaves no odd party and no interested agent alone.
+    markets = []
+    for seed in range(24):
+        density = (0.4, 0.7, 1.0)[seed % 3]
+        if seed % 2:
+            markets.append(random_sr(3 + seed % 6, density, seed))
+        else:
+            markets.append(random_sm(2 + seed % 3, 3 + seed % 2, density, seed))
+    assert any(all(len(i.prefs[u]) == len(i.agents) - 1 for u in i.agents) for i in markets)
+    checked = 0
+    for inst in markets:
+        for target in sorted(inst.acceptable_pairs, key=sorted):
+            a, b = sorted(target)
+            ctx = fixing_deletions(inst, a, b)
+            diag = classic.diagnose_fixed_instance(ctx)
+            out = solve_delag_mp(inst, target, budget=len(inst.agents))
+            rule = {min(p) for p in diag.partition.odd_parties()} | diag.forbidden_singletons
+            assert out.verdict and out.witness == rule
+            rest = classic.tan_stable_partition(delete_agents(ctx.reduced, out.witness))
+            assert rest.odd_parties() == ()
+            assert not rest.singletons & ((ctx.a_star | ctx.b_star) - out.witness)
+            checked += 1
+    assert checked >= 200
 
 
 # -- solve_delacc_ms ---------------------------------------------------------
@@ -333,7 +381,6 @@ def test_solve_auto_uses_poly_exactly_for_poly_problems(action, kind, monkeypatc
     for q in small_queries(action, kind):
         called.clear()
         poly.solve(q)
-        # solve_delag_ma finishes with a call to solve_delag_mp.
         assert called[0] == expected
         assert ("solve_exact" in called) == (expected == "solve_exact")
 
