@@ -19,6 +19,11 @@ Four entry points:
   endpoint; the goal ``mp`` uses it.  :func:`pair_fixing_witness`, the
   one rule for which agents a pair costs, reads those deletions and the
   stable matching they leave off the same partition for the solvers.
+  Fixing is a set of tail cuts on one integer table of the instance the
+  query was asked on: the engine runs from those tails and the
+  partition's axioms are checked at them, so no fixed instance is built
+  on the way to an answer (``FixingContext.reduced`` builds it on
+  demand, from the same cuts).
 
 The partition engine runs the classical proposal ("phase 1") table
 reduction followed by repeated rotation elimination.  When a rotation's
@@ -30,7 +35,9 @@ results they act on.
 
 Engine bookkeeping and cost, for ``n`` agents and ``m`` acceptable pairs:
 the table interns the agents as ``0..n-1`` in processing order and builds
-integer preference lists and rank maps once, in O(n + m).  Every
+integer preference lists and rank maps once, in O(n + m); a run starts
+from a tail per agent, in O(n), so the pair solvers fix and partition the
+market for every partner of an agent on one table.  Every
 reduction deletes the tail of some list, so a tail position per agent is
 the only deletion state: an entry is live when it lies within the tails
 of both lists that hold the pair.  A cut moves one tail and releases at
@@ -44,13 +51,17 @@ On top of that, each of the ``r`` rotations pays an O(n) table
 consistency check and a walk from the rotation start, for
 O(n + m + r * n) in all; ``r`` stays small on the sparse random markets
 the benchmark measures, where time per pair is nearly flat in ``n``.
+Fixing a pair costs O(n) for a fresh copy of the tails plus one cut per
+agent the endpoints outrank.  The axiom check (:meth:`_Table.violations`)
+costs O(n) plus the entries above each agent's predecessor, since no
+other entry can block, so at most O(n + m).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError
 from .model import SM, AgentId, Matching, Pair, RoommatesInstance
@@ -111,38 +122,32 @@ def render_partition(partition: StablePartition) -> str:
 
 
 def validate_partition(inst: RoommatesInstance, partition: StablePartition) -> list[str]:
-    """Check the stable-partition axioms; return violation descriptions."""
-    succ = partition.successor
-    out: list[str] = []
-    if set(succ) != set(inst.agents):
-        out.append("successor map does not cover exactly the instance agents")
-        return out
-    if set(succ.values()) != set(inst.agents):
-        out.append("successor map is not a permutation")
-        return out
-    pred = partition.predecessor
-    for u in sorted(inst.agents):
-        s = succ[u]
-        if s != u and not inst.acceptable(u, s):
-            out.append(f"successor of {u} is the unacceptable agent {s}")
-    if out:
-        return out
-    for u in sorted(inst.agents):
-        s, p = succ[u], pred[u]
-        if s != u and s != p and not inst.prefers(u, s, p):
-            out.append(f"{u} prefers its predecessor {p} to its successor {s}")
+    """Check the stable-partition axioms; return violation descriptions.
 
-    def beats_predecessor(u: AgentId, v: AgentId) -> bool:
-        # A fixed point ranks below every acceptable agent.
-        return pred[u] == u or inst.prefers(u, v, pred[u])
+    The check runs over a fresh integer table of ``inst``, whose lists are
+    whole; see :meth:`_Table.violations`.  Like the engine, it needs every
+    list to name only agents of ``inst``.
+    """
+    table = _Table(inst, sorted(inst.agents))
+    return table.violations(partition, table.whole)
 
-    for u in sorted(inst.agents):
-        for v in sorted(w for w in inst.prefs[u] if u < w and inst.acceptable(u, w)):
-            if succ[u] == v or succ[v] == u:
-                continue
-            if beats_predecessor(u, v) and beats_predecessor(v, u):
-                out.append(f"pair {u},{v} blocks the partition")
-    return out
+
+def _pair_up(partition: StablePartition) -> tuple[frozenset, Matching]:
+    """Drop the smallest member of each odd party and pair up the rest."""
+    deleted = set()
+    pairs = set()
+    for party in partition.parties:
+        if len(party) == 1:
+            continue
+        members = list(party)
+        if len(members) % 2 == 1:
+            drop = min(members)
+            deleted.add(drop)
+            i = members.index(drop)
+            members = members[i + 1 :] + members[:i]
+        for i in range(0, len(members), 2):
+            pairs.add(frozenset((members[i], members[i + 1])))
+    return frozenset(deleted), frozenset(pairs)
 
 
 def partition_to_matching(
@@ -159,20 +164,7 @@ def partition_to_matching(
     violations = validate_partition(inst, partition)
     if violations:
         raise ValueError("invalid partition: " + "; ".join(violations))
-    deleted = set()
-    pairs = set()
-    for party in partition.parties:
-        if len(party) == 1:
-            continue
-        members = list(party)
-        if len(members) % 2 == 1:
-            drop = min(members)
-            deleted.add(drop)
-            i = members.index(drop)
-            members = members[i + 1 :] + members[:i]
-        for i in range(0, len(members), 2):
-            pairs.add(frozenset((members[i], members[i + 1])))
-    return frozenset(deleted), frozenset(pairs)
+    return _pair_up(partition)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +205,22 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
 class _Table:
     """Mutable reduced preference table over integer-interned agents.
 
-    Agent ``i`` is ``order[i]``.  ``pref[i]`` is its preference list as
-    agent indices and ``rank[i]`` maps an index to its position there.
-    Every reduction deletes a tail of some list, so the tail position
-    ``tail[i]`` is the only deletion state: the entry at position ``p``
-    of ``u``'s list, naming ``v``, is live exactly when ``p <= tail[u]``
-    and ``rank[v][u] <= tail[v]``, a rule that gives both sides of a pair
-    the same fate.  The position pointers ``head``, ``sec`` and ``tail``
-    only move inwards and never pass the first, second and last live
-    entry, so list access costs amortised O(1).  ``held[v]`` is the
-    position on ``v``'s list of the proposal ``v`` holds (-1 for none).
-    ``work`` holds the agents that may have to propose again: every agent
-    at the start, then each agent whose held proposal falls with a cut.
+    Agent ``i`` is ``order[i]`` (``index`` inverts that).  ``pref[i]`` is
+    its preference list as agent indices and ``rank[i]`` maps an index to
+    its position there; these are built once, and every :meth:`run`
+    starts afresh from the tails it is given.  Every reduction deletes a
+    tail of some list, so the tail position ``tail[i]`` is the only
+    deletion state: the entry at position ``p`` of ``u``'s list, naming
+    ``v``, is live exactly when ``p <= tail[u]`` and ``rank[v][u] <=
+    tail[v]`` (:meth:`live`), a rule that gives both sides of a pair the
+    same fate.  A market cut before the run, such as one fixed for a
+    pair, is therefore just a tail per agent.  The position pointers
+    ``head``, ``sec`` and ``tail`` only move inwards and never pass the
+    first, second and last live entry, so list access costs amortised
+    O(1).  ``held[v]`` is the position on ``v``'s list of the proposal
+    ``v`` holds (-1 for none).  ``work`` holds the agents that may have
+    to propose again: every agent at the start, then each agent whose
+    held proposal falls with a cut.
     The stable-table invariant, restored by :meth:`stabilize`, is that
     every agent with a non-empty list proposes to the head of its list
     and holds a proposal from its tail.
@@ -232,16 +228,15 @@ class _Table:
 
     def __init__(self, inst: RoommatesInstance, order: Sequence[AgentId]):
         self.names = list(order)
-        index = {u: i for i, u in enumerate(self.names)}
+        self.index = index = {u: i for i, u in enumerate(self.names)}
         self.pref = [[index[v] for v in inst.prefs[u]] for u in self.names]
-        self.rank = [{v: r for r, v in enumerate(lst)} for lst in self.pref]
-        n = len(self.names)
-        self.head = [0] * n
-        self.sec = [1] * n
-        self.tail = [len(lst) - 1 for lst in self.pref]
-        self.held = [-1] * n
-        self.parties: list[tuple[AgentId, ...]] = []
-        self.work = list(range(n - 1, -1, -1))
+        self.rank = [dict(zip(lst, range(len(lst)))) for lst in self.pref]
+        self.whole = tuple(len(lst) - 1 for lst in self.pref)
+
+    def live(self, u: int, p: int, tail: Sequence[int]) -> bool:
+        """Whether position ``p`` of ``u``'s list is live under ``tail``."""
+        v = self.pref[u][p]
+        return p <= tail[u] and self.rank[v][u] <= tail[v]
 
     # -- list access (-1 when the entry asked for does not exist) --------
 
@@ -380,16 +375,24 @@ class _Table:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self) -> StablePartition:
+    def run(self, tail: Sequence[int]) -> StablePartition:
         """Stabilize, then resolve rotations until no list has two entries.
 
-        The rotation start is the first agent in ``order`` with at least
-        two entries; locked agents have none.  Lists only shrink, so that
-        agent never moves backwards in ``order``.
+        The run starts from the lists cut at ``tail`` with no proposal
+        made.  The rotation start is the first agent in ``order`` with at
+        least two entries; locked agents have none.  Lists only shrink, so
+        that agent never moves backwards in ``order``.
         """
+        n = len(self.names)
+        self.head = [0] * n
+        self.sec = [1] * n
+        self.tail = list(tail)
+        self.held = [-1] * n
+        self.parties: list[tuple[AgentId, ...]] = []
+        self.work = list(range(n - 1, -1, -1))
         self.stabilize()
         second = self.second
-        start, n = 0, len(self.names)
+        start = 0
         while True:
             while start < n and second(start) < 0:
                 start += 1
@@ -419,6 +422,58 @@ class _Table:
             succ[name] = names[v]
         return StablePartition(successor=succ)
 
+    # -- the stable-partition axioms ---------------------------------------
+
+    def violations(self, partition: StablePartition, tail: Sequence[int]) -> list[str]:
+        """Check ``partition`` against the market of the lists cut at ``tail``.
+
+        The axioms: the successor map is a permutation of the agents; each
+        agent's successor is acceptable to it, and preferred to its
+        predecessor when the two differ; and no acceptable pair of
+        agents that are not each other's successor blocks, where a pair
+        blocks when each prefers the other to its predecessor (a fixed
+        point ranks below every acceptable agent).  Violations come
+        grouped in that order, and within a group in table order, which is
+        the sorted order of the names when the table was interned sorted.
+        Only the entries before each agent's predecessor are scanned for
+        blocking pairs: no other entry can block.
+        """
+        names, index, pref, rank = self.names, self.index, self.pref, self.rank
+        n, absent = len(names), float("inf")  # ``absent`` ranks a missing entry
+        given = partition.successor
+        if given.keys() != index.keys():
+            return ["successor map does not cover exactly the instance agents"]
+        succ = [index.get(given[u], -1) for u in names]
+        if -1 in succ or len(set(succ)) != n:
+            return ["successor map is not a permutation"]
+        pred = [0] * n
+        for u, s in enumerate(succ):
+            pred[s] = u
+        out = []
+        for u, s in enumerate(succ):
+            r, q = rank[u].get(s, absent), rank[s].get(u, absent)
+            if s != u and not (r <= tail[u] and q <= tail[s]):
+                out.append(f"successor of {names[u]} is the unacceptable agent {names[s]}")
+        if out:
+            return out
+        for u, s in enumerate(succ):
+            p = pred[u]
+            if s != u and s != p and not rank[u][s] < rank[u][p]:
+                out.append(
+                    f"{names[u]} prefers its predecessor {names[p]} to its successor {names[s]}"
+                )
+        # Agent u prefers the entries before ``bound[u]`` to its predecessor.
+        bound = [rank[u][p] if p != u else tail[u] + 1 for u, p in enumerate(pred)]
+        for u in range(n):
+            lst, s = pref[u], succ[u]
+            blockers = [
+                v
+                for v in lst[: bound[u]]
+                if v > u and rank[v].get(u, absent) < bound[v] and v != s and succ[v] != u
+            ]
+            out += [f"pair {names[u]},{names[v]} blocks the partition" for v in sorted(blockers)]
+        return out
+
 
 def tan_stable_partition(
     inst: RoommatesInstance, order: Iterable[AgentId] | None = None
@@ -435,7 +490,8 @@ def tan_stable_partition(
         order = list(order)
         if set(order) != set(inst.agents) or len(order) != len(inst.agents):
             raise ValueError("order must be a permutation of the instance agents")
-    return _Table(inst, order).run()
+    table = _Table(inst, order)
+    return table.run(table.whole)
 
 
 def partition_stable_matching(
@@ -472,23 +528,44 @@ def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
 # target to its own partner.  The stable partition of the fixed instance
 # reads that number off directly: one deletion per odd party of size three
 # or more, plus one for every singleton party formed by such an agent.
+#
+# The fixed instance is never built on the way to an answer: fixing cuts
+# the tails of one integer table of the instance the query was asked on,
+# the engine runs from those tails, and the partition's axioms are checked
+# on the same table at the same tails.
 
 
 @dataclass(frozen=True)
 class FixingContext:
-    """The instance reduced so that a target pair is mutually top-ranked.
+    """A market fixed so that a target pair is mutually top-ranked.
 
     ``a_star`` holds the agents ``a`` prefers to ``b``; ``b_star`` the
-    agents ``b`` prefers to ``a``.  ``reduced`` is the instance in which
-    every agent of ``a_star`` (resp. ``b_star``) has its list cut just
-    above ``a`` (resp. ``b``).
+    agents ``b`` prefers to ``a``.  The fixed market is ``instance``'s
+    integer ``table`` with its lists cut at ``tail``: every agent of
+    ``a_star`` (resp. ``b_star``) keeps only the entries above ``a``
+    (resp. ``b``), and the tail rule of the table kills the mirror entry
+    on the list of every agent it cut off.  ``reduced`` builds that
+    market as an instance.
     """
 
+    instance: RoommatesInstance
     a: AgentId
     b: AgentId
     a_star: frozenset
     b_star: frozenset
-    reduced: RoommatesInstance
+    table: _Table = field(repr=False, compare=False)
+    tail: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def reduced(self) -> RoommatesInstance:
+        """The fixed market as an instance: each list keeps its live entries."""
+        inst, table, tail = self.instance, self.table, self.tail
+        names, live = table.names, table.live
+        prefs = {
+            names[u]: tuple(names[v] for p, v in enumerate(lst) if live(u, p, tail))
+            for u, lst in enumerate(table.pref)
+        }
+        return RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
 
 
 @dataclass(frozen=True)
@@ -504,6 +581,33 @@ class PartitionDiagnosis:
         return len(self.partition.odd_parties()) + len(self.forbidden_singletons)
 
 
+def _fix(inst: RoommatesInstance, table: _Table, a: AgentId, b: AgentId) -> FixingContext:
+    """Cut ``table``, interned sorted from ``inst``, so that ``{a, b}`` is fixed."""
+    index, pref, rank, live = table.index, table.pref, table.rank, table.live
+    i, j = index.get(a), index.get(b)
+    if i is None or j is None or i == j or j not in rank[i] or i not in rank[j]:
+        raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
+    a_star, b_star = pref[i][: rank[i][j]], pref[j][: rank[j][i]]
+    tail = list(table.whole)
+    for star, anchor in ((a_star, i), (b_star, j)):
+        for x in star:
+            tail[x] = min(tail[x], rank[x][anchor] - 1)
+    for u, v in ((i, j), (j, i)):
+        top = rank[u][v]
+        if not live(u, top, tail) or any(live(u, p, tail) for p in range(top)):
+            raise InternalError("fixing deletions did not make the target mutually top-ranked")
+    names = table.names
+    return FixingContext(
+        instance=inst,
+        a=a,
+        b=b,
+        a_star=frozenset(names[x] for x in a_star),
+        b_star=frozenset(names[x] for x in b_star),
+        table=table,
+        tail=tuple(tail),
+    )
+
+
 def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
     """Delete every pair that competes with ``{a, b}``.
 
@@ -512,32 +616,26 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
     and symmetrically on ``b``'s side: each such ``x`` keeps only the head
     of its list above the endpoint, and leaves the list of every ``y`` in
     the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
-    first choices.
+    first choices.  The deletions are tail cuts on a fresh integer table
+    of ``inst``; nothing is copied until ``reduced`` is read.
     """
-    if a == b or not inst.acceptable(a, b):
-        raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    a_star = frozenset(inst.prefs[a][: inst.rank(a, b)])
-    b_star = frozenset(inst.prefs[b][: inst.rank(b, a)])
-    cut = {}  # agent of a star -> number of entries it keeps
-    for star, anchor in ((a_star, a), (b_star, b)):
-        for x in star:
-            cut[x] = min(inst.rank(x, anchor), cut.get(x, len(inst.prefs[x])))
-    dropped = {}  # agent -> the agents whose cut-off tails hold it
-    for x, r in cut.items():
-        for y in inst.prefs[x][r:]:
-            dropped.setdefault(y, set()).add(x)
-    prefs = {}
-    for u, lst in inst.prefs.items():
-        gone, lst = dropped.get(u), lst[: cut.get(u)]
-        prefs[u] = tuple(v for v in lst if v not in gone) if gone else lst
-    reduced = RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
-    if reduced.prefs[a][0] != b or reduced.prefs[b][0] != a:
-        raise InternalError("fixing deletions did not make the target mutually top-ranked")
-    return FixingContext(a=a, b=b, a_star=a_star, b_star=b_star, reduced=reduced)
+    return _fix(inst, _Table(inst, sorted(inst.agents)), a, b)
+
+
+def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingContext]:
+    """The market fixed for ``agent`` and each of its partners in turn.
+
+    Partners come in sorted order, and every context cuts the same integer
+    table of ``inst``, which is built once.
+    """
+    table = _Table(inst, sorted(inst.agents))
+    for partner in sorted(inst.prefs[agent]):
+        yield _fix(inst, table, *sorted((agent, partner)))
 
 
 def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
-    partition = tan_stable_partition(ctx.reduced)
+    """Run the engine on the fixed market, from the tails that fixing cut."""
+    partition = ctx.table.run(ctx.tail)
     return PartitionDiagnosis(
         partition=partition, forbidden_singletons=partition.singletons & (ctx.a_star | ctx.b_star)
     )
@@ -546,15 +644,16 @@ def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
 def pair_fixing_witness(ctx: FixingContext, diag: PartitionDiagnosis) -> tuple[frozenset, Matching]:
     """The deletions that ``diag`` prices, and the stable matching they leave.
 
-    :func:`partition_to_matching` re-checks the partition's axioms, drops
-    one member of each odd party and pairs up the rest; the forbidden
-    singletons go too.  A failed axiom is an engine fault, raised as
-    :class:`InternalError`.
+    The partition's axioms are checked on the fixed market, over the same
+    integer table and tails that the engine ran on; a failed axiom is an
+    engine fault, raised as :class:`InternalError`.  Then one member of
+    each odd party goes, as in :func:`partition_to_matching`, the rest
+    pair up, and the forbidden singletons go too.
     """
-    try:
-        dropped, matching = partition_to_matching(ctx.reduced, diag.partition)
-    except ValueError as exc:
-        raise InternalError(str(exc)) from exc
+    violations = ctx.table.violations(diag.partition, ctx.tail)
+    if violations:
+        raise InternalError("invalid partition: " + "; ".join(violations))
+    dropped, matching = _pair_up(diag.partition)
     return dropped | diag.forbidden_singletons, matching
 
 

@@ -33,6 +33,7 @@ from .classic import partition_stable_matching, render_partition, tan_stable_par
 from .control import ACTIONS, GOAL_KINDS, ControlGoal, ControlOutcome, ControlQuery
 from .errors import (
     CapExceededError,
+    InternalError,
     InvalidInstanceError,
     InvalidQueryError,
     ParseError,
@@ -104,7 +105,10 @@ def cmd_stable(args) -> int:
                 print(f"  {line}")
     else:
         partition = tan_stable_partition(inst)
-        matching = partition_stable_matching(inst, partition)
+        try:
+            matching = partition_stable_matching(inst, partition)
+        except ValueError as exc:  # the engine's own partition failed its axioms
+            raise InternalError(str(exc)) from exc
         if matching is None:
             print("none")
         else:

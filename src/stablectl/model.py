@@ -118,7 +118,7 @@ class RoommatesInstance:
 
     @cached_property
     def _ranks(self) -> dict:
-        return {u: {v: i for i, v in enumerate(lst)} for u, lst in self.prefs.items()}
+        return {u: dict(zip(lst, range(len(lst)))) for u, lst in self.prefs.items()}
 
     @cached_property
     def acceptable_pairs(self) -> frozenset:
@@ -222,7 +222,7 @@ def _keep_agents(inst: RoommatesInstance, keep: frozenset, addable: frozenset) -
     """``inst`` restricted to ``keep``, with ``addable`` as its pool."""
     return RoommatesInstance(
         kind=inst.kind,
-        prefs={u: tuple(v for v in inst.prefs[u] if v in keep) for u in inst.prefs if u in keep},
+        prefs={u: tuple(filter(keep.__contains__, inst.prefs[u])) for u in inst.prefs if u in keep},
         side={u: s for u, s in inst.side.items() if u in keep},
         addable=addable,
     )
@@ -336,7 +336,12 @@ def parse_instance(text: str) -> RoommatesInstance:
             entries = [e.strip() for e in tail.split(">")] if tail.strip() else []
             if "" in entries:
                 raise ParseError(f"empty preference entry on the list of {name}", lineno)
-            prefs[name] = tuple(_check_id(e, lineno) for e in entries)
+            # No entry is empty, so all are identifiers exactly when their
+            # concatenation is one; only a failed line is walked entry by entry.
+            if entries and not ID_RE.match("".join(entries)):
+                for e in entries:
+                    _check_id(e, lineno)
+            prefs[name] = tuple(entries)
         else:
             raise ParseError(f"unrecognised line {line!r}", lineno)
 

@@ -15,8 +15,15 @@ partition of the instance fixed for the target pair, built next to the
 partition engine in :mod:`stablectl.classic`.  :func:`solve` answers any
 query, with these solvers or with the search of :mod:`stablectl.exact`.
 
-Every answer is certified, the pair solver's on the partition that
-decided it; a failed check is a bug, never a verdict.
+Every answer is certified; a failed check is a bug, never a verdict.  A
+pair answer is computed on one integer table of the instance it was asked
+on: fixing cuts its tails, the engine runs from them, and the axioms of
+the partition that decided are checked at the same tails, for positive
+and negative answers alike.  The agent solver does the same for every
+partner on one table.  A positive answer is then certified on real
+instances, with nothing shared with the engine: the target pair is in
+the matching read off, and that matching is stable once the witness is
+deleted.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .classic import (  # the pair-fixing names are re-exported from here
     fixing_deletions,
     pair_fixing_cost,
     pair_fixing_witness,
+    partner_fixings,
 )
 from .control import (
     DELETE_ACCEPTABILITY,
@@ -89,8 +97,7 @@ def solve_delag_ma(inst: RoommatesInstance, target: AgentId, budget: int) -> Con
     if target not in inst.agents:
         raise ValueError(f"unknown agent {target!r}")
     best: tuple[FixingContext, PartitionDiagnosis] | None = None
-    for partner in sorted(inst.prefs[target]):
-        ctx = fixing_deletions(inst, *sorted((target, partner)))
+    for ctx in partner_fixings(inst, target):
         diag = diagnose_fixed_instance(ctx)
         if best is None or diag.cost < best[1].cost:
             best = (ctx, diag)

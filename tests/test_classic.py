@@ -17,15 +17,21 @@ from helpers import (
 )
 from stablectl.classic import (
     StablePartition,
+    diagnose_fixed_instance,
+    fixing_deletions,
     gale_shapley,
     irving_stable_matching,
+    pair_fixing_cost,
+    partition_stable_matching,
     partition_to_matching,
     render_partition,
     tan_stable_partition,
     validate_partition,
 )
 from stablectl.errors import InternalError
+from stablectl.generators import random_sm, random_sr
 from stablectl.model import make_sm, make_sr
+from stablectl.poly import solve_delag_ma, solve_delag_mp
 from stablectl.stability import covered_agents, enumerate_stable_matchings, is_stable
 
 
@@ -130,6 +136,42 @@ def test_validate_partition_shape_checks():
     assert any("unacceptable" in v for v in validate_partition(inst, unacceptable))
 
 
+def test_validate_partition_reports_every_violation_in_order():
+    # Lists in an order of their own, so that violations come in name
+    # order and not in list order: ``a``'s blocking partners sit on its
+    # list as e before c.
+    prefs = {
+        "a": ["e", "c", "f", "d", "b"],
+        "b": ["d", "a", "f", "c", "e"],
+        "c": ["a", "e", "b", "d", "f"],
+        "d": ["f", "b", "a", "e", "c"],
+        "e": ["c", "a", "d", "f", "b"],
+        "f": ["b", "d", "e", "a", "c"],
+    }
+    reversed_party = StablePartition({"a": "a", "c": "c", "e": "e", "b": "f", "f": "d", "d": "b"})
+    assert validate_partition(make_sr(prefs), reversed_party) == [
+        "b prefers its predecessor d to its successor f",
+        "d prefers its predecessor f to its successor b",
+        "f prefers its predecessor b to its successor d",
+        "pair a,c blocks the partition",
+        "pair a,e blocks the partition",
+        "pair c,e blocks the partition",
+    ]
+    gone = {("a", "b"), ("c", "d"), ("e", "f")}
+    sparse = {
+        u: [v for v in lst if (u, v) not in gone and (v, u) not in gone] for u, lst in prefs.items()
+    }
+    cross = StablePartition({"a": "b", "b": "a", "c": "d", "d": "c", "e": "f", "f": "e"})
+    assert validate_partition(make_sr(sparse), cross) == [
+        "successor of a is the unacceptable agent b",
+        "successor of b is the unacceptable agent a",
+        "successor of c is the unacceptable agent d",
+        "successor of d is the unacceptable agent c",
+        "successor of e is the unacceptable agent f",
+        "successor of f is the unacceptable agent e",
+    ]
+
+
 # -- partition_to_matching --------------------------------------------------
 
 
@@ -163,6 +205,48 @@ def test_irving_reports_an_engine_fault_as_an_internal_error(monkeypatch):
 def test_partition_to_matching_rejects_invalid_partition():
     with pytest.raises(ValueError):
         partition_to_matching(mutual_pair(), StablePartition({"a": "a", "b": "b"}))
+
+
+def test_partition_stable_matching_rejects_a_callers_invalid_partition():
+    with pytest.raises(ValueError, match="invalid partition: pair a,b blocks"):
+        partition_stable_matching(mutual_pair(), StablePartition({"a": "a", "b": "b"}))
+
+
+def test_pair_path_partitions_the_fixed_market_it_would_build():
+    # The engine run from the fixing cuts gives the partition of the fixed
+    # market built as an instance, the axioms checked at those cuts agree
+    # with the check on that instance, and every pair answer is read off
+    # that partition.
+    markets = []
+    for seed in range(36):
+        density = (0.3, 0.6, 1.0)[seed % 3]
+        if seed % 2:
+            markets.append(random_sr(4 + seed % 9, density, seed))
+        else:
+            markets.append(random_sm(2 + seed % 4, 3 + seed % 3, density, seed))
+    assert sum(all(len(i.prefs[u]) == len(i.agents) - 1 for u in i.agents) for i in markets) >= 3
+    checked = 0
+    for inst in markets:
+        n = len(inst.agents)
+        for target in sorted(inst.acceptable_pairs, key=sorted):
+            a, b = sorted(target)
+            ctx = fixing_deletions(inst, a, b)
+            diag = diagnose_fixed_instance(ctx)
+            assert diag.partition == tan_stable_partition(ctx.reduced)
+            alone = StablePartition({u: u for u in inst.agents})
+            for partition in (diag.partition, alone):
+                assert ctx.table.violations(partition, ctx.tail) == validate_partition(
+                    ctx.reduced, partition
+                )
+            assert pair_fixing_cost(inst, target) == diag.cost
+            out = solve_delag_mp(inst, target, n)
+            rule = {min(p) for p in diag.partition.odd_parties()} | diag.forbidden_singletons
+            assert (out.verdict, out.optimum, out.witness) == (True, diag.cost, rule)
+            checked += 1
+        for agent in sorted(inst.agents):
+            costs = [pair_fixing_cost(inst, frozenset((agent, p))) for p in inst.prefs[agent]]
+            assert solve_delag_ma(inst, agent, n).optimum == (min(costs) if costs else None)
+    assert checked >= 400
 
 
 def test_render_partition():

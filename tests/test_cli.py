@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from helpers import identity_partition
+from helpers import identity_partition, identity_run
 from stablectl.cli import main
 from stablectl.model import parse_instance, parse_matching
 
@@ -424,8 +424,21 @@ def test_internal_value_error_is_not_reported_as_invalid_input(
         main(["solve", path, "--problem", "delag-mp", "--target-pair", "a,b", "--budget", "1"])
 
 
-def test_engine_fault_prints_an_error_and_exits_1(instance_file, capsys, monkeypatch):
+def test_stable_reports_an_engine_fault_as_an_error(instance_file, capsys, monkeypatch):
     monkeypatch.setattr("stablectl.classic.tan_stable_partition", identity_partition)
+    monkeypatch.setattr("stablectl.cli.tan_stable_partition", identity_partition)
+    code, out, err = run(capsys, "stable", instance_file(THREE_CYCLE))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: invalid partition: pair a,b blocks the partition; "
+        "pair a,c blocks the partition; pair b,c blocks the partition\n"
+    )
+
+
+def test_engine_fault_prints_an_error_and_exits_1(instance_file, capsys, monkeypatch):
+    # The pair solvers run the engine on their own table, not through
+    # ``tan_stable_partition``, so the stand-in goes in at the run.
+    monkeypatch.setattr("stablectl.classic._Table.run", identity_run)
     path = instance_file(THREE_CYCLE)
     for query in (["delag-mp", "--target-pair", "a,b"], ["delag-ma", "--target-agent", "a"]):
         code, out, err = run(capsys, "solve", path, "--problem", *query, "--budget", "1")

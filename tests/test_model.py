@@ -417,6 +417,22 @@ def test_parse_rejects_empty_preference_entries(line):
     assert "empty preference entry" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line,token",
+    [
+        ("pref a: b > c:d > c", "c:d"),
+        ("pref a: b > c > x,y", "x,y"),
+        ("pref a: b > b c > c:d", "b c"),
+    ],
+)
+def test_parse_names_the_first_bad_preference_entry(line, token):
+    text = "problem: sr\nagent a\nagent b\nagent c\n" + line + "\npref b: a\npref c: a\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line == 5
+    assert str(err.value) == f"line 5: invalid identifier {token!r}"
+
+
 def test_parse_accepts_an_empty_list():
     inst = parse_instance("problem: sr\nagent a\npref a:\n")
     assert inst.prefs == {"a": ()}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import identity_partition, mutual_pair, pairs_of, three_cycle
+from helpers import identity_run, mutual_pair, pairs_of, three_cycle
 from stablectl import classic, poly
 from stablectl.control import ACTIONS, DELETE_AGENTS, GOAL_KINDS, ControlGoal, ControlQuery
 from stablectl.errors import InternalError, InvalidQueryError
@@ -228,22 +228,20 @@ def test_ma_picks_cheapest_partner():
 
 
 def count_engine_calls(monkeypatch) -> dict:
-    """Count fixings and partitions through every module binding of them."""
-    counts = {"fixing": 0, "partition": 0}
+    """Count integer tables built and engine runs, at the engine's own seam."""
+    counts = {"tables": 0, "runs": 0}
+    build, run = classic._Table.__init__, classic._Table.run
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+    def counted_build(table, *args, **kwargs):
+        counts["tables"] += 1
+        return build(table, *args, **kwargs)
 
-        return wrapper
+    def counted_run(table, *args, **kwargs):
+        counts["runs"] += 1
+        return run(table, *args, **kwargs)
 
-    fixing = counting("fixing", classic.fixing_deletions)
-    partition = counting("partition", classic.tan_stable_partition)
-    for module in (classic, poly):
-        for name, wrapper in (("fixing_deletions", fixing), ("tan_stable_partition", partition)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(classic._Table, "__init__", counted_build)
+    monkeypatch.setattr(classic._Table, "run", counted_run)
     return counts
 
 
@@ -253,7 +251,7 @@ def test_mp_fixes_and_partitions_once(monkeypatch):
     target = min(inst.acceptable_pairs, key=sorted)
     out = solve_delag_mp(inst, target, budget=len(inst.agents))
     assert out.verdict
-    assert counts == {"fixing": 1, "partition": 1}
+    assert counts == {"tables": 1, "runs": 1}
 
 
 def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
@@ -263,11 +261,12 @@ def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
     k = len(inst.prefs[target])
     out = solve_delag_ma(inst, target, budget=len(inst.agents))
     assert k >= 5 and out.verdict
-    assert counts == {"fixing": k, "partition": k}
+    # One table for the market, one engine run per partner.
+    assert counts == {"tables": 1, "runs": k}
 
 
 def test_engine_fault_in_the_pair_read_off_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(classic, "tan_stable_partition", identity_partition)
+    monkeypatch.setattr(classic._Table, "run", identity_run)
     with pytest.raises(InternalError, match="invalid partition: pair a,b blocks"):
         solve_delag_mp(three_cycle(), pair("a", "b"), 3)
 
