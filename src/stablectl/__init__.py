@@ -23,7 +23,6 @@ from .classic import (
     StablePartition,
     gale_shapley,
     irving_stable_matching,
-    partition_stable_matching,
     partition_to_matching,
     render_partition,
     tan_stable_partition,
@@ -90,7 +89,6 @@ __all__ = [
     "pair",
     "parse_instance",
     "parse_matching",
-    "partition_stable_matching",
     "partition_to_matching",
     "render_partition",
     "serialize_instance",

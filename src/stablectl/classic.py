@@ -10,28 +10,31 @@ Four entry points:
   the instance admits a stable matching exactly when no party of odd size
   three or more is present.
 * :func:`irving_stable_matching`: stable matching existence and a
-  witness, implemented on top of the partition engine: pair up the
-  parties when no odd party of size >= 3 exists.
+  witness, read off the engine's partition
+  (:meth:`StablePartition.stable_matching`): pair up the parties when no
+  odd party of size >= 3 exists.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
   pair into some stable matching, read off the stable partition of the
   instance *fixed* for that pair (:func:`fixing_deletions`): every agent
   that an endpoint prefers to the other cuts its list just above that
-  endpoint; the goal ``mp`` uses it.  :func:`pair_fixing_witness`, the
-  one rule for which agents a pair costs, reads those deletions and the
-  stable matching they leave off the same partition for the solvers.
+  endpoint; the goal ``mp`` uses it.  :meth:`PartitionDiagnosis.witness`,
+  the one rule for which agents a pair costs, reads those deletions and
+  the stable matching they leave off the same partition for the solvers.
   Fixing is a set of tail cuts on one integer table of the instance the
-  query was asked on: the engine runs from those tails and the
-  partition's axioms are checked at them, so no fixed instance is built
-  on the way to an answer (``FixingContext.reduced`` builds it on
-  demand, from the same cuts).
+  query was asked on: the engine runs from those tails and checks its
+  partition at them, so no fixed instance is built on the way to an
+  answer (``FixingContext.reduced`` builds it on demand, from the same
+  cuts).
 
 The partition engine runs the classical proposal ("phase 1") table
 reduction followed by repeated rotation elimination.  When a rotation's
 two agent tracks coincide as sets, eliminating it would wipe the table;
 that configuration is exactly an odd party and is locked in place
-instead.  Every output is a valid partition; callers that need hard
-guarantees (the polynomial control solvers) re-verify the axioms on the
-results they act on.
+instead.  Every run ends by checking the partition it built against the
+stable-partition axioms, on the same table and tails, and raises
+:class:`InternalError` on a violation.  Every partition the engine
+returns is therefore certified, whether it yields a stable matching or
+an odd party that refutes one, and no caller checks it again.
 
 Engine bookkeeping and cost, for ``n`` agents and ``m`` acceptable pairs:
 the table interns the agents as ``0..n-1`` in processing order and builds
@@ -52,9 +55,10 @@ consistency check and a walk from the rotation start, for
 O(n + m + r * n) in all; ``r`` stays small on the sparse random markets
 the benchmark measures, where time per pair is nearly flat in ``n``.
 Fixing a pair costs O(n) for a fresh copy of the tails plus one cut per
-agent the endpoints outrank.  The axiom check (:meth:`_Table.violations`)
-costs O(n) plus the entries above each agent's predecessor, since no
-other entry can block, so at most O(n + m).
+agent the endpoints outrank.  The closing axiom check
+(:meth:`_Table.violations`) costs O(n) plus the entries above each
+agent's predecessor, since no other entry can block, so at most
+O(n + m).
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalError
-from .model import SM, AgentId, Matching, Pair, RoommatesInstance
+from .errors import InternalError, InvalidInstanceError
+from .model import SM, AgentId, Matching, Pair, RoommatesInstance, validate
 
 # ---------------------------------------------------------------------------
 # Stable partitions
@@ -80,10 +84,6 @@ class StablePartition:
     """
 
     successor: dict
-
-    @cached_property
-    def predecessor(self) -> dict:
-        return {v: u for u, v in self.successor.items()}
 
     @cached_property
     def parties(self) -> tuple:
@@ -111,6 +111,27 @@ class StablePartition:
     def singletons(self) -> frozenset:
         return frozenset(u for u, v in self.successor.items() if u == v)
 
+    def stable_matching(self) -> Matching | None:
+        """The stable matching the parties pair up; ``None`` when an odd party exists."""
+        return None if self.odd_parties() else self._pair_up()[1]
+
+    def _pair_up(self) -> tuple[frozenset, Matching]:
+        """Drop the smallest member of each odd party and pair up the rest."""
+        deleted = set()
+        pairs = set()
+        for party in self.parties:
+            if len(party) == 1:
+                continue
+            members = list(party)
+            if len(members) % 2 == 1:
+                drop = min(members)
+                deleted.add(drop)
+                i = members.index(drop)
+                members = members[i + 1 :] + members[:i]
+            for i in range(0, len(members), 2):
+                pairs.add(frozenset((members[i], members[i + 1])))
+        return frozenset(deleted), frozenset(pairs)
+
 
 def render_partition(partition: StablePartition) -> str:
     """One ``party (a b c) odd`` line per party, odd sizes marked."""
@@ -125,29 +146,12 @@ def validate_partition(inst: RoommatesInstance, partition: StablePartition) -> l
     """Check the stable-partition axioms; return violation descriptions.
 
     The check runs over a fresh integer table of ``inst``, whose lists are
-    whole; see :meth:`_Table.violations`.  Like the engine, it needs every
-    list to name only agents of ``inst``.
+    whole; see :meth:`_Table.violations`.  Like the engine, it raises
+    :class:`InvalidInstanceError` when a list names an agent outside
+    ``inst``.
     """
     table = _Table(inst, sorted(inst.agents))
     return table.violations(partition, table.whole)
-
-
-def _pair_up(partition: StablePartition) -> tuple[frozenset, Matching]:
-    """Drop the smallest member of each odd party and pair up the rest."""
-    deleted = set()
-    pairs = set()
-    for party in partition.parties:
-        if len(party) == 1:
-            continue
-        members = list(party)
-        if len(members) % 2 == 1:
-            drop = min(members)
-            deleted.add(drop)
-            i = members.index(drop)
-            members = members[i + 1 :] + members[:i]
-        for i in range(0, len(members), 2):
-            pairs.add(frozenset((members[i], members[i + 1])))
-    return frozenset(deleted), frozenset(pairs)
 
 
 def partition_to_matching(
@@ -159,12 +163,12 @@ def partition_to_matching(
     party of size >= 3; the remaining members of each party are paired up
     consecutively.  Singleton parties stay unmatched.  Returns the deleted
     agents and the matching, which is stable in ``inst`` minus the deleted
-    agents.
+    agents.  A partition that fails the axioms raises :class:`ValueError`.
     """
     violations = validate_partition(inst, partition)
     if violations:
         raise ValueError("invalid partition: " + "; ".join(violations))
-    return _pair_up(partition)
+    return partition._pair_up()
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +227,18 @@ class _Table:
     held proposal falls with a cut.
     The stable-table invariant, restored by :meth:`stabilize`, is that
     every agent with a non-empty list proposes to the head of its list
-    and holds a proposal from its tail.
+    and holds a proposal from its tail.  Interning is where an instance
+    whose lists name an agent outside it fails, as
+    :class:`InvalidInstanceError`; :func:`validate` runs only then.
     """
 
     def __init__(self, inst: RoommatesInstance, order: Sequence[AgentId]):
         self.names = list(order)
         self.index = index = {u: i for i, u in enumerate(self.names)}
-        self.pref = [[index[v] for v in inst.prefs[u]] for u in self.names]
+        try:
+            self.pref = [[index[v] for v in inst.prefs[u]] for u in self.names]
+        except KeyError as exc:
+            raise InvalidInstanceError(validate(inst)) from exc
         self.rank = [dict(zip(lst, range(len(lst)))) for lst in self.pref]
         self.whole = tuple(len(lst) - 1 for lst in self.pref)
 
@@ -376,12 +385,15 @@ class _Table:
     # -- main loop ---------------------------------------------------------
 
     def run(self, tail: Sequence[int]) -> StablePartition:
-        """Stabilize, then resolve rotations until no list has two entries.
+        """Stabilize, resolve rotations until no list has two entries, and certify.
 
         The run starts from the lists cut at ``tail`` with no proposal
         made.  The rotation start is the first agent in ``order`` with at
         least two entries; locked agents have none.  Lists only shrink, so
-        that agent never moves backwards in ``order``.
+        that agent never moves backwards in ``order``.  The partition
+        assembled at the end is checked against the market cut at
+        ``tail`` (:meth:`violations`); a violation is an engine fault and
+        raises :class:`InternalError`.
         """
         n = len(self.names)
         self.head = [0] * n
@@ -402,7 +414,11 @@ class _Table:
             if not (set(xs) == set(ys) and self.lock_odd_parties(xs)):
                 self.eliminate(xs, ys)
             self.stabilize()
-        return self._assemble()
+        partition = self._assemble()
+        violations = self.violations(partition, tail)
+        if violations:
+            raise InternalError("invalid partition: " + "; ".join(violations))
+        return partition
 
     def _assemble(self) -> StablePartition:
         succ: dict[AgentId, AgentId] = {}
@@ -494,28 +510,9 @@ def tan_stable_partition(
     return table.run(table.whole)
 
 
-def partition_stable_matching(
-    inst: RoommatesInstance, partition: StablePartition
-) -> Matching | None:
-    """The stable matching that a stable partition of ``inst`` pairs up.
-
-    ``None`` when the partition has an odd party of size >= 3, in which
-    case ``inst`` has no stable matching.
-    """
-    if partition.odd_parties():
-        return None
-    deleted, matching = partition_to_matching(inst, partition)
-    if deleted:
-        raise InternalError("partition without odd parties required deletions")
-    return matching
-
-
 def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
     """Some stable matching of ``inst``, or ``None`` when none exists."""
-    try:
-        return partition_stable_matching(inst, tan_stable_partition(inst))
-    except ValueError as exc:  # the engine's own partition failed its axioms
-        raise InternalError(str(exc)) from exc
+    return tan_stable_partition(inst).stable_matching()
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +528,7 @@ def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
 #
 # The fixed instance is never built on the way to an answer: fixing cuts
 # the tails of one integer table of the instance the query was asked on,
-# the engine runs from those tails, and the partition's axioms are checked
-# on the same table at the same tails.
+# and the engine runs from those tails and checks its partition at them.
 
 
 @dataclass(frozen=True)
@@ -570,7 +566,11 @@ class FixingContext:
 
 @dataclass(frozen=True)
 class PartitionDiagnosis:
-    """What the stable partition of a fixed instance says about deletions."""
+    """What the stable partition of a fixed instance says about deletions.
+
+    The partition is the engine's, so its axioms were checked on the fixed
+    market when the engine returned it; nothing here checks them again.
+    """
 
     partition: StablePartition
     forbidden_singletons: frozenset
@@ -579,6 +579,16 @@ class PartitionDiagnosis:
     def cost(self) -> int:
         """Agent deletions needed: one per odd party and per forbidden singleton."""
         return len(self.partition.odd_parties()) + len(self.forbidden_singletons)
+
+    def witness(self) -> tuple[frozenset, Matching]:
+        """The deletions that ``cost`` counts, and the stable matching they leave.
+
+        One member (the smallest) of each odd party goes, as in
+        :func:`partition_to_matching`, the rest pair up, and the forbidden
+        singletons go too.
+        """
+        dropped, matching = self.partition._pair_up()
+        return dropped | self.forbidden_singletons, matching
 
 
 def _fix(inst: RoommatesInstance, table: _Table, a: AgentId, b: AgentId) -> FixingContext:
@@ -639,22 +649,6 @@ def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
     return PartitionDiagnosis(
         partition=partition, forbidden_singletons=partition.singletons & (ctx.a_star | ctx.b_star)
     )
-
-
-def pair_fixing_witness(ctx: FixingContext, diag: PartitionDiagnosis) -> tuple[frozenset, Matching]:
-    """The deletions that ``diag`` prices, and the stable matching they leave.
-
-    The partition's axioms are checked on the fixed market, over the same
-    integer table and tails that the engine ran on; a failed axiom is an
-    engine fault, raised as :class:`InternalError`.  Then one member of
-    each odd party goes, as in :func:`partition_to_matching`, the rest
-    pair up, and the forbidden singletons go too.
-    """
-    violations = ctx.table.violations(diag.partition, ctx.tail)
-    if violations:
-        raise InternalError("invalid partition: " + "; ".join(violations))
-    dropped, matching = _pair_up(diag.partition)
-    return dropped | diag.forbidden_singletons, matching
 
 
 def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:

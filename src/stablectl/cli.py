@@ -29,11 +29,10 @@ import sys
 from pathlib import Path
 
 from . import exact, generators, poly, reductions
-from .classic import partition_stable_matching, render_partition, tan_stable_partition
+from .classic import render_partition, tan_stable_partition
 from .control import ACTIONS, GOAL_KINDS, ControlGoal, ControlOutcome, ControlQuery
 from .errors import (
     CapExceededError,
-    InternalError,
     InvalidInstanceError,
     InvalidQueryError,
     ParseError,
@@ -105,10 +104,7 @@ def cmd_stable(args) -> int:
                 print(f"  {line}")
     else:
         partition = tan_stable_partition(inst)
-        try:
-            matching = partition_stable_matching(inst, partition)
-        except ValueError as exc:  # the engine's own partition failed its axioms
-            raise InternalError(str(exc)) from exc
+        matching = partition.stable_matching()
         if matching is None:
             print("none")
         else:

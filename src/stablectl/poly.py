@@ -17,13 +17,13 @@ query, with these solvers or with the search of :mod:`stablectl.exact`.
 
 Every answer is certified; a failed check is a bug, never a verdict.  A
 pair answer is computed on one integer table of the instance it was asked
-on: fixing cuts its tails, the engine runs from them, and the axioms of
-the partition that decided are checked at the same tails, for positive
-and negative answers alike.  The agent solver does the same for every
-partner on one table.  A positive answer is then certified on real
-instances, with nothing shared with the engine: the target pair is in
-the matching read off, and that matching is stable once the witness is
-deleted.
+on: fixing cuts its tails, and the engine runs from them and checks the
+axioms of the partition it returns at the same tails, as every engine run
+does, for positive and negative answers alike.  The agent solver does the
+same for every partner on one table.  A positive answer is then certified
+on real instances, with nothing shared with the engine: the target pair
+is in the matching read off, and that matching is stable once the witness
+is deleted.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .classic import (  # the pair-fixing names are re-exported from here
     diagnose_fixed_instance,
     fixing_deletions,
     pair_fixing_cost,
-    pair_fixing_witness,
     partner_fixings,
 )
 from .control import (
@@ -75,7 +74,7 @@ def _mp_outcome(
 ) -> ControlOutcome:
     """The pair goal's outcome, certified on the diagnosed fixed instance."""
     optimum = diag.cost
-    witness, matching = pair_fixing_witness(ctx, diag)
+    witness, matching = diag.witness()
     if len(witness) != optimum or witness & {ctx.a, ctx.b}:
         raise InternalError("malformed deletion witness")
     if optimum > budget:

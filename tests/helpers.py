@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from stablectl import classic
 from stablectl.classic import StablePartition
 from stablectl.model import make_sm, make_sr
 
@@ -18,14 +19,46 @@ def three_cycle():
     return make_sr({"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"]})
 
 
-def identity_partition(inst, order=None):
-    """Every agent alone: a stand-in engine whose partition a three-cycle's pairs block."""
-    return StablePartition({u: u for u in inst.agents})
+def top_pair_and_loner():
+    """a: b>c / b: a>c / c: a>b: a and b top each other, so {a,b} is the stable matching."""
+    return make_sr({"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]})
 
 
-def identity_run(table, tail):
-    """The same stand-in at the engine's run, where the pair solvers reach it."""
-    return StablePartition({u: u for u in table.names})
+def all_alone(names):
+    """Every agent alone: a partition that a three-cycle's pairs block."""
+    return StablePartition({u: u for u in names})
+
+
+def spurious_odd_party(names):
+    """The odd party a->b->c, which b refutes on :func:`top_pair_and_loner`."""
+    return StablePartition({"a": "b", "b": "c", "c": "a"})
+
+
+def fault_the_engine(monkeypatch, partition):
+    """Make every engine run assemble ``partition(names)`` instead of what it reached.
+
+    The stand-in sits inside the run, before the run checks its partition,
+    so every path to the engine meets it and the check alike.
+    """
+    monkeypatch.setattr(classic._Table, "_assemble", lambda table: partition(table.names))
+
+
+def count_engine_calls(monkeypatch) -> dict:
+    """Count integer tables built and engine runs, at the engine's own seam."""
+    counts = {"tables": 0, "runs": 0}
+    build, run = classic._Table.__init__, classic._Table.run
+
+    def counted_build(table, *args, **kwargs):
+        counts["tables"] += 1
+        return build(table, *args, **kwargs)
+
+    def counted_run(table, *args, **kwargs):
+        counts["runs"] += 1
+        return run(table, *args, **kwargs)
+
+    monkeypatch.setattr(classic._Table, "__init__", counted_build)
+    monkeypatch.setattr(classic._Table, "run", counted_run)
+    return counts
 
 
 def four_agent_unsolvable():

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_alone,
     all_small_sr_instances,
+    count_engine_calls,
+    fault_the_engine,
     four_agent_unsolvable,
-    identity_partition,
     mutual_pair,
     pairs_of,
     random_sr_instance,
+    spurious_odd_party,
     three_cycle,
+    top_pair_and_loner,
     two_by_two_sm,
 )
 from stablectl.classic import (
@@ -22,13 +26,12 @@ from stablectl.classic import (
     gale_shapley,
     irving_stable_matching,
     pair_fixing_cost,
-    partition_stable_matching,
     partition_to_matching,
     render_partition,
     tan_stable_partition,
     validate_partition,
 )
-from stablectl.errors import InternalError
+from stablectl.errors import InternalError, InvalidInstanceError
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import make_sm, make_sr
 from stablectl.poly import solve_delag_ma, solve_delag_mp
@@ -197,19 +200,44 @@ def test_partition_to_matching_all_singletons():
 
 
 def test_irving_reports_an_engine_fault_as_an_internal_error(monkeypatch):
-    monkeypatch.setattr("stablectl.classic.tan_stable_partition", identity_partition)
+    fault_the_engine(monkeypatch, all_alone)
     with pytest.raises(InternalError, match="invalid partition: pair a,b blocks"):
         irving_stable_matching(three_cycle())
+
+
+def test_irving_certifies_a_negative_answer(monkeypatch):
+    # A spurious odd party would otherwise read as "no stable matching".
+    assert irving_stable_matching(top_pair_and_loner()) == pairs_of(("a", "b"))
+    fault_the_engine(monkeypatch, spurious_odd_party)
+    with pytest.raises(
+        InternalError, match="^invalid partition: b prefers its predecessor a to its successor c$"
+    ):
+        irving_stable_matching(top_pair_and_loner())
+
+
+def test_irving_interns_the_market_once(monkeypatch):
+    counts = count_engine_calls(monkeypatch)
+    for inst in (mutual_pair(), three_cycle(), random_sr(30, 0.3, 4)):
+        counts.update(tables=0, runs=0)
+        irving_stable_matching(inst)
+        assert counts == {"tables": 1, "runs": 1}
+
+
+def test_engine_entry_points_report_an_unknown_agent_as_an_invalid_instance():
+    inst = make_sr({"a": ["x"]})
+    for call in (
+        lambda: validate_partition(inst, StablePartition({"a": "a"})),
+        lambda: tan_stable_partition(inst),
+        lambda: fixing_deletions(inst, "a", "x"),
+    ):
+        with pytest.raises(InvalidInstanceError) as info:
+            call()
+        assert info.value.violations == ["agent a lists unknown agent x"]
 
 
 def test_partition_to_matching_rejects_invalid_partition():
     with pytest.raises(ValueError):
         partition_to_matching(mutual_pair(), StablePartition({"a": "a", "b": "b"}))
-
-
-def test_partition_stable_matching_rejects_a_callers_invalid_partition():
-    with pytest.raises(ValueError, match="invalid partition: pair a,b blocks"):
-        partition_stable_matching(mutual_pair(), StablePartition({"a": "a", "b": "b"}))
 
 
 def test_pair_path_partitions_the_fixed_market_it_would_build():

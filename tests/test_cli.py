@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from helpers import identity_partition, identity_run
+from helpers import all_alone, count_engine_calls, fault_the_engine, spurious_odd_party
 from stablectl.cli import main
 from stablectl.model import parse_instance, parse_matching
 
@@ -12,6 +12,11 @@ THREE_CYCLE = (
     "problem: sr\n"
     "agent a\nagent b\nagent c\n"
     "pref a: b > c\npref b: c > a\npref c: a > b\n"
+)
+TOP_PAIR = (
+    "problem: sr\n"
+    "agent a\nagent b\nagent c\n"
+    "pref a: b > c\npref b: a > c\npref c: a > b\n"
 )
 ASYMMETRIC = "problem: sr\nagent a\nagent b\npref a: b\npref b:\n"
 MALFORMED = "problem: sr\nagent a\nwhat is this\npref a:\n"
@@ -108,24 +113,16 @@ def test_stable_none_and_partition(instance_file, capsys):
 
 
 def test_stable_partition_runs_the_engine_once(instance_file, capsys, monkeypatch):
-    import stablectl.classic
-    import stablectl.cli
-
-    calls = []
-    engine = stablectl.classic.tan_stable_partition
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return engine(*args, **kwargs)
-
-    monkeypatch.setattr(stablectl.classic, "tan_stable_partition", counted)
-    monkeypatch.setattr(stablectl.cli, "tan_stable_partition", counted)
-    path = instance_file(FOUR_AGENTS)
-    for flags, expected in (([], 1), (["--partition"], 1), (["--enumerate", "--partition"], 1)):
-        calls.clear()
-        code, out, _ = run(capsys, "stable", path, *flags)
-        assert code == 0 and len(calls) == expected
-    code, out, _ = run(capsys, "stable", path, "--partition")
+    # One interned table and one engine run, whose partition gives both
+    # the matching and the printed parties.
+    counts = count_engine_calls(monkeypatch)
+    for text in (FOUR_AGENTS, VALID):
+        path = instance_file(text)
+        for flags in ([], ["--partition"], ["--enumerate", "--partition"]):
+            counts.update(tables=0, runs=0)
+            code, out, _ = run(capsys, "stable", path, *flags)
+            assert code == 0 and counts == {"tables": 1, "runs": 1}
+    code, out, _ = run(capsys, "stable", instance_file(FOUR_AGENTS), "--partition")
     assert out == "none\nparty (a b c) odd\nparty (d) odd\n"
     code, out, _ = run(capsys, "stable", instance_file(VALID), "--partition")
     assert out == "match a b\nparty (a b)\n"
@@ -425,8 +422,7 @@ def test_internal_value_error_is_not_reported_as_invalid_input(
 
 
 def test_stable_reports_an_engine_fault_as_an_error(instance_file, capsys, monkeypatch):
-    monkeypatch.setattr("stablectl.classic.tan_stable_partition", identity_partition)
-    monkeypatch.setattr("stablectl.cli.tan_stable_partition", identity_partition)
+    fault_the_engine(monkeypatch, all_alone)
     code, out, err = run(capsys, "stable", instance_file(THREE_CYCLE))
     assert (code, out) == (1, "")
     assert err == (
@@ -435,10 +431,24 @@ def test_stable_reports_an_engine_fault_as_an_error(instance_file, capsys, monke
     )
 
 
+def test_stable_certifies_a_none_answer(instance_file, capsys, monkeypatch):
+    path = instance_file(TOP_PAIR)
+    assert run(capsys, "stable", path, "--partition") == (
+        0,
+        "match a b\nparty (a b)\nparty (c) odd\n",
+        "",
+    )
+    fault_the_engine(monkeypatch, spurious_odd_party)
+    for flags in ([], ["--partition"]):
+        code, out, err = run(capsys, "stable", path, *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: invalid partition: b prefers its predecessor a to its successor c\n"
+
+
 def test_engine_fault_prints_an_error_and_exits_1(instance_file, capsys, monkeypatch):
     # The pair solvers run the engine on their own table, not through
-    # ``tan_stable_partition``, so the stand-in goes in at the run.
-    monkeypatch.setattr("stablectl.classic._Table.run", identity_run)
+    # ``tan_stable_partition``; the stand-in inside the run reaches both.
+    fault_the_engine(monkeypatch, all_alone)
     path = instance_file(THREE_CYCLE)
     for query in (["delag-mp", "--target-pair", "a,b"], ["delag-ma", "--target-agent", "a"]):
         code, out, err = run(capsys, "solve", path, "--problem", *query, "--budget", "1")

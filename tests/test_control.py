@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from helpers import mutual_pair, pairs_of, three_cycle, two_by_two_sm
+from helpers import (
+    fault_the_engine,
+    mutual_pair,
+    pairs_of,
+    spurious_odd_party,
+    three_cycle,
+    top_pair_and_loner,
+    two_by_two_sm,
+)
 from stablectl.control import (
     ADD_AGENTS,
     DELETE_ACCEPTABILITY,
@@ -16,7 +24,7 @@ from stablectl.control import (
     original_agents,
     validate_query,
 )
-from stablectl.errors import InvalidQueryError
+from stablectl.errors import InternalError, InvalidQueryError
 from stablectl.generators import random_query, random_sr
 from stablectl.model import make_sr, pair
 from stablectl.stability import enumerate_stable_matchings
@@ -79,6 +87,15 @@ def test_goal_holds_existence():
     inst = make_sr({"a": ["b"], "b": ["a"], "z": []})
     assert goal_holds(inst, ControlGoal.esm())
     assert not goal_holds(inst, ControlGoal.epsm())
+
+
+def test_goal_holds_rejects_an_uncertified_odd_party(monkeypatch):
+    # An engine fault that reports an odd party must not read as "no
+    # stable matching", which the exact search would take as a verdict.
+    assert goal_holds(top_pair_and_loner(), ControlGoal.esm())
+    fault_the_engine(monkeypatch, spurious_odd_party)
+    with pytest.raises(InternalError, match="invalid partition: b prefers its predecessor a"):
+        goal_holds(top_pair_and_loner(), ControlGoal.esm())
 
 
 def test_goal_holds_ma():

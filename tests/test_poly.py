@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import identity_run, mutual_pair, pairs_of, three_cycle
+from helpers import (
+    all_alone,
+    count_engine_calls,
+    fault_the_engine,
+    mutual_pair,
+    pairs_of,
+    three_cycle,
+)
 from stablectl import classic, poly
 from stablectl.control import ACTIONS, DELETE_AGENTS, GOAL_KINDS, ControlGoal, ControlQuery
 from stablectl.errors import InternalError, InvalidQueryError
@@ -227,24 +234,6 @@ def test_ma_picks_cheapest_partner():
             assert out.optimum == best
 
 
-def count_engine_calls(monkeypatch) -> dict:
-    """Count integer tables built and engine runs, at the engine's own seam."""
-    counts = {"tables": 0, "runs": 0}
-    build, run = classic._Table.__init__, classic._Table.run
-
-    def counted_build(table, *args, **kwargs):
-        counts["tables"] += 1
-        return build(table, *args, **kwargs)
-
-    def counted_run(table, *args, **kwargs):
-        counts["runs"] += 1
-        return run(table, *args, **kwargs)
-
-    monkeypatch.setattr(classic._Table, "__init__", counted_build)
-    monkeypatch.setattr(classic._Table, "run", counted_run)
-    return counts
-
-
 def test_mp_fixes_and_partitions_once(monkeypatch):
     counts = count_engine_calls(monkeypatch)
     inst = random_sr(40, 0.25, 7)
@@ -266,7 +255,7 @@ def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
 
 
 def test_engine_fault_in_the_pair_read_off_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(classic._Table, "run", identity_run)
+    fault_the_engine(monkeypatch, all_alone)
     with pytest.raises(InternalError, match="invalid partition: pair a,b blocks"):
         solve_delag_mp(three_cycle(), pair("a", "b"), 3)
 
