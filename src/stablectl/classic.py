@@ -27,10 +27,21 @@ Four entry points:
   cuts).
 
 The partition engine runs the classical proposal ("phase 1") table
-reduction followed by repeated rotation elimination.  When a rotation's
-two agent tracks coincide as sets, eliminating it would wipe the table;
-that configuration is exactly an odd party and is locked in place
-instead.  Every run ends by checking the partition it built against the
+reduction followed by repeated rotation elimination [Irving 1985,
+J. Algorithms 6:577].  A rotation ``(x_i, y_i)`` of the stable table,
+with ``y_i`` the first and ``y_{i+1}`` the second entry of ``x_i``, is
+an odd party exactly when it is singular (self-dual) [Tan 1991,
+J. Algorithms 12:154; Gusfield & Irving 1989, *The Stable Marriage
+Problem*, ch. 4]: its ``y`` agents are its ``x`` agents and every
+``y_{i+1}`` ranks ``x_i`` first, so eliminating it would add exactly
+the pairs it removes and empty the lists of its members.  Then the head
+map ``x_i -> y_i`` permutes the ``x`` agents and its square steps the
+rotation back by one, ``x_{i+1} -> x_i``; a permutation whose square is
+one cycle of length ``r`` is itself one cycle of odd length ``r``, and
+``r >= 3`` because no agent heads its own list.  Such a rotation is
+locked in place as one odd party, following heads; every other rotation
+is eliminated, even one whose two tracks coincide as sets.  Every run
+ends by checking the partition it built against the
 stable-partition axioms, on the same table and tails, and raises
 :class:`InternalError` on a violation.  Every partition the engine
 returns is therefore certified, whether it yields a stable matching or
@@ -50,10 +61,15 @@ passing each dead entry once, so all list access over a run costs
 amortised O(n + m) in total, and so do all proposals, since only an
 agent whose held proposal fell goes back on the worklist.  The rotation
 start is a pointer that only moves forward through the processing order.
-On top of that, each of the ``r`` rotations pays an O(n) table
-consistency check and a walk from the rotation start, for
-O(n + m + r * n) in all; ``r`` stays small on the sparse random markets
-the benchmark measures, where time per pair is nearly flat in ``n``.
+On top of that, each of the ``r`` rotations pays the walk from the
+rotation start, at most O(n), for O(n + m + r * n) in all; ``r`` stays
+small on the sparse random markets the benchmark measures, where time
+per pair is nearly flat in ``n``.  Two guards on that walk, each O(1)
+per rotation member, keep a broken table from looping: every agent the
+walk leaves has a second entry, and ``y_{i+1}`` is the second entry of
+``x_i``.  Then each elimination or lock shortens a list, so a run makes
+at most O(n + m) rotation steps whatever the table, and a fault ends as
+:class:`InternalError`, at a guard or at the closing axiom check.
 Fixing a pair costs O(n) for a fresh copy of the tails plus one cut per
 agent the endpoints outrank.  The closing axiom check
 (:meth:`_Table.violations`) costs O(n) plus the entries above each
@@ -281,10 +297,10 @@ class _Table:
         The proposal ``v`` holds falls if it ranks below ``r``, and its
         proposer goes back on ``work``.  ``v``'s own proposal survives,
         since the head never passes a live entry: a proposal cuts at the
-        live proposing entry, and a rotation cuts ``y[i+1]``'s list at
-        ``x[i]``, which stays live as ``x[i]``'s new first entry.  Locking
-        an odd party cuts every member's list, so each proposal held
-        inside it falls with its holder's list.
+        live proposing entry, and eliminating a rotation cuts ``y[i+1]``'s
+        list at ``x[i]``, which stays live as ``x[i]``'s new first entry.
+        Locking a singular rotation cuts every member's list to nothing,
+        so each proposal held inside it falls with its holder's list.
         """
         if r >= self.tail[v]:
             return
@@ -316,71 +332,51 @@ class _Table:
                 # displaced proposer goes back on the worklist.
                 self.cut(v, r)
                 held[v] = r
-        self._check_consistency()
-
-    def _check_consistency(self) -> None:
-        held, rank, first, last = self.held, self.rank, self.first, self.last
-        for u in range(len(self.names)):
-            f = first(u)
-            if f < 0:
-                continue
-            if held[f] != rank[f][u] or last(f) != u:
-                raise InternalError(f"proposal table inconsistent at agent {self.names[u]}")
 
     # -- rotations --------------------------------------------------------
 
-    def find_rotation(self, start: int) -> tuple[list, list]:
-        seq: list[int] = []
+    def find_rotation(self, start: int) -> list[tuple[int, int]]:
+        """The rotation that the walk ``x -> last(second(x))`` from ``start`` enters.
+
+        It comes as the pairs ``(x[i], y[i+1])``, where ``y[i+1]`` is the
+        second entry of ``x[i]`` and the first of ``x[i+1]``.  Two guards
+        hold the walk to a rotation of a stable table, and a table that
+        breaks either raises :class:`InternalError`: every agent it leaves
+        has a second entry, and ``y[i+1]`` heads the list of its last entry
+        ``x[i+1]``.  Then ``x[i]`` is live on ``y[i+1]``'s list above
+        ``x[i+1]``, so eliminating the rotation shortens a list.
+        """
+        names, second = self.names, self.second
+        seq: list[tuple[int, int]] = []
         index: dict[int, int] = {}
         x = start
         while x not in index:
             index[x] = len(seq)
-            seq.append(x)
-            x = self.last(self.second(x))
-        xs = seq[index[x]:]
-        ys = [self.first(x) for x in xs]
-        return xs, ys
+            y = second(x)
+            if y < 0:
+                raise InternalError(f"rotation walk reached {names[x]}, which has no second entry")
+            seq.append((x, y))
+            x = self.last(y)
+        rotation = seq[index[x] :]
+        for (_, y), (x, _) in zip(rotation, rotation[1:] + rotation[:1]):
+            if self.first(x) != y:
+                raise InternalError(f"rotation breaks at {names[x]}, whose head is not {names[y]}")
+        return rotation
 
-    def eliminate(self, xs: list, ys: list) -> None:
-        """Classical rotation elimination: cut each ``y[i+1]`` below ``x[i]``."""
-        r = len(xs)
-        for i in range(r):
-            v = ys[(i + 1) % r]
-            self.cut(v, self.rank[v][xs[i]])
+    def lock_odd_party(self, xs: list) -> None:
+        """Lock a singular rotation over ``xs`` as one odd party.
 
-    def lock_odd_parties(self, xs: list) -> bool:
-        """Lock the odd cycles of the head map over ``xs`` as parties.
-
-        A self-paired rotation decomposes into cycles of the map sending
-        each member to the head of its list.  Odd cycles are odd parties:
-        eliminating them would empty their lists, so they are recorded and
-        taken out of the table by cutting their lists to nothing.  Even
-        cycles stay; ordinary elimination resolves them into pairs.  Each
-        cycle starts at its member with the smallest name.  Returns
-        whether any party was locked.
+        Its head map is one cycle over ``xs`` (see the module docstring),
+        so the party follows heads from its member with the smallest name.
+        Its members' lists are cut to nothing.
         """
-        names = self.names
-        succ = {x: self.first(x) for x in xs}
-        if set(succ.values()) != set(xs):
-            raise InternalError("self-paired rotation is not closed under heads")
-        remaining = set(xs)
-        locked_members: list[int] = []
-        while remaining:
-            start = min(remaining, key=names.__getitem__)
-            cycle = [start]
-            nxt = succ[start]
-            while nxt != start:
-                cycle.append(nxt)
-                nxt = succ[nxt]
-            remaining -= set(cycle)
-            if len(cycle) % 2 == 1:
-                if len(cycle) < 3:
-                    raise InternalError("head map cannot have fixed points")
-                self.parties.append(tuple(names[x] for x in cycle))
-                locked_members.extend(cycle)
-        for x in locked_members:
+        x = min(xs, key=self.names.__getitem__)
+        party = [x]
+        while (x := self.first(x)) != party[0]:
+            party.append(x)
+        self.parties.append(tuple(self.names[x] for x in party))
+        for x in party:
             self.cut(x, -1)
-        return bool(locked_members)
 
     # -- main loop ---------------------------------------------------------
 
@@ -390,7 +386,12 @@ class _Table:
         The run starts from the lists cut at ``tail`` with no proposal
         made.  The rotation start is the first agent in ``order`` with at
         least two entries; locked agents have none.  Lists only shrink, so
-        that agent never moves backwards in ``order``.  The partition
+        that agent never moves backwards in ``order``.  The rotation found
+        from there is locked as one odd party when it is singular, that is
+        when its ``y`` agents are its ``x`` agents and each ``y[i+1]``
+        heads its list with ``x[i]``; otherwise it is eliminated, cutting
+        each ``y[i+1]``'s list below ``x[i]``.  Either way a list shortens
+        (:meth:`find_rotation`), so the loop ends.  The partition
         assembled at the end is checked against the market cut at
         ``tail`` (:meth:`violations`); a violation is an engine fault and
         raises :class:`InternalError`.
@@ -403,16 +404,20 @@ class _Table:
         self.parties: list[tuple[AgentId, ...]] = []
         self.work = list(range(n - 1, -1, -1))
         self.stabilize()
-        second = self.second
+        first, second, rank = self.first, self.second, self.rank
         start = 0
         while True:
             while start < n and second(start) < 0:
                 start += 1
             if start == n:
                 break
-            xs, ys = self.find_rotation(start)
-            if not (set(xs) == set(ys) and self.lock_odd_parties(xs)):
-                self.eliminate(xs, ys)
+            rotation = self.find_rotation(start)
+            xs = [x for x, _ in rotation]
+            if set(xs) == {y for _, y in rotation} and all(first(y) == x for x, y in rotation):
+                self.lock_odd_party(xs)
+            else:
+                for x, y in rotation:
+                    self.cut(y, rank[y][x])
             self.stabilize()
         partition = self._assemble()
         violations = self.violations(partition, tail)

@@ -24,6 +24,27 @@ def top_pair_and_loner():
     return make_sr({"a": ["b", "c"], "b": ["a", "c"], "c": ["a", "b"]})
 
 
+def paired_triangles():
+    """Seven agents whose stable table exposes a rotation that is not singular.
+
+    The rotation xs = (u01 u06 u03 u05 u04 u02), ys = (u03 u05 u04 u02
+    u01 u06) has both tracks on the same six agents, and its head map is
+    the two 3-cycles (u01 u03 u04) and (u02 u06 u05).  Eliminating it
+    leaves the only stable matching, {u01,u05} {u02,u03} {u04,u06}.
+    """
+    return make_sr(
+        {
+            "u00": ["u04"],
+            "u01": ["u03", "u05", "u04"],
+            "u02": ["u06", "u03", "u04", "u05"],
+            "u03": ["u04", "u02", "u01"],
+            "u04": ["u01", "u06", "u05", "u03", "u02", "u00"],
+            "u05": ["u02", "u01", "u04", "u06"],
+            "u06": ["u05", "u04", "u02"],
+        }
+    )
+
+
 def all_alone(names):
     """Every agent alone: a partition that a three-cycle's pairs block."""
     return StablePartition({u: u for u in names})
@@ -41,6 +62,33 @@ def fault_the_engine(monkeypatch, partition):
     so every path to the engine meets it and the check alike.
     """
     monkeypatch.setattr(classic._Table, "_assemble", lambda table: partition(table.names))
+
+
+def skip_proposals(table, stabilize):
+    """A proposal round that makes no proposal."""
+
+
+def drop_half_the_worklist(table, stabilize):
+    """A proposal round that forgets every other agent on its worklist first."""
+    del table.work[::2]
+    stabilize(table)
+
+
+def drop_one_proposer(table, stabilize):
+    """A proposal round that forgets the agent it would serve first."""
+    if table.work:
+        table.work.pop()
+    stabilize(table)
+
+
+def fault_the_proposals(monkeypatch, fault):
+    """Make every proposal round of the engine run ``fault(table, stabilize)``.
+
+    ``stabilize`` is the sound round, which a fault may call once it has
+    done its damage.
+    """
+    stabilize = classic._Table.stabilize
+    monkeypatch.setattr(classic._Table, "stabilize", lambda table: fault(table, stabilize))
 
 
 def count_engine_calls(monkeypatch) -> dict:

@@ -9,11 +9,16 @@ from helpers import (
     all_alone,
     all_small_sr_instances,
     count_engine_calls,
+    drop_half_the_worklist,
+    drop_one_proposer,
     fault_the_engine,
+    fault_the_proposals,
     four_agent_unsolvable,
     mutual_pair,
+    paired_triangles,
     pairs_of,
     random_sr_instance,
+    skip_proposals,
     spurious_odd_party,
     three_cycle,
     top_pair_and_loner,
@@ -235,6 +240,25 @@ def test_engine_entry_points_report_an_unknown_agent_as_an_invalid_instance():
         assert info.value.violations == ["agent a lists unknown agent x"]
 
 
+def test_a_faulty_proposal_round_ends_in_an_error_or_a_certified_partition(monkeypatch):
+    # The rotation guards keep a table that proposals left unstable from
+    # looping or indexing a missing entry: each run stops with an
+    # InternalError or returns a partition the axioms accept.
+    markets = [random_sr(3 + seed % 28, (0.3, 0.6, 1.0)[seed % 3], seed) for seed in range(150)]
+    for fault in (skip_proposals, drop_half_the_worklist, drop_one_proposer):
+        faults = 0
+        with monkeypatch.context() as patch:
+            fault_the_proposals(patch, fault)
+            for inst in markets:
+                try:
+                    partition = tan_stable_partition(inst)
+                except InternalError:
+                    faults += 1
+                    continue
+                assert validate_partition(inst, partition) == []
+        assert faults > 0, fault.__name__
+
+
 def test_partition_to_matching_rejects_invalid_partition():
     with pytest.raises(ValueError):
         partition_to_matching(mutual_pair(), StablePartition({"a": "a", "b": "b"}))
@@ -294,6 +318,63 @@ def test_irving_examples():
 
 def test_irving_on_marriage_instances():
     assert irving_stable_matching(two_by_two_sm()) == pairs_of(("m1", "w2"), ("m2", "w1"))
+
+
+# -- singular rotations ------------------------------------------------------
+
+
+def _matched(inst):
+    """The stable matching of a market that has one, through every engine entry point."""
+    partition = tan_stable_partition(inst)
+    assert partition.odd_parties() == ()
+    matching = irving_stable_matching(inst)
+    assert matching == partition.stable_matching() and is_stable(inst, matching)
+    for target in sorted(matching, key=sorted):
+        out = solve_delag_mp(inst, target, 0)
+        assert (out.verdict, out.optimum, out.witness) == (True, 0, frozenset())
+    return matching
+
+
+def test_a_rotation_whose_tracks_coincide_is_eliminated_unless_singular():
+    assert _matched(paired_triangles()) == pairs_of(("u01", "u05"), ("u02", "u03"), ("u04", "u06"))
+    assert tan_stable_partition(paired_triangles()).parties == (
+        ("u00",),
+        ("u01", "u05"),
+        ("u02", "u03"),
+        ("u04", "u06"),
+    )
+    assert len(_matched(random_sr(16, 0.85, 129376))) == 8
+
+
+def _grown(inst, rng):
+    """``inst`` plus one or two agents, each listing 1-4 of the others.
+
+    Every new agent lists its neighbours in random order and enters each
+    neighbour's list at a random position.
+    """
+    prefs = {u: list(lst) for u, lst in inst.prefs.items()}
+    for _ in range(rng.randint(1, 2)):
+        new = f"u{len(prefs):02d}"
+        nbrs = rng.sample(sorted(prefs), rng.randint(1, 4))
+        for v in nbrs:
+            prefs[v].insert(rng.randint(0, len(prefs[v])), new)
+        prefs[new] = nbrs
+    return make_sr(prefs)
+
+
+def test_engine_agrees_with_brute_force_on_markets_grown_around_paired_triangles():
+    # Uniform random markets almost never expose a rotation whose tracks
+    # coincide without it being singular; these markets keep that shape
+    # or break it next to it.
+    rng = random.Random(11)
+    base = paired_triangles()
+    for _ in range(400):
+        inst = _grown(base, rng)
+        order = sorted(inst.agents)
+        rng.shuffle(order)
+        odd = {frozenset(p) for p in tan_stable_partition(inst).odd_parties()}
+        assert {frozenset(p) for p in tan_stable_partition(inst, order).odd_parties()} == odd
+        assert bool(enumerate_stable_matchings(inst)) == (not odd)
 
 
 # -- exhaustive and randomized cross-validation ------------------------------

@@ -3,9 +3,16 @@ import sys
 
 import pytest
 
-from helpers import all_alone, count_engine_calls, fault_the_engine, spurious_odd_party
+from helpers import (
+    all_alone,
+    count_engine_calls,
+    fault_the_engine,
+    paired_triangles,
+    spurious_odd_party,
+)
 from stablectl.cli import main
-from stablectl.model import parse_instance, parse_matching
+from stablectl.generators import random_sr
+from stablectl.model import parse_instance, parse_matching, serialize_instance
 
 VALID = "problem: sr\nagent a\nagent b\npref a: b\npref b: a\n"
 THREE_CYCLE = (
@@ -126,6 +133,22 @@ def test_stable_partition_runs_the_engine_once(instance_file, capsys, monkeypatc
     assert out == "none\nparty (a b c) odd\nparty (d) odd\n"
     code, out, _ = run(capsys, "stable", instance_file(VALID), "--partition")
     assert out == "match a b\nparty (a b)\n"
+
+
+def test_stable_partition_resolves_a_rotation_that_is_not_singular(instance_file, capsys):
+    path = instance_file(serialize_instance(paired_triangles()))
+    assert run(capsys, "stable", path, "--partition") == (
+        0,
+        "match u01 u05\nmatch u02 u03\nmatch u04 u06\n"
+        "party (u00) odd\nparty (u01 u05)\nparty (u02 u03)\nparty (u04 u06)\n",
+        "",
+    )
+    path = instance_file(serialize_instance(random_sr(16, 0.85, 129376)))
+    code, out, err = run(capsys, "stable", path, "--partition")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 16)
+    assert all(line.startswith("match ") for line in lines[:8])
+    assert not any(line.endswith(" odd") for line in lines)
 
 
 def test_stable_enumerate(instance_file, capsys):

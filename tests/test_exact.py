@@ -6,6 +6,7 @@ import pytest
 
 from helpers import mutual_pair, three_cycle
 from stablectl import exact
+from stablectl.classic import tan_stable_partition
 from stablectl.control import (
     ACTIONS,
     ADD_AGENTS,
@@ -86,6 +87,18 @@ def test_delag_esm_on_three_cycle_picks_lexicographic_witness():
     )
     out = solve_exact(q)
     assert out.verdict and out.optimum == 1 and out.witness == {"a"}
+
+
+def test_delacc_esm_can_cost_fewer_pair_deletions_than_odd_parties():
+    # Two odd parties, yet deleting the one pair {u00,u04} leaves a stable
+    # matching: the odd-party count only bounds delacc-esm from above.
+    for inst in (random_sr(6, 0.6, 261), random_sr(6, 1.0, 311)):
+        assert len(tan_stable_partition(inst).odd_parties()) == 2
+        q = ControlQuery(
+            instance=inst, action=DELETE_ACCEPTABILITY, goal=ControlGoal.esm(), budget=2
+        )
+        out = solve_exact(q)
+        assert (out.verdict, out.optimum, out.witness) == (True, 1, {pair("u00", "u04")})
 
 
 def test_addag_esm_on_single_edge_gadget():
