@@ -5,26 +5,21 @@ Four entry points:
 * :func:`gale_shapley`: deferred acceptance for marriage instances,
   optimal for the proposing side.
 * :func:`tan_stable_partition`: a stable partition for any roommates
-  instance.  A stable partition is a permutation of the agents whose
-  cycles ("parties") generalise stable matchings; one always exists, and
-  the instance admits a stable matching exactly when no party of odd size
-  three or more is present.
-* :func:`irving_stable_matching`: stable matching existence and a
-  witness, read off the engine's partition
-  (:meth:`StablePartition.stable_matching`): pair up the parties when no
-  odd party of size >= 3 exists.
+  instance, a permutation of the agents whose cycles ("parties")
+  generalise stable matchings.  One always exists; a stable matching
+  exists exactly when no party has odd size three or more, and then
+  every stable matching leaves exactly the singleton parties unmatched.
+* :func:`irving_stable_matching`: the stable matching that pairs up the
+  parties of that partition, or ``None`` when it has an odd party.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
   pair into some stable matching, read off the stable partition of the
-  instance *fixed* for that pair (:func:`fixing_deletions`): every agent
+  market *fixed* for that pair (:func:`fixing_deletions`): every agent
   that an endpoint prefers to the other cuts its list just above that
-  endpoint; the goal ``mp`` uses it.  :meth:`PartitionDiagnosis.witness`,
-  the one rule for which agents a pair costs, reads those deletions and
-  the stable matching they leave off the same partition for the solvers.
-  Fixing is a set of tail cuts on one integer table of the instance the
-  query was asked on: the engine runs from those tails and checks its
-  partition at them, so no fixed instance is built on the way to an
-  answer (``FixingContext.reduced`` builds it on demand, from the same
-  cuts).
+  endpoint.  :meth:`PartitionDiagnosis.witness` reads the deletions and
+  the stable matching they leave off the same partition.  Fixing is a
+  set of tail cuts on one integer table of the queried instance, and the
+  engine runs from those tails, so no fixed instance is built on the way
+  to an answer (``FixingContext.reduced`` builds one on demand).
 
 The partition engine runs the classical proposal ("phase 1") table
 reduction followed by repeated rotation elimination [Irving 1985,
@@ -38,52 +33,52 @@ the pairs it removes and empty the lists of its members.  Then the head
 map ``x_i -> y_i`` permutes the ``x`` agents and its square steps the
 rotation back by one, ``x_{i+1} -> x_i``; a permutation whose square is
 one cycle of length ``r`` is itself one cycle of odd length ``r``, and
-``r >= 3`` because no agent heads its own list.  Such a rotation is
-locked in place as one odd party, following heads; every other rotation
-is eliminated, even one whose two tracks coincide as sets.  Every run
-ends by checking the partition it built against the
-stable-partition axioms, on the same table and tails, and raises
-:class:`InternalError` on a violation.  Every partition the engine
-returns is therefore certified, whether it yields a stable matching or
-an odd party that refutes one, and no caller checks it again.
+``r >= 3`` because no agent heads its own list.  So the head map is the
+party, and locking the rotation makes each member's head its successor.
+Every other rotation is eliminated, even one whose two tracks coincide
+as sets.  A run builds its partition as one integer successor list and
+ends by checking that list against the stable-partition axioms, on the
+same table and tails, raising :class:`InternalError` on a violation;
+only then are the agents named, once, in a :class:`StablePartition`.
+Every partition the engine returns is therefore certified, whether it
+yields a stable matching or an odd party that refutes one.
 
 Engine bookkeeping and cost, for ``n`` agents and ``m`` acceptable pairs:
 the table interns the agents as ``0..n-1`` in processing order and builds
-integer preference lists and rank maps once, in O(n + m); a run starts
-from a tail per agent, in O(n), so the pair solvers fix and partition the
-market for every partner of an agent on one table.  Every
-reduction deletes the tail of some list, so a tail position per agent is
-the only deletion state: an entry is live when it lies within the tails
-of both lists that hold the pair.  A cut moves one tail and releases at
-most one held proposal, in O(1), whatever the number of pairs it
-deletes.  Per-agent head, second and tail pointers only move inwards,
-passing each dead entry once, so all list access over a run costs
-amortised O(n + m) in total, and so do all proposals, since only an
-agent whose held proposal fell goes back on the worklist.  The rotation
-start is a pointer that only moves forward through the processing order.
-On top of that, each of the ``r`` rotations pays the walk from the
-rotation start, at most O(n), for O(n + m + r * n) in all; ``r`` stays
-small on the sparse random markets the benchmark measures, where time
-per pair is nearly flat in ``n``.  Two guards on that walk, each O(1)
-per rotation member, keep a broken table from looping: every agent the
-walk leaves has a second entry, and ``y_{i+1}`` is the second entry of
-``x_i``.  Then each elimination or lock shortens a list, so a run makes
-at most O(n + m) rotation steps whatever the table, and a fault ends as
-:class:`InternalError`, at a guard or at the closing axiom check.
-Fixing a pair costs O(n) for a fresh copy of the tails plus one cut per
-agent the endpoints outrank.  The closing axiom check
-(:meth:`_Table.violations`) costs O(n) plus the entries above each
-agent's predecessor, since no other entry can block, so at most
-O(n + m).
+integer preference lists and rank maps once, in O(n + m).  A list that
+names an unknown agent, its owner or one agent twice fails there, as
+:class:`InvalidInstanceError`, and so does an entry a run reads whose
+agent does not list its owner back.  A run starts from a tail per agent,
+in O(n), so the pair solvers fix and partition the market for every
+partner of an agent on one table.  Every reduction deletes the tail of
+some list, so a tail position per agent is the only deletion state: an
+entry is live when it lies within the tails of both lists that hold the
+pair.  A cut moves one tail and releases at most one held proposal, in
+O(1).  Head, second and tail pointers only move inwards, passing each
+dead entry once, so list access and proposals cost amortised O(n + m)
+over a run.  The rotation start only moves forward through the
+processing order, and each of the ``r`` rotations pays the walk from
+it, at most O(n), for O(n + m + r * n) in all; ``r`` stays small on
+sparse random markets, where time per pair is nearly flat in ``n``.
+Two guards, O(1) per rotation member, hold the walk to a rotation of a
+stable table: every agent it leaves has a second entry, and ``y_{i+1}``
+heads the list of ``x_{i+1}``.  Then, on lists without repeats, every
+lock or elimination shortens a list, and an elimination that shortens
+none raises :class:`InternalError`, so a run makes at most O(n + m)
+rotation steps whatever the table.  Fixing a pair costs O(n) plus one
+cut per agent the endpoints outrank.  The closing axiom check
+(:meth:`_Table.violations`) reads only the entries above each agent's
+predecessor, since no other entry can block: at most O(n + m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InternalError, InvalidInstanceError
+from .errors import InternalError, InvalidInstanceError, StablectlError
 from .model import SM, AgentId, Matching, Pair, RoommatesInstance, validate
 
 # ---------------------------------------------------------------------------
@@ -96,56 +91,57 @@ class StablePartition:
 
     ``successor`` maps every agent to the next member of its party, with
     fixed points for singleton parties.  Within a party of size >= 3 each
-    agent prefers its successor to its predecessor.
+    agent prefers its successor to its predecessor.  It is a read-only
+    copy, so the cached readings cannot go stale; it also gives the hash.
     """
 
-    successor: dict
+    successor: Mapping
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "successor", MappingProxyType(dict(self.successor)))
+
+    def __reduce__(self):
+        # Read-only views do not pickle; rebuild from a plain copy instead.
+        return StablePartition, (dict(self.successor),)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.successor.items()))
 
     @cached_property
     def parties(self) -> tuple:
         """Cycle decomposition; each cycle starts at its smallest member."""
-        done = set()
-        out = []
-        for start in sorted(self.successor):
-            if start in done:
-                continue
-            cycle = [start]
-            done.add(start)
-            nxt = self.successor[start]
-            while nxt != start:
-                cycle.append(nxt)
-                done.add(nxt)
-                nxt = self.successor[nxt]
-            out.append(tuple(cycle))
+        succ, done, out = self.successor, set(), []
+        for start in sorted(succ):
+            if start not in done:
+                cycle = [start]
+                while (nxt := succ[cycle[-1]]) != start:
+                    cycle.append(nxt)
+                done.update(cycle)
+                out.append(tuple(cycle))
         return tuple(sorted(out))
 
+    @cached_property
     def odd_parties(self) -> tuple:
-        """The parties of odd size three or more."""
+        """The parties of odd size three or more; a stable matching exists iff there are none."""
         return tuple(p for p in self.parties if len(p) % 2 == 1 and len(p) >= 3)
 
     @cached_property
     def singletons(self) -> frozenset:
+        """The fixed points: the agents that every stable matching leaves unmatched."""
         return frozenset(u for u, v in self.successor.items() if u == v)
 
     def stable_matching(self) -> Matching | None:
         """The stable matching the parties pair up; ``None`` when an odd party exists."""
-        return None if self.odd_parties() else self._pair_up()[1]
+        return None if self.odd_parties else self._pair_up()[1]
 
     def _pair_up(self) -> tuple[frozenset, Matching]:
-        """Drop the smallest member of each odd party and pair up the rest."""
-        deleted = set()
-        pairs = set()
+        """Drop the smallest (first) member of each odd party and pair up the rest in turn."""
+        deleted, pairs = set(), set()
         for party in self.parties:
-            if len(party) == 1:
-                continue
-            members = list(party)
-            if len(members) % 2 == 1:
-                drop = min(members)
-                deleted.add(drop)
-                i = members.index(drop)
-                members = members[i + 1 :] + members[:i]
-            for i in range(0, len(members), 2):
-                pairs.add(frozenset((members[i], members[i + 1])))
+            if len(party) % 2 and len(party) > 1:
+                deleted.add(party[0])
+                party = party[1:]
+            pairs.update(frozenset(party[i : i + 2]) for i in range(0, len(party) - 1, 2))
         return frozenset(deleted), frozenset(pairs)
 
 
@@ -161,13 +157,19 @@ def render_partition(partition: StablePartition) -> str:
 def validate_partition(inst: RoommatesInstance, partition: StablePartition) -> list[str]:
     """Check the stable-partition axioms; return violation descriptions.
 
-    The check runs over a fresh integer table of ``inst``, whose lists are
-    whole; see :meth:`_Table.violations`.  Like the engine, it raises
-    :class:`InvalidInstanceError` when a list names an agent outside
-    ``inst``.
+    The caller's names are mapped onto a fresh integer table of ``inst``,
+    whose lists are whole, and the axioms are checked there; see
+    :meth:`_Table.violations`.  A market that :func:`validate` rejects
+    raises :class:`InvalidInstanceError`.
     """
+    problems = validate(inst)
+    if problems:
+        raise InvalidInstanceError(problems)
     table = _Table(inst, sorted(inst.agents))
-    return table.violations(partition, table.whole)
+    given, index = partition.successor, table.index
+    if given.keys() != index.keys():
+        return ["successor map does not cover exactly the instance agents"]
+    return table.violations([index.get(given[u], -1) for u in table.names], table.whole)
 
 
 def partition_to_matching(
@@ -222,6 +224,14 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
 # The proposal/rotation engine behind stable partitions
 
 
+def _rejected(inst: RoommatesInstance) -> StablectlError:
+    """The error for a market the engine could not read: the market's fault, or else its own."""
+    problems = validate(inst)
+    if problems:
+        return InvalidInstanceError(problems)
+    return InternalError("the engine misread a valid market")
+
+
 class _Table:
     """Mutable reduced preference table over integer-interned agents.
 
@@ -240,22 +250,25 @@ class _Table:
     O(1).  ``held[v]`` is the position on ``v``'s list of the proposal
     ``v`` holds (-1 for none).  ``work`` holds the agents that may have
     to propose again: every agent at the start, then each agent whose
-    held proposal falls with a cut.
+    held proposal falls with a cut.  ``succ`` is the partition the run
+    builds, one successor index per agent; every agent starts alone.
     The stable-table invariant, restored by :meth:`stabilize`, is that
     every agent with a non-empty list proposes to the head of its list
-    and holds a proposal from its tail.  Interning is where an instance
-    whose lists name an agent outside it fails, as
-    :class:`InvalidInstanceError`; :func:`validate` runs only then.
+    and holds a proposal from its tail.  A market the table cannot read
+    fails as the module docstring says; :func:`validate` runs only then.
     """
 
     def __init__(self, inst: RoommatesInstance, order: Sequence[AgentId]):
+        self.inst = inst
         self.names = list(order)
         self.index = index = {u: i for i, u in enumerate(self.names)}
         try:
             self.pref = [[index[v] for v in inst.prefs[u]] for u in self.names]
         except KeyError as exc:
-            raise InvalidInstanceError(validate(inst)) from exc
-        self.rank = [dict(zip(lst, range(len(lst)))) for lst in self.pref]
+            raise _rejected(inst) from exc
+        rank = self.rank = [dict(zip(lst, range(len(lst)))) for lst in self.pref]
+        if any(len(r) != len(lst) or i in r for i, (lst, r) in enumerate(zip(self.pref, rank))):
+            raise _rejected(inst)
         self.whole = tuple(len(lst) - 1 for lst in self.pref)
 
     def live(self, u: int, p: int, tail: Sequence[int]) -> bool:
@@ -291,8 +304,8 @@ class _Table:
         tail[u] = t
         return pref[t] if t >= 0 else -1
 
-    def cut(self, v: int, r: int) -> None:
-        """Delete every entry of ``v``'s list ranked below position ``r``.
+    def cut(self, v: int, r: int) -> bool:
+        """Delete every entry of ``v``'s list ranked below position ``r``; say if any went.
 
         The proposal ``v`` holds falls if it ranks below ``r``, and its
         proposer goes back on ``work``.  ``v``'s own proposal survives,
@@ -303,12 +316,13 @@ class _Table:
         so each proposal held inside it falls with its holder's list.
         """
         if r >= self.tail[v]:
-            return
+            return False
         self.tail[v] = r
         held = self.held
         if held[v] > r:
             self.work.append(self.pref[v][held[v]])
             held[v] = -1
+        return True
 
     # -- proposal rounds -------------------------------------------------
 
@@ -343,8 +357,8 @@ class _Table:
         hold the walk to a rotation of a stable table, and a table that
         breaks either raises :class:`InternalError`: every agent it leaves
         has a second entry, and ``y[i+1]`` heads the list of its last entry
-        ``x[i+1]``.  Then ``x[i]`` is live on ``y[i+1]``'s list above
-        ``x[i+1]``, so eliminating the rotation shortens a list.
+        ``x[i+1]``.  Then, on lists without repeats, ``x[i]`` is live on
+        ``y[i+1]``'s list above ``x[i+1]``, so eliminating it shortens a list.
         """
         names, second = self.names, self.second
         seq: list[tuple[int, int]] = []
@@ -363,20 +377,15 @@ class _Table:
                 raise InternalError(f"rotation breaks at {names[x]}, whose head is not {names[y]}")
         return rotation
 
-    def lock_odd_party(self, xs: list) -> None:
-        """Lock a singular rotation over ``xs`` as one odd party.
+    def lock_odd_party(self, rotation: list[tuple[int, int]]) -> None:
+        """Lock a singular rotation as one odd party, its head map.
 
-        Its head map is one cycle over ``xs`` (see the module docstring),
-        so the party follows heads from its member with the smallest name.
-        Its members' lists are cut to nothing.
+        ``y[i+1]`` heads its list with ``x[i]``, so ``x[i]`` becomes the
+        successor of ``y[i+1]``; then every member's list is cut to nothing.
         """
-        x = min(xs, key=self.names.__getitem__)
-        party = [x]
-        while (x := self.first(x)) != party[0]:
-            party.append(x)
-        self.parties.append(tuple(self.names[x] for x in party))
-        for x in party:
-            self.cut(x, -1)
+        for x, y in rotation:
+            self.succ[y] = x
+            self.cut(y, -1)
 
     # -- main loop ---------------------------------------------------------
 
@@ -387,68 +396,60 @@ class _Table:
         made.  The rotation start is the first agent in ``order`` with at
         least two entries; locked agents have none.  Lists only shrink, so
         that agent never moves backwards in ``order``.  The rotation found
-        from there is locked as one odd party when it is singular, that is
-        when its ``y`` agents are its ``x`` agents and each ``y[i+1]``
-        heads its list with ``x[i]``; otherwise it is eliminated, cutting
-        each ``y[i+1]``'s list below ``x[i]``.  Either way a list shortens
-        (:meth:`find_rotation`), so the loop ends.  The partition
-        assembled at the end is checked against the market cut at
-        ``tail`` (:meth:`violations`); a violation is an engine fault and
-        raises :class:`InternalError`.
+        from there is locked as one odd party when it is singular (see the
+        module docstring) and otherwise eliminated, cutting each
+        ``y[i+1]``'s list below ``x[i]``.  A lock empties lists of two
+        entries or more, and an elimination that shortens no list is an
+        engine fault, so the loop ends.  The successor list assembled at
+        the end is checked against the market cut at ``tail``
+        (:meth:`violations`) and only then named.  Engine faults raise
+        :class:`InternalError`.
         """
-        n = len(self.names)
+        names, rank, n = self.names, self.rank, len(self.names)
         self.head = [0] * n
         self.sec = [1] * n
         self.tail = list(tail)
         self.held = [-1] * n
-        self.parties: list[tuple[AgentId, ...]] = []
+        self.succ = list(range(n))
         self.work = list(range(n - 1, -1, -1))
-        self.stabilize()
-        first, second, rank = self.first, self.second, self.rank
+        first, second, cut = self.first, self.second, self.cut
         start = 0
-        while True:
-            while start < n and second(start) < 0:
-                start += 1
-            if start == n:
-                break
-            rotation = self.find_rotation(start)
-            xs = [x for x, _ in rotation]
-            if set(xs) == {y for _, y in rotation} and all(first(y) == x for x, y in rotation):
-                self.lock_odd_party(xs)
-            else:
-                for x, y in rotation:
-                    self.cut(y, rank[y][x])
+        try:
             self.stabilize()
-        partition = self._assemble()
-        violations = self.violations(partition, tail)
+            while True:
+                while start < n and second(start) < 0:
+                    start += 1
+                if start == n:
+                    break
+                rotation = self.find_rotation(start)
+                xs, ys = zip(*rotation)
+                if set(xs) == set(ys) and all(first(y) == x for x, y in rotation):
+                    self.lock_odd_party(rotation)
+                elif not any([cut(y, rank[y][x]) for x, y in rotation]):
+                    raise InternalError(f"eliminating the rotation at {names[start]} cut nothing")
+                self.stabilize()
+            succ = self._assemble()
+        except KeyError as exc:  # an entry whose agent does not list its owner back
+            raise _rejected(self.inst) from exc
+        violations = self.violations(succ, tail)
         if violations:
             raise InternalError("invalid partition: " + "; ".join(violations))
-        return partition
+        return StablePartition({names[u]: names[s] for u, s in enumerate(succ)})
 
-    def _assemble(self) -> StablePartition:
-        succ: dict[AgentId, AgentId] = {}
-        for party in self.parties:
-            for i, u in enumerate(party):
-                succ[u] = party[(i + 1) % len(party)]
-        names = self.names
-        for u, name in enumerate(names):
-            if name in succ:  # a locked party member
-                continue
-            v = self.first(u)
-            if v < 0:
-                succ[name] = name
-                continue
-            if self.first(v) != u:
-                raise InternalError(f"non-mutual residual pair at agent {name}")
-            succ[name] = names[v]
-        return StablePartition(successor=succ)
+    def _assemble(self) -> list[int]:
+        """``succ`` with the residual partner of each agent whose list is not empty."""
+        succ = self.succ
+        for u in range(len(succ)):
+            if (v := self.first(u)) >= 0:
+                succ[u] = v
+        return succ
 
     # -- the stable-partition axioms ---------------------------------------
 
-    def violations(self, partition: StablePartition, tail: Sequence[int]) -> list[str]:
-        """Check ``partition`` against the market of the lists cut at ``tail``.
+    def violations(self, succ: Sequence[int], tail: Sequence[int]) -> list[str]:
+        """Check the successor list ``succ`` against the market of the lists cut at ``tail``.
 
-        The axioms: the successor map is a permutation of the agents; each
+        The axioms: ``succ`` is a permutation of the agent indices; each
         agent's successor is acceptable to it, and preferred to its
         predecessor when the two differ; and no acceptable pair of
         agents that are not each other's successor blocks, where a pair
@@ -459,13 +460,9 @@ class _Table:
         Only the entries before each agent's predecessor are scanned for
         blocking pairs: no other entry can block.
         """
-        names, index, pref, rank = self.names, self.index, self.pref, self.rank
+        names, pref, rank = self.names, self.pref, self.rank
         n, absent = len(names), float("inf")  # ``absent`` ranks a missing entry
-        given = partition.successor
-        if given.keys() != index.keys():
-            return ["successor map does not cover exactly the instance agents"]
-        succ = [index.get(given[u], -1) for u in names]
-        if -1 in succ or len(set(succ)) != n:
+        if len(succ) != n or set(succ) != set(range(n)):
             return ["successor map is not a permutation"]
         pred = [0] * n
         for u, s in enumerate(succ):
@@ -583,7 +580,7 @@ class PartitionDiagnosis:
     @property
     def cost(self) -> int:
         """Agent deletions needed: one per odd party and per forbidden singleton."""
-        return len(self.partition.odd_parties()) + len(self.forbidden_singletons)
+        return len(self.partition.odd_parties) + len(self.forbidden_singletons)
 
     def witness(self) -> tuple[frozenset, Matching]:
         """The deletions that ``cost`` counts, and the stable matching they leave.
@@ -600,13 +597,16 @@ def _fix(inst: RoommatesInstance, table: _Table, a: AgentId, b: AgentId) -> Fixi
     """Cut ``table``, interned sorted from ``inst``, so that ``{a, b}`` is fixed."""
     index, pref, rank, live = table.index, table.pref, table.rank, table.live
     i, j = index.get(a), index.get(b)
-    if i is None or j is None or i == j or j not in rank[i] or i not in rank[j]:
+    if i is None or j is None or (j not in rank[i] and i not in rank[j]):
         raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    a_star, b_star = pref[i][: rank[i][j]], pref[j][: rank[j][i]]
     tail = list(table.whole)
-    for star, anchor in ((a_star, i), (b_star, j)):
-        for x in star:
-            tail[x] = min(tail[x], rank[x][anchor] - 1)
+    try:  # each endpoint, and each agent either one outranks, must list the other back
+        a_star, b_star = pref[i][: rank[i][j]], pref[j][: rank[j][i]]
+        for star, anchor in ((a_star, i), (b_star, j)):
+            for x in star:
+                tail[x] = min(tail[x], rank[x][anchor] - 1)
+    except KeyError as exc:
+        raise _rejected(inst) from exc
     for u, v in ((i, j), (j, i)):
         top = rank[u][v]
         if not live(u, top, tail) or any(live(u, p, tail) for p in range(top)):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classic import irving_stable_matching, pair_fixing_cost
+from .classic import pair_fixing_cost, tan_stable_partition
 from .errors import InvalidQueryError
 from .model import (
     AgentId,
@@ -195,18 +195,17 @@ def goal_holds(inst: RoommatesInstance, goal: ControlGoal, action: str = DELETE_
     matching sits inside the target's surviving pairs.  Targets that no
     longer resolve, such as a deleted agent or a pair with a missing
     endpoint, make the goal false rather than raising.
+
+    ``esm``, ``epsm`` and ``ma`` are read off one stable partition: a
+    stable matching exists exactly when it has no odd party, and then
+    every stable matching leaves exactly its singletons unmatched.
     """
-    if goal.kind == "esm":
-        return irving_stable_matching(inst) is not None
-    if goal.kind == "epsm":
-        matching = irving_stable_matching(inst)
-        # Every stable matching covers the same agents, so one sample decides.
-        return matching is not None and covered_agents(matching) == inst.agents
-    if goal.kind == "ma":
-        if goal.agent not in inst.agents:
+    if goal.kind in ("esm", "epsm", "ma"):
+        if goal.kind == "ma" and goal.agent not in inst.agents:
             return False
-        matching = irving_stable_matching(inst)
-        return matching is not None and goal.agent in covered_agents(matching)
+        needed = {"esm": (), "epsm": inst.agents, "ma": (goal.agent,)}[goal.kind]  # to be matched
+        partition = tan_stable_partition(inst)
+        return not partition.odd_parties and partition.singletons.isdisjoint(needed)
     if goal.kind == "mp":
         if goal.pair is None or not inst.is_acceptable_pair(goal.pair):
             return False

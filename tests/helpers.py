@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
+
+import pytest
 
 from stablectl import classic
 from stablectl.classic import StablePartition
@@ -58,10 +61,34 @@ def spurious_odd_party(names):
 def fault_the_engine(monkeypatch, partition):
     """Make every engine run assemble ``partition(names)`` instead of what it reached.
 
-    The stand-in sits inside the run, before the run checks its partition,
-    so every path to the engine meets it and the check alike.
+    The stand-in sits inside the run, before the run checks its successor
+    list, so every path to the engine meets it and the check alike.
     """
-    monkeypatch.setattr(classic._Table, "_assemble", lambda table: partition(table.names))
+
+    def assemble(table):
+        successor = partition(table.names).successor
+        return [table.index[successor[u]] for u in table.names]
+
+    monkeypatch.setattr(classic._Table, "_assemble", assemble)
+
+
+def within(seconds, fn, *args):
+    """``fn(*args)``, failing the test if it takes more than ``seconds`` of wall-clock time.
+
+    A SIGALRM timer interrupts a call that loops, so this works on POSIX
+    systems and in the main thread only.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"{fn.__name__} ran for more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def skip_proposals(table, stabilize):

@@ -151,16 +151,16 @@ def test_criterion_4_and_5_partition_engine_against_enumeration():
             matching = irving_stable_matching(inst)
             partition = tan_stable_partition(inst)
             assert validate_partition(inst, partition) == []
-            assert (matching is not None) == bool(stables) == (not partition.odd_parties())
+            assert (matching is not None) == bool(stables) == (not partition.odd_parties)
             if matching is not None:
                 assert is_stable(inst, matching)
-            odd = sorted(sorted(p) for p in partition.odd_parties())
+            odd = sorted(sorted(p) for p in partition.odd_parties)
             order = sorted(inst.agents)
             for _ in range(5):
                 rng.shuffle(order)
                 shuffled = tan_stable_partition(inst, order=order)
                 assert validate_partition(inst, shuffled) == []
-                assert sorted(sorted(p) for p in shuffled.odd_parties()) == odd
+                assert sorted(sorted(p) for p in shuffled.odd_parties) == odd
             if stables:
                 solvable += 1
     with criterion(5, "all stable matchings of an instance cover the same agents"):

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -23,7 +24,9 @@ from helpers import (
     three_cycle,
     top_pair_and_loner,
     two_by_two_sm,
+    within,
 )
+from stablectl import classic
 from stablectl.classic import (
     StablePartition,
     diagnose_fixed_instance,
@@ -36,10 +39,11 @@ from stablectl.classic import (
     tan_stable_partition,
     validate_partition,
 )
+from stablectl.control import ControlGoal, ControlQuery
 from stablectl.errors import InternalError, InvalidInstanceError
 from stablectl.generators import random_sm, random_sr
-from stablectl.model import make_sm, make_sr
-from stablectl.poly import solve_delag_ma, solve_delag_mp
+from stablectl.model import make_sm, make_sr, pair, validate
+from stablectl.poly import solve, solve_delag_ma, solve_delag_mp
 from stablectl.stability import covered_agents, enumerate_stable_matchings, is_stable
 
 
@@ -93,13 +97,13 @@ def test_gs_output_is_stable_and_proposer_optimal():
 def test_partition_mutual_pair():
     partition = tan_stable_partition(mutual_pair())
     assert partition.parties == (("a", "b"),)
-    assert partition.odd_parties() == ()
+    assert partition.odd_parties == ()
 
 
 def test_partition_three_cycle_is_one_odd_party():
     partition = tan_stable_partition(three_cycle())
     assert partition.parties == (("a", "b", "c"),)
-    assert partition.odd_parties() == (("a", "b", "c"),)
+    assert partition.odd_parties == (("a", "b", "c"),)
     # Orientation follows the preferences: everyone prefers successor.
     assert partition.successor == {"a": "b", "b": "c", "c": "a"}
 
@@ -113,8 +117,24 @@ def test_partition_empty_list_gives_singleton():
 
 def test_partition_of_unsolvable_four_agents():
     partition = tan_stable_partition(four_agent_unsolvable())
-    assert partition.odd_parties() == (("a", "b", "c"),)
+    assert partition.odd_parties == (("a", "b", "c"),)
     assert partition.singletons == {"d"}
+
+
+def test_partition_successor_is_a_read_only_hashable_copy():
+    given = {"a": "b", "b": "c", "c": "a"}
+    partition = StablePartition(given)
+    assert partition.parties == (("a", "b", "c"),)
+    given["a"] = "a"
+    with pytest.raises(TypeError):
+        partition.successor["a"] = "a"
+    assert partition.successor == {"a": "b", "b": "c", "c": "a"}
+    assert partition.parties == partition.odd_parties == (("a", "b", "c"),)
+    assert partition.singletons == frozenset()
+    engine = tan_stable_partition(three_cycle())
+    assert engine == partition and hash(engine) == hash(partition)
+    assert len({engine, partition, StablePartition({"a": "a"})}) == 2
+    assert pickle.loads(pickle.dumps(engine)) == engine
 
 
 def test_partition_rejects_bad_order():
@@ -240,6 +260,50 @@ def test_engine_entry_points_report_an_unknown_agent_as_an_invalid_instance():
         assert info.value.violations == ["agent a lists unknown agent x"]
 
 
+# Markets whose lists the engine cannot read.  Read unchecked, a repeat
+# makes a rotation cut nothing and the run find it forever, a repeat or a
+# self-listed agent breaks a rotation or the partition, and an entry not
+# listed back indexes a missing rank.
+MALFORMED = {
+    "repeat-hangs": {"a": ["b", "b"], "b": ["a"]},
+    "repeat-breaks-a-rotation": {"a": ["b", "c", "b"], "b": ["a", "c"], "c": ["b", "a"]},
+    "self-listed": {"a": ["a", "b"], "b": ["a"]},
+    "repeat-beside-a-loner": {"a": ["b", "b"], "b": ["a"], "c": []},
+    "not-listed-back": {"a": ["b"], "b": []},
+}
+
+
+@pytest.mark.parametrize("prefs", MALFORMED.values(), ids=MALFORMED)
+def test_engine_entry_points_reject_a_malformed_market(prefs):
+    inst = make_sr(prefs)
+    calls = [
+        (tan_stable_partition, inst),
+        (irving_stable_matching, inst),
+        (validate_partition, inst, StablePartition({u: u for u in inst.agents})),
+    ]
+    goals = [ControlGoal.esm(), ControlGoal.ma("a")]
+    if inst.is_acceptable_pair(pair("a", "b")):
+        goals.append(ControlGoal.mp(pair("a", "b")))
+    for goal in goals:
+        query = ControlQuery(inst, "delag", goal, 0)
+        calls.append((solve, query, "exact"))
+        if goal.kind != "esm":  # the one goal here without a polynomial solver
+            calls.append((solve, query, "poly"))
+    for fn, *args in calls:
+        with pytest.raises(InvalidInstanceError) as info:
+            within(5, fn, *args)
+        assert info.value.violations == validate(inst)
+
+
+def test_a_rotation_that_cuts_nothing_is_an_engine_fault():
+    # A repeated entry, planted past the interning check, makes eliminating
+    # the rotation (a, b) cut nothing: the run must stop, not find it again.
+    table = classic._Table(make_sr({"a": ["b"], "b": ["a"]}), ["a", "b"])
+    table.pref[0], table.rank[0] = [1, 1], {1: 1}
+    with pytest.raises(InternalError, match="^eliminating the rotation at a cut nothing$"):
+        within(5, table.run, (1, 0))
+
+
 def test_a_faulty_proposal_round_ends_in_an_error_or_a_certified_partition(monkeypatch):
     # The rotation guards keep a table that proposals left unstable from
     # looping or indexing a missing entry: each run stops with an
@@ -251,7 +315,7 @@ def test_a_faulty_proposal_round_ends_in_an_error_or_a_certified_partition(monke
             fault_the_proposals(patch, fault)
             for inst in markets:
                 try:
-                    partition = tan_stable_partition(inst)
+                    partition = within(5, tan_stable_partition, inst)
                 except InternalError:
                     faults += 1
                     continue
@@ -287,12 +351,13 @@ def test_pair_path_partitions_the_fixed_market_it_would_build():
             assert diag.partition == tan_stable_partition(ctx.reduced)
             alone = StablePartition({u: u for u in inst.agents})
             for partition in (diag.partition, alone):
-                assert ctx.table.violations(partition, ctx.tail) == validate_partition(
+                succ = [ctx.table.index[partition.successor[u]] for u in ctx.table.names]
+                assert ctx.table.violations(succ, ctx.tail) == validate_partition(
                     ctx.reduced, partition
                 )
             assert pair_fixing_cost(inst, target) == diag.cost
             out = solve_delag_mp(inst, target, n)
-            rule = {min(p) for p in diag.partition.odd_parties()} | diag.forbidden_singletons
+            rule = {min(p) for p in diag.partition.odd_parties} | diag.forbidden_singletons
             assert (out.verdict, out.optimum, out.witness) == (True, diag.cost, rule)
             checked += 1
         for agent in sorted(inst.agents):
@@ -326,7 +391,7 @@ def test_irving_on_marriage_instances():
 def _matched(inst):
     """The stable matching of a market that has one, through every engine entry point."""
     partition = tan_stable_partition(inst)
-    assert partition.odd_parties() == ()
+    assert partition.odd_parties == ()
     matching = irving_stable_matching(inst)
     assert matching == partition.stable_matching() and is_stable(inst, matching)
     for target in sorted(matching, key=sorted):
@@ -372,8 +437,8 @@ def test_engine_agrees_with_brute_force_on_markets_grown_around_paired_triangles
         inst = _grown(base, rng)
         order = sorted(inst.agents)
         rng.shuffle(order)
-        odd = {frozenset(p) for p in tan_stable_partition(inst).odd_parties()}
-        assert {frozenset(p) for p in tan_stable_partition(inst, order).odd_parties()} == odd
+        odd = {frozenset(p) for p in tan_stable_partition(inst).odd_parties}
+        assert {frozenset(p) for p in tan_stable_partition(inst, order).odd_parties} == odd
         assert bool(enumerate_stable_matchings(inst)) == (not odd)
 
 
@@ -389,13 +454,13 @@ def _check_instance(inst, rng):
     if matching is not None:
         assert is_stable(inst, matching)
         assert covered_agents(matching) == inst.agents - partition.singletons
-    odd = sorted(sorted(p) for p in partition.odd_parties())
+    odd = sorted(sorted(p) for p in partition.odd_parties)
     order = sorted(inst.agents)
     for _ in range(2):
         rng.shuffle(order)
         shuffled = tan_stable_partition(inst, order=order)
         assert validate_partition(inst, shuffled) == []
-        assert sorted(sorted(p) for p in shuffled.odd_parties()) == odd
+        assert sorted(sorted(p) for p in shuffled.odd_parties) == odd
         assert shuffled.singletons == partition.singletons
 
 
@@ -448,7 +513,7 @@ def test_partition_properties_hold_on_arbitrary_instances(inst):
     partition = tan_stable_partition(inst)
     assert validate_partition(inst, partition) == []
     matching = irving_stable_matching(inst)
-    assert (matching is None) == bool(partition.odd_parties())
+    assert (matching is None) == bool(partition.odd_parties)
     if matching is not None:
         assert is_stable(inst, matching)
         assert covered_agents(matching) == inst.agents - partition.singletons

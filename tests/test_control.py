@@ -25,9 +25,9 @@ from stablectl.control import (
     validate_query,
 )
 from stablectl.errors import InternalError, InvalidQueryError
-from stablectl.generators import random_query, random_sr
+from stablectl.generators import random_query, random_sm, random_sr
 from stablectl.model import make_sr, pair
-from stablectl.stability import enumerate_stable_matchings
+from stablectl.stability import covered_agents, enumerate_stable_matchings
 
 
 def delag(inst, goal, budget=0):
@@ -226,3 +226,23 @@ def test_budget_monotonicity_in_subset_semantics():
         )
         if lower.verdict:
             assert higher.verdict
+
+
+def test_partition_goals_agree_with_enumerating_every_matching():
+    # esm, epsm and ma are read off the stable partition; the oracle
+    # enumerates every matching and keeps those without a blocking pair.
+    markets = [random_sr(2 + seed % 7, (0.4, 0.7, 1.0)[seed % 3], seed) for seed in range(240)]
+    markets += [
+        random_sm(1 + seed % 4, 1 + seed // 4 % 4, (0.5, 1.0)[seed % 2], seed) for seed in range(120)
+    ]
+    shapes = {"none": 0, "imperfect": 0, "perfect": 0}
+    for inst in markets:
+        stables = enumerate_stable_matchings(inst, cap=28)
+        covered = [covered_agents(m) for m in stables]
+        perfect = inst.agents in covered
+        shapes["none" if not stables else "perfect" if perfect else "imperfect"] += 1
+        assert goal_holds(inst, ControlGoal.esm()) == bool(stables)
+        assert goal_holds(inst, ControlGoal.epsm()) == perfect
+        for agent in sorted(inst.agents):
+            assert goal_holds(inst, ControlGoal.ma(agent)) == any(agent in c for c in covered)
+    assert min(shapes.values()) >= 20, shapes

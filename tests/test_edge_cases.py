@@ -50,7 +50,7 @@ def test_marriage_partitions_never_have_large_odd_parties():
     rng = random.Random(92)
     for seed in range(60):
         inst = random_sm(rng.randint(0, 5), rng.randint(0, 5), 0.8, seed)
-        assert tan_stable_partition(inst).odd_parties() == ()
+        assert tan_stable_partition(inst).odd_parties == ()
         assert irving_stable_matching(inst) is not None
 
 
@@ -85,7 +85,7 @@ def _disjoint_triangles(count):
 def test_many_odd_parties_count_and_cost():
     inst = _disjoint_triangles(3)
     partition = tan_stable_partition(inst)
-    assert len(partition.odd_parties()) == 3
+    assert len(partition.odd_parties) == 3
     # Making one triangle's pair stable-matched still costs one deletion in
     # each of the three independently blocked triangles.
     out = solve_delag_mp(inst, pair("t0a", "t0b"), budget=3)

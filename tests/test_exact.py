@@ -93,7 +93,7 @@ def test_delacc_esm_can_cost_fewer_pair_deletions_than_odd_parties():
     # Two odd parties, yet deleting the one pair {u00,u04} leaves a stable
     # matching: the odd-party count only bounds delacc-esm from above.
     for inst in (random_sr(6, 0.6, 261), random_sr(6, 1.0, 311)):
-        assert len(tan_stable_partition(inst).odd_parties()) == 2
+        assert len(tan_stable_partition(inst).odd_parties) == 2
         q = ControlQuery(
             instance=inst, action=DELETE_ACCEPTABILITY, goal=ControlGoal.esm(), budget=2
         )

@@ -109,7 +109,7 @@ def test_diagnosis_never_implicates_the_target_pair():
             a, b = sorted(target)
             ctx = fixing_deletions(inst, a, b)
             diag = diagnose_fixed_instance(ctx)
-            for party in diag.partition.odd_parties():
+            for party in diag.partition.odd_parties:
                 assert a not in party and b not in party
             assert diag.forbidden_singletons <= (ctx.a_star | ctx.b_star)
             assert not diag.forbidden_singletons & {a, b}
@@ -279,10 +279,10 @@ def test_witness_follows_the_partition_rule_and_clears_the_fixed_instance():
             ctx = fixing_deletions(inst, a, b)
             diag = classic.diagnose_fixed_instance(ctx)
             out = solve_delag_mp(inst, target, budget=len(inst.agents))
-            rule = {min(p) for p in diag.partition.odd_parties()} | diag.forbidden_singletons
+            rule = {min(p) for p in diag.partition.odd_parties} | diag.forbidden_singletons
             assert out.verdict and out.witness == rule
             rest = classic.tan_stable_partition(delete_agents(ctx.reduced, out.witness))
-            assert rest.odd_parties() == ()
+            assert rest.odd_parties == ()
             assert not rest.singletons & ((ctx.a_star | ctx.b_star) - out.witness)
             checked += 1
     assert checked >= 200
