@@ -109,14 +109,22 @@ class StablePartition:
 
     @cached_property
     def parties(self) -> tuple:
-        """Cycle decomposition; each cycle starts at its smallest member."""
+        """Cycle decomposition; each cycle starts at its smallest member.
+
+        Raises ``ValueError`` when ``successor`` is not a permutation of
+        its keys: the walk from an agent revisits another one, or leaves
+        the keys.
+        """
         succ, done, out = self.successor, set(), []
         for start in sorted(succ):
             if start not in done:
                 cycle = [start]
+                done.add(start)
                 while (nxt := succ[cycle[-1]]) != start:
+                    if nxt in done or nxt not in succ:
+                        raise ValueError("successor map is not a permutation")
                     cycle.append(nxt)
-                done.update(cycle)
+                    done.add(nxt)
                 out.append(tuple(cycle))
         return tuple(sorted(out))
 
@@ -556,13 +564,20 @@ class FixingContext:
 
     @cached_property
     def reduced(self) -> RoommatesInstance:
-        """The fixed market as an instance: each list keeps its live entries."""
+        """The fixed market as an instance: each list keeps its live entries.
+
+        An entry whose agent does not list its owner back raises
+        :class:`InvalidInstanceError`, as it does in an engine run.
+        """
         inst, table, tail = self.instance, self.table, self.tail
         names, live = table.names, table.live
-        prefs = {
-            names[u]: tuple(names[v] for p, v in enumerate(lst) if live(u, p, tail))
-            for u, lst in enumerate(table.pref)
-        }
+        try:
+            prefs = {
+                names[u]: tuple(names[v] for p, v in enumerate(lst) if live(u, p, tail))
+                for u, lst in enumerate(table.pref)
+            }
+        except KeyError as exc:
+            raise _rejected(inst) from exc
         return RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
 
 

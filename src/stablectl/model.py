@@ -10,10 +10,13 @@ one walk over the agents.
 
 Instances are immutable, hashable values: ``prefs`` and ``side`` are
 read-only mappings copied once at construction, so values derived from an
-instance and cached on it (``_ranks``, ``acceptable_pairs``,
-``search_memo``) cannot go stale.  All mutating operations (agent deletion,
-acceptability deletion, induction on a chosen addable subset) return fresh
-instances and never touch their input.
+instance and cached on it (``ranks``, ``acceptable_pairs``,
+``search_memo``) cannot go stale.  ``ranks`` is the public rank map: built
+once per instance on first use and shared by every reader, it maps each
+agent to a read-only view of the position of each entry on its list.  All
+mutating operations (agent deletion, acceptability deletion, induction on
+a chosen addable subset) return fresh instances and never touch their
+input.
 
 File formats
 ------------
@@ -117,8 +120,17 @@ class RoommatesInstance:
         return {}
 
     @cached_property
-    def _ranks(self) -> dict:
-        return {u: dict(zip(lst, range(len(lst)))) for u, lst in self.prefs.items()}
+    def ranks(self) -> Mapping:
+        """``ranks[u][v]`` is the position of ``v`` on ``u``'s list (0 = most preferred).
+
+        Built once per instance and cached; every lookup on the instance
+        reads it.  Both levels are read-only views, so writing to them
+        raises ``TypeError``.  An entry listed twice maps to its last
+        position.
+        """
+        return MappingProxyType(
+            {u: MappingProxyType(dict(zip(lst, range(len(lst))))) for u, lst in self.prefs.items()}
+        )
 
     @cached_property
     def acceptable_pairs(self) -> frozenset:
@@ -131,8 +143,11 @@ class RoommatesInstance:
         )
 
     def acceptable(self, u: AgentId, v: AgentId) -> bool:
-        ranks = self._ranks
-        return v in ranks.get(u, ()) and u in ranks.get(v, ())
+        ranks = self.ranks
+        try:
+            return v in ranks[u] and u in ranks[v]
+        except KeyError:  # an agent outside the instance
+            return False
 
     def is_acceptable_pair(self, p) -> bool:
         """``p in self.acceptable_pairs``, without building that set."""
@@ -140,11 +155,11 @@ class RoommatesInstance:
 
     def rank(self, u: AgentId, v: AgentId) -> int:
         """Position of ``v`` on ``u``'s list (0 = most preferred)."""
-        return self._ranks[u][v]
+        return self.ranks[u][v]
 
     def prefers(self, u: AgentId, x: AgentId, y: AgentId) -> bool:
         """True iff ``u`` strictly prefers ``x`` to ``y``."""
-        r = self._ranks[u]
+        r = self.ranks[u]
         return r[x] < r[y]
 
 
@@ -179,7 +194,7 @@ def validate(inst: RoommatesInstance) -> list[str]:
     over the agents reads membership and symmetry off the cached ranks; an
     asymmetric pair is met only from the side that lists it.
     """
-    ranks, side, sm = inst._ranks, inst.side, inst.kind == SM
+    ranks, side, sm = inst.ranks, inst.side, inst.kind == SM
     ids, entries, asymmetric, labels, same_side = [], [], [], [], []
     for u in sorted(inst.agents):
         lst, mine = inst.prefs[u], ranks[u]

@@ -21,9 +21,13 @@ on: fixing cuts its tails, and the engine runs from them and checks the
 axioms of the partition it returns at the same tails, as every engine run
 does, for positive and negative answers alike.  The agent solver does the
 same for every partner on one table.  A positive answer is then certified
-on real instances, with nothing shared with the engine: the target pair
-is in the matching read off, and that matching is stable once the witness
-is deleted.
+with nothing shared with the engine: the target pair is in the matching
+read off, and that matching is stable once the witness is deleted.  That
+last check runs on the instance the query was asked on, through its own
+cached rank map, and builds no controlled instance: the witness must
+name agents of that instance, the matching must miss them, and every
+pair that blocks the matching there must meet the witness
+(:func:`_stable_without` has the argument).
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .model import (
     Matching,
     Pair,
     RoommatesInstance,
-    delete_agents,
     delete_pairs,
     pair_text,
 )
@@ -72,18 +75,49 @@ def solve_delag_mp(inst: RoommatesInstance, target: Pair, budget: int) -> Contro
 def _mp_outcome(
     inst: RoommatesInstance, ctx: FixingContext, diag: PartitionDiagnosis, budget: int
 ) -> ControlOutcome:
-    """The pair goal's outcome, certified on the diagnosed fixed instance."""
+    """The pair goal's outcome, read off the diagnosis of the fixed market.
+
+    A positive answer is certified on ``inst`` itself: the witness names
+    agents of ``inst``, the target pair is in the witness matching, and
+    that matching is stable in ``inst`` minus the witness
+    (:func:`_stable_without`).  A failed check raises
+    :class:`InternalError`.
+    """
     optimum = diag.cost
     witness, matching = diag.witness()
-    if len(witness) != optimum or witness & {ctx.a, ctx.b}:
+    if len(witness) != optimum or witness & {ctx.a, ctx.b} or not witness <= inst.agents:
         raise InternalError("malformed deletion witness")
     if optimum > budget:
         return ControlOutcome(verdict=False, optimum=optimum, witness=None)
     if frozenset((ctx.a, ctx.b)) not in matching:
         raise InternalError("stable matching of the fixed instance misses the target")
-    if not is_stable(delete_agents(inst, witness), matching):
+    try:
+        stable = _stable_without(inst, witness, matching)
+    except ValueError as exc:  # not a matching of ``inst`` at all
+        raise InternalError(f"witness matching is not a matching of the instance: {exc}") from exc
+    if not stable:
         raise InternalError("witness matching is unstable in the controlled instance")
     return ControlOutcome(verdict=True, optimum=optimum, witness=witness)
+
+
+def _stable_without(inst: RoommatesInstance, agents: frozenset, matching: Matching) -> bool:
+    """Whether ``matching``, a matching of ``inst``, is stable in ``inst`` minus ``agents``.
+
+    It is exactly when no pair of ``matching`` meets ``agents`` and every
+    pair that blocks ``matching`` in ``inst`` meets ``agents``.  Deleting
+    agents keeps the relative order of every surviving list, and keeps
+    acceptability among the survivors.  So once no matched pair meets
+    ``agents``, ``matching`` is a matching of the smaller market, every
+    survivor keeps its partner, and a pair of survivors blocks there
+    exactly when it blocks in ``inst``; pairs that meet ``agents`` are
+    gone.  A matched pair that meets ``agents`` is no pair of the smaller
+    market, so ``matching`` is then not one of its matchings.  ``agents``
+    must be agents of ``inst``.  Raises ``ValueError`` when ``matching``
+    is not a matching of ``inst``.
+    """
+    if any(p & agents for p in matching):
+        return False
+    return all(p & agents for p in blocking_pairs(inst, matching))
 
 
 def solve_delag_ma(inst: RoommatesInstance, target: AgentId, budget: int) -> ControlOutcome:

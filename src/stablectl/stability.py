@@ -1,5 +1,10 @@
 """Blocking pairs, stability checks and exhaustive matching enumeration.
 
+:func:`blocking_pairs` reads the instance's cached rank map
+(``RoommatesInstance.ranks``) once per agent and scans only the entries
+an agent prefers to its partner, in O(n + m) for ``n`` agents and ``m``
+acceptable pairs; every stability check goes through it.
+
 The enumeration here is the ground-truth substrate used by the exact
 solvers and the test-suite oracles.  It is deliberately exhaustive and
 refuses (rather than truncates) when an instance exceeds the size cap.
@@ -9,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import CapExceededError
-from .model import AgentId, Matching, RoommatesInstance, pair_text
+from .errors import CapExceededError, InvalidInstanceError
+from .model import AgentId, Matching, RoommatesInstance, pair_text, validate
 
 DEFAULT_ENUM_CAP = 24
 
@@ -40,21 +45,23 @@ def blocking_pairs(inst: RoommatesInstance, matching: Matching) -> frozenset:
     """All acceptable pairs whose members would both rather be together.
 
     A pair blocks when each member is unmatched or strictly prefers the
-    other to its current partner.
+    other to its current partner.  Raises :class:`InvalidInstanceError`
+    on a list that names an agent twice, since a position on it is then
+    ambiguous.
     """
     check_matching(inst, matching)
-    partners = partner_map(matching)
-    out = set()
+    ranks, absent = inst.ranks, float("inf")
+    # Lists run best first, so each matched agent prefers exactly the
+    # entries before position ``bound[u]``, its partner's; an unmatched
+    # agent prefers every entry.
+    bound = {u: ranks[u][v] for u, v in partner_map(matching).items()}
+    out = []
     for u, lst in inst.prefs.items():
-        pu = partners.get(u)
-        # Lists run best first, so ``u`` prefers exactly the entries before ``pu``.
-        for v in lst:
-            if v == pu:
-                break
-            if u < v and inst.acceptable(u, v):
-                pv = partners.get(v)
-                if pv is None or inst.prefers(v, u, pv):
-                    out.add(frozenset((u, v)))
+        if len(ranks[u]) != len(lst):
+            raise InvalidInstanceError(validate(inst))
+        for v in lst[: bound.get(u)]:
+            if u < v and ranks.get(v, {}).get(u, absent) < bound.get(v, absent):
+                out.append(frozenset((u, v)))
     return frozenset(out)
 
 

@@ -118,6 +118,44 @@ def fault_the_proposals(monkeypatch, fault):
     monkeypatch.setattr(classic._Table, "stabilize", lambda table: fault(table, stabilize))
 
 
+def drop_a_matched_pair(deleted, spare, matching):
+    """A witness whose matching loses ``spare``, which then blocks it."""
+    return deleted, matching - {spare}
+
+
+def delete_a_matched_agent(deleted, spare, matching):
+    """A witness that deletes an endpoint of ``spare`` in place of one of its deletions."""
+    return deleted - {min(deleted)} | {min(spare)}, matching
+
+
+def delete_an_unknown_agent(deleted, spare, matching):
+    """A witness that deletes an agent outside the market in place of one of its deletions."""
+    return deleted - {min(deleted)} | {"nobody"}, matching
+
+
+def match_an_agent_twice(deleted, spare, matching):
+    """A witness whose matching also pairs an endpoint of ``spare`` with another matched agent."""
+    other = min((p for p in matching if p != spare), key=sorted)
+    return deleted, matching | {frozenset((min(spare), min(other)))}
+
+
+def fault_the_witness(monkeypatch, keep, fault):
+    """Make every diagnosis hand out ``fault(deleted, spare, matching)`` as its witness.
+
+    ``spare`` is the smallest matched pair that misses ``keep``, an
+    endpoint of the target pair.  Each fault keeps the number of
+    deletions, so only the stability certificate can catch them.
+    """
+    witness = classic.PartitionDiagnosis.witness
+
+    def faulty(diag):
+        deleted, matching = witness(diag)
+        spare = min((p for p in matching if keep not in p), key=sorted)
+        return fault(deleted, spare, matching)
+
+    monkeypatch.setattr(classic.PartitionDiagnosis, "witness", faulty)
+
+
 def count_engine_calls(monkeypatch) -> dict:
     """Count integer tables built and engine runs, at the engine's own seam."""
     counts = {"tables": 0, "runs": 0}

@@ -137,6 +137,14 @@ def test_partition_successor_is_a_read_only_hashable_copy():
     assert pickle.loads(pickle.dumps(engine)) == engine
 
 
+@pytest.mark.parametrize("successor", [{"a": "b", "b": "b"}, {"a": "c"}])
+def test_parties_reject_a_successor_map_that_is_not_a_permutation(successor):
+    # The map is kept as given, for validate_partition to report on.
+    for read in (lambda p: p.parties, render_partition):
+        with pytest.raises(ValueError, match="^successor map is not a permutation$"):
+            within(2, read, StablePartition(successor))
+
+
 def test_partition_rejects_bad_order():
     with pytest.raises(ValueError):
         tan_stable_partition(mutual_pair(), order=["a"])
@@ -293,6 +301,15 @@ def test_engine_entry_points_reject_a_malformed_market(prefs):
         with pytest.raises(InvalidInstanceError) as info:
             within(5, fn, *args)
         assert info.value.violations == validate(inst)
+
+
+def test_the_fixed_instance_rejects_an_entry_not_listed_back():
+    # c lists a, who does not list c back; fixing {a, b} reads no such entry.
+    inst = make_sr({"a": ["b"], "b": ["a"], "c": ["a"]})
+    ctx = fixing_deletions(inst, "a", "b")
+    with pytest.raises(InvalidInstanceError) as info:
+        ctx.reduced
+    assert info.value.violations == validate(inst)
 
 
 def test_a_rotation_that_cuts_nothing_is_an_engine_fault():

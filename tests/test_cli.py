@@ -6,7 +6,11 @@ import pytest
 from helpers import (
     all_alone,
     count_engine_calls,
+    delete_a_matched_agent,
+    delete_an_unknown_agent,
+    drop_a_matched_pair,
     fault_the_engine,
+    fault_the_witness,
     paired_triangles,
     spurious_odd_party,
 )
@@ -477,6 +481,23 @@ def test_engine_fault_prints_an_error_and_exits_1(instance_file, capsys, monkeyp
         code, out, err = run(capsys, "solve", path, "--problem", *query, "--budget", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: invalid partition: ")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (drop_a_matched_pair, "witness matching is unstable in the controlled instance"),
+        (delete_a_matched_agent, "witness matching is unstable in the controlled instance"),
+        (delete_an_unknown_agent, "malformed deletion witness"),
+    ],
+)
+def test_a_faulty_witness_prints_an_error_and_exits_1(fault, message, instance_file, capsys, monkeypatch):
+    path = instance_file(serialize_instance(random_sr(5, 0.8, 0)))
+    fault_the_witness(monkeypatch, "u00", fault)
+    for query in (["delag-mp", "--target-pair", "u00,u02"], ["delag-ma", "--target-agent", "u00"]):
+        code, out, err = run(capsys, "solve", path, "--problem", *query, "--budget", "5")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
 
 # -- module entry point ----------------------------------------------------------

@@ -492,6 +492,37 @@ def test_instance_mappings_are_read_only():
             derived.side["m2"] = "b"
 
 
+def test_rank_map_is_read_only_and_built_once_per_instance():
+    inst = random_sr(9, 0.6, 4)
+    ranks = inst.ranks
+    assert inst.ranks is ranks
+    assert ranks == {u: {v: i for i, v in enumerate(lst)} for u, lst in inst.prefs.items()}
+    u = next(u for u, lst in sorted(inst.prefs.items()) if lst)
+    v = inst.prefs[u][0]
+    assert ranks[u][v] == inst.rank(u, v) == 0
+    with pytest.raises(TypeError):
+        ranks[u] = {}
+    with pytest.raises(TypeError):
+        ranks[u][v] = 1
+    assert inst.rank(u, v) == 0
+    assert pickle.loads(pickle.dumps(inst)) == inst
+
+
+def test_delete_pairs_equals_rebuilding_every_list():
+    rng = random.Random(17)
+    for seed in range(120):
+        if seed % 2:
+            inst = random_sr(rng.randint(0, 30), rng.choice([0.2, 0.6, 1.0]), seed)
+        else:
+            inst = random_sm(rng.randint(0, 10), rng.randint(0, 10), rng.choice([0.3, 1.0]), seed)
+        pairs = sorted(inst.acceptable_pairs, key=sorted)
+        for chosen in (frozenset(), frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))):
+            banned = {u: {v for p in chosen if u in p for v in p - {u}} for u in inst.agents}
+            expected = {u: tuple(v for v in lst if v not in banned[u]) for u, lst in inst.prefs.items()}
+            reduced = delete_pairs(inst, chosen)
+            assert reduced == RoommatesInstance(inst.kind, expected, inst.side, inst.addable)
+
+
 def test_instances_keep_no_handle_on_their_inputs():
     prefs = {"m": ["w"], "w": ["m"]}
     side = {"m": "a", "w": "b"}

@@ -5,7 +5,12 @@ import pytest
 from helpers import (
     all_alone,
     count_engine_calls,
+    delete_a_matched_agent,
+    delete_an_unknown_agent,
+    drop_a_matched_pair,
     fault_the_engine,
+    fault_the_witness,
+    match_an_agent_twice,
     mutual_pair,
     pairs_of,
     three_cycle,
@@ -258,6 +263,63 @@ def test_engine_fault_in_the_pair_read_off_is_an_internal_error(monkeypatch):
     fault_the_engine(monkeypatch, all_alone)
     with pytest.raises(InternalError, match="invalid partition: pair a,b blocks"):
         solve_delag_mp(three_cycle(), pair("a", "b"), 3)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (drop_a_matched_pair, "^witness matching is unstable in the controlled instance$"),
+        (delete_a_matched_agent, "^witness matching is unstable in the controlled instance$"),
+        (match_an_agent_twice, "^witness matching is not a matching of the instance: "),
+        (delete_an_unknown_agent, "^malformed deletion witness$"),
+    ],
+)
+def test_a_faulty_witness_fails_the_certificate(fault, message, monkeypatch):
+    # Deleting u03 puts {u00,u02} into the stable matching {u00,u02} {u01,u04}.
+    inst = random_sr(5, 0.8, 0)
+    assert solve_delag_mp(inst, pair("u00", "u02"), 5).witness == {"u03"}
+    fault_the_witness(monkeypatch, "u00", fault)
+    with pytest.raises(InternalError, match=message):
+        solve_delag_mp(inst, pair("u00", "u02"), 5)
+    with pytest.raises(InternalError, match=message):
+        solve_delag_ma(inst, "u00", 5)
+
+
+def test_stability_without_a_witness_agrees_with_the_controlled_instance():
+    # ``poly._stable_without`` must say what rebuilding the controlled
+    # instance says; a matched agent that is deleted leaves no matching
+    # of the controlled instance, which counts as unstable.
+    rng = random.Random(13)
+    verdicts = {True: 0, False: 0}
+    for seed in range(2000):
+        n = rng.randint(4, 40)
+        if seed % 2:
+            inst = random_sr(n, rng.choice([0.15, 0.4, 0.8]), seed)
+        else:
+            inst = random_sm(n // 2, n - n // 2, rng.choice([0.2, 0.5, 1.0]), seed)
+        agents = sorted(inst.agents)
+        deleted = frozenset(rng.sample(agents, rng.randint(0, n // 3)))
+        matching = (
+            classic.irving_stable_matching(delete_agents(inst, deleted)) if seed % 3 else None
+        )
+        if matching is None:
+            pairs = sorted(inst.acceptable_pairs, key=sorted)
+            rng.shuffle(pairs)
+            used, chosen = set(), set()
+            for p in pairs[: rng.randint(0, len(pairs))]:
+                if not p & used:
+                    chosen.add(p)
+                    used |= p
+            matching = frozenset(chosen)
+        if seed % 5 == 0:
+            deleted = frozenset(rng.sample(agents, rng.randint(0, n // 3)))
+        try:
+            expected = is_stable(delete_agents(inst, deleted), matching)
+        except ValueError:  # a matched pair meets the deleted agents
+            expected = False
+        assert poly._stable_without(inst, deleted, matching) == expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 400
 
 
 def test_witness_follows_the_partition_rule_and_clears_the_fixed_instance():

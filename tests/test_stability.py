@@ -3,9 +3,9 @@ import random
 import pytest
 
 from helpers import mutual_pair, pairs_of, three_cycle, two_by_two_sm
-from stablectl.errors import CapExceededError
-from stablectl.generators import random_sr
-from stablectl.model import delete_pairs, make_sr
+from stablectl.errors import CapExceededError, InvalidInstanceError
+from stablectl.generators import random_sm, random_sr
+from stablectl.model import delete_pairs, make_sr, validate
 from stablectl.stability import (
     blocking_pairs,
     covered_agents,
@@ -133,3 +133,48 @@ def test_blocking_pairs_match_the_definition_on_every_matching():
                 )
             }
             assert blocking_pairs(inst, matching) == expected
+
+
+def test_blocking_pairs_match_the_definition_on_large_partial_matchings():
+    # Every pair of agents, read off the lists alone, against markets up to
+    # 200 agents and random matchings that leave agents unmatched.
+    rng = random.Random(21)
+    sizes = [2, 5, 12, 30, 60, 100, 150, 200]
+    found = 0
+    for seed, n in enumerate(sizes * 3):
+        if seed % 2:
+            inst = random_sr(n, rng.choice([0.05, 0.2, 1.0 if n <= 60 else 0.1]), seed)
+        else:
+            inst = random_sm(n // 2, n - n // 2, rng.choice([0.1, 0.5]), seed)
+        pairs = sorted(inst.acceptable_pairs, key=sorted)
+        rng.shuffle(pairs)
+        used, matching = set(), set()
+        for p in pairs[: rng.randint(0, len(pairs))]:
+            if not p & used:
+                matching.add(p)
+                used |= p
+        partner = {u: v for p in matching for u, v in (tuple(p), tuple(p)[::-1])}
+
+        def wants(u, v):
+            lst = inst.prefs[u]
+            return v in lst and (u not in partner or lst.index(v) < lst.index(partner[u]))
+
+        agents = sorted(inst.agents)
+        expected = {
+            frozenset((u, v))
+            for i, u in enumerate(agents)
+            for v in agents[i + 1 :]
+            if partner.get(u) != v and wants(u, v) and wants(v, u)
+        }
+        assert blocking_pairs(inst, frozenset(matching)) == expected
+        found += len(expected)
+    assert found > 1000
+
+
+def test_blocking_pairs_reject_a_list_that_names_an_agent_twice():
+    # a lists b twice, so whether a prefers c to its partner b is ambiguous.
+    inst = make_sr({"a": ["b", "c", "b"], "b": ["a", "c"], "c": ["a", "b"]})
+    for check in (blocking_pairs, is_stable):
+        with pytest.raises(InvalidInstanceError) as info:
+            check(inst, {frozenset("ab")})
+        assert info.value.violations == validate(inst) == ["agent a has duplicate preference entries"]
