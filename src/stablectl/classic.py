@@ -17,7 +17,7 @@ Four entry points:
   that an endpoint prefers to the other cuts its list just above that
   endpoint.  :meth:`PartitionDiagnosis.witness` reads the deletions and
   the stable matching they leave off the same partition.  Fixing is a
-  set of tail cuts on one integer table of the queried instance, and the
+  set of tail cuts on the integer core of the queried instance, and the
   engine runs from those tails, so no fixed instance is built on the way
   to an answer (``FixingContext.reduced`` builds one on demand).
 
@@ -38,36 +38,38 @@ party, and locking the rotation makes each member's head its successor.
 Every other rotation is eliminated, even one whose two tracks coincide
 as sets.  A run builds its partition as one integer successor list and
 ends by checking that list against the stable-partition axioms, on the
-same table and tails, raising :class:`InternalError` on a violation;
+same core and tails, raising :class:`InternalError` on a violation;
 only then are the agents named, once, in a :class:`StablePartition`.
 Every partition the engine returns is therefore certified, whether it
 yields a stable matching or an odd party that refutes one.
 
-Engine bookkeeping and cost, for ``n`` agents and ``m`` acceptable pairs:
-the table interns the agents as ``0..n-1`` in processing order and builds
-integer preference lists and rank maps once, in O(n + m).  A list that
-names an unknown agent, its owner or one agent twice fails there, as
-:class:`InvalidInstanceError`, and so does an entry a run reads whose
-agent does not list its owner back.  A run starts from a tail per agent,
-in O(n), so the pair solvers fix and partition the market for every
-partner of an agent on one table.  Every reduction deletes the tail of
-some list, so a tail position per agent is the only deletion state: an
-entry is live when it lies within the tails of both lists that hold the
-pair.  A cut moves one tail and releases at most one held proposal, in
-O(1).  Head, second and tail pointers only move inwards, passing each
-dead entry once, so list access and proposals cost amortised O(n + m)
-over a run.  The rotation start only moves forward through the
-processing order, and each of the ``r`` rotations pays the walk from
-it, at most O(n), for O(n + m + r * n) in all; ``r`` stays small on
-sparse random markets, where time per pair is nearly flat in ``n``.
-Two guards, O(1) per rotation member, hold the walk to a rotation of a
-stable table: every agent it leaves has a second entry, and ``y_{i+1}``
-heads the list of ``x_{i+1}``.  Then, on lists without repeats, every
-lock or elimination shortens a list, and an elimination that shortens
-none raises :class:`InternalError`, so a run makes at most O(n + m)
-rotation steps whatever the table.  Fixing a pair costs O(n) plus one
-cut per agent the endpoints outrank.  The closing axiom check
-(:meth:`_Table.violations`) reads only the entries above each agent's
+Engine bookkeeping and cost, for ``n`` agents and ``m`` acceptable
+pairs: the market is interned once per instance, in O(n + m), as its
+cached ``RoommatesInstance.core`` (:class:`MarketCore`): the agents as
+``0..n-1`` in sorted order, integer preference lists, and for every
+entry the position of its owner on the list it names.  A list that names
+an unknown agent, its owner or one agent twice, or an agent that does
+not list its owner back, fails there, as :class:`InvalidInstanceError`.
+Each run sets up its own state in O(n) and starts from a tail per agent,
+so every engine run and pair answer on one instance, in any processing
+order, shares that core.  Every reduction deletes the tail of some list,
+so a tail position per agent is the only deletion state: an entry is
+live when it lies within the tails of both lists that hold the pair.  A
+cut moves one tail and releases at most one held proposal, in O(1).
+Head, second and tail pointers only move inwards, passing each dead
+entry once, so list access and proposals cost amortised O(n + m) over a
+run.  The rotation start only moves forward through the processing
+order, and each of the ``r`` rotations pays the walk from it, at most
+O(n), for O(n + m + r * n) in all; ``r`` stays small on sparse random
+markets, where time per pair is nearly flat in ``n``.  Two guards, O(1)
+per rotation member, hold the walk to a rotation of a stable table:
+every agent it leaves has a second entry, and ``y_{i+1}`` heads the list
+of ``x_{i+1}``.  Then, on lists without repeats, every lock or
+elimination shortens a list, and an elimination that shortens none
+raises :class:`InternalError`, so a run makes at most O(n + m) rotation
+steps whatever the table.  Fixing a pair costs O(n) plus one cut per
+agent the endpoints outrank.  The closing axiom check
+(:func:`_violations`) reads only the entries above each agent's
 predecessor, since no other entry can block: at most O(n + m).
 """
 
@@ -78,8 +80,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InternalError, InvalidInstanceError, StablectlError
-from .model import SM, AgentId, Matching, Pair, RoommatesInstance, validate
+from .errors import InternalError, InvalidInstanceError
+from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance, validate
 
 # ---------------------------------------------------------------------------
 # Stable partitions
@@ -165,19 +167,19 @@ def render_partition(partition: StablePartition) -> str:
 def validate_partition(inst: RoommatesInstance, partition: StablePartition) -> list[str]:
     """Check the stable-partition axioms; return violation descriptions.
 
-    The caller's names are mapped onto a fresh integer table of ``inst``,
-    whose lists are whole, and the axioms are checked there; see
-    :meth:`_Table.violations`.  A market that :func:`validate` rejects
-    raises :class:`InvalidInstanceError`.
+    The caller's names are mapped onto the cached integer core of
+    ``inst``, whose lists are whole, and the axioms are checked there; see
+    :func:`_violations`.  A market that :func:`validate` rejects raises
+    :class:`InvalidInstanceError`.
     """
     problems = validate(inst)
     if problems:
         raise InvalidInstanceError(problems)
-    table = _Table(inst, sorted(inst.agents))
-    given, index = partition.successor, table.index
+    core = inst.core
+    given, index = partition.successor, core.index
     if given.keys() != index.keys():
         return ["successor map does not cover exactly the instance agents"]
-    return table.violations([index.get(given[u], -1) for u in table.names], table.whole)
+    return _violations(core, [index.get(given[u], -1) for u in core.names], core.whole)
 
 
 def partition_to_matching(
@@ -232,64 +234,49 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
 # The proposal/rotation engine behind stable partitions
 
 
-def _rejected(inst: RoommatesInstance) -> StablectlError:
-    """The error for a market the engine could not read: the market's fault, or else its own."""
-    problems = validate(inst)
-    if problems:
-        return InvalidInstanceError(problems)
-    return InternalError("the engine misread a valid market")
+def _live(core: MarketCore, tail: Sequence[int], u: int, p: int) -> bool:
+    """Whether position ``p`` of ``u``'s list is live under ``tail``."""
+    return p <= tail[u] and core.mirror[u][p] <= tail[core.pref[u][p]]
 
 
 class _Table:
-    """Mutable reduced preference table over integer-interned agents.
+    """The state of one engine run over a market's integer core.
 
-    Agent ``i`` is ``order[i]`` (``index`` inverts that).  ``pref[i]`` is
-    its preference list as agent indices and ``rank[i]`` maps an index to
-    its position there; these are built once, and every :meth:`run`
-    starts afresh from the tails it is given.  Every reduction deletes a
-    tail of some list, so the tail position ``tail[i]`` is the only
-    deletion state: the entry at position ``p`` of ``u``'s list, naming
-    ``v``, is live exactly when ``p <= tail[u]`` and ``rank[v][u] <=
-    tail[v]`` (:meth:`live`), a rule that gives both sides of a pair the
-    same fate.  A market cut before the run, such as one fixed for a
-    pair, is therefore just a tail per agent.  The position pointers
-    ``head``, ``sec`` and ``tail`` only move inwards and never pass the
-    first, second and last live entry, so list access costs amortised
-    O(1).  ``held[v]`` is the position on ``v``'s list of the proposal
-    ``v`` holds (-1 for none).  ``work`` holds the agents that may have
-    to propose again: every agent at the start, then each agent whose
-    held proposal falls with a cut.  ``succ`` is the partition the run
-    builds, one successor index per agent; every agent starts alone.
-    The stable-table invariant, restored by :meth:`stabilize`, is that
-    every agent with a non-empty list proposes to the head of its list
-    and holds a proposal from its tail.  A market the table cannot read
-    fails as the module docstring says; :func:`validate` runs only then.
+    The market is ``core`` (:class:`MarketCore`): agent ``i`` is
+    ``names[i]``, ``pref[i]`` its list as agent indices, and
+    ``mirror[i][p]`` the position of ``i`` on the list of ``pref[i][p]``.
+    The core is built once per instance and never written; a table only
+    adds the run state, in O(n), and every :meth:`run` starts afresh from
+    the tails it is given.  Every reduction deletes a tail of some list,
+    so the tail position ``tail[i]`` is the only deletion state: the entry
+    at position ``p`` of ``u``'s list, naming ``v``, is live exactly when
+    ``p <= tail[u]`` and ``mirror[u][p] <= tail[v]`` (:func:`_live`), a
+    rule that gives both sides of a pair the same fate.  A market cut
+    before the run, such as one fixed for a pair, is therefore just a tail
+    per agent.  The position pointers ``head``, ``sec`` and ``tail`` only
+    move inwards and never pass the first, second and last live entry, so
+    list access costs amortised O(1).  ``held[v]`` is the position on
+    ``v``'s list of the proposal ``v`` holds (-1 for none).  ``work``
+    holds the agents that may have to propose again: every agent at the
+    start, the first of ``order`` on top, then each agent whose held
+    proposal falls with a cut.  ``succ`` is the partition the run builds,
+    one successor index per agent; every agent starts alone.  The
+    stable-table invariant, restored by :meth:`stabilize`, is that every
+    agent with a non-empty list proposes to the head of its list and holds
+    a proposal from its tail.
     """
 
-    def __init__(self, inst: RoommatesInstance, order: Sequence[AgentId]):
-        self.inst = inst
-        self.names = list(order)
-        self.index = index = {u: i for i, u in enumerate(self.names)}
-        try:
-            self.pref = [[index[v] for v in inst.prefs[u]] for u in self.names]
-        except KeyError as exc:
-            raise _rejected(inst) from exc
-        rank = self.rank = [dict(zip(lst, range(len(lst)))) for lst in self.pref]
-        if any(len(r) != len(lst) or i in r for i, (lst, r) in enumerate(zip(self.pref, rank))):
-            raise _rejected(inst)
-        self.whole = tuple(len(lst) - 1 for lst in self.pref)
-
-    def live(self, u: int, p: int, tail: Sequence[int]) -> bool:
-        """Whether position ``p`` of ``u``'s list is live under ``tail``."""
-        v = self.pref[u][p]
-        return p <= tail[u] and self.rank[v][u] <= tail[v]
+    def __init__(self, core: MarketCore, order: Sequence[int] | None = None):
+        self.core = core
+        self.names, self.pref, self.mirror = core.names, core.pref, core.mirror
+        self.order = range(len(core.names)) if order is None else order
 
     # -- list access (-1 when the entry asked for does not exist) --------
 
     def first(self, u: int) -> int:
-        pref, rank, tail = self.pref[u], self.rank, self.tail
+        pref, mirror, tail = self.pref[u], self.mirror[u], self.tail
         h, t = self.head[u], tail[u]
-        while h <= t and rank[pref[h]][u] > tail[pref[h]]:
+        while h <= t and mirror[h] > tail[pref[h]]:
             h += 1
         self.head[u] = h
         return pref[h] if h <= t else -1
@@ -297,17 +284,17 @@ class _Table:
     def second(self, u: int) -> int:
         if self.first(u) < 0:
             return -1
-        pref, rank, tail = self.pref[u], self.rank, self.tail
+        pref, mirror, tail = self.pref[u], self.mirror[u], self.tail
         s, t = max(self.sec[u], self.head[u] + 1), tail[u]
-        while s <= t and rank[pref[s]][u] > tail[pref[s]]:
+        while s <= t and mirror[s] > tail[pref[s]]:
             s += 1
         self.sec[u] = s
         return pref[s] if s <= t else -1
 
     def last(self, u: int) -> int:
-        pref, rank, tail = self.pref[u], self.rank, self.tail
+        pref, mirror, tail = self.pref[u], self.mirror[u], self.tail
         t = tail[u]
-        while t >= 0 and rank[pref[t]][u] > tail[pref[t]]:
+        while t >= 0 and mirror[t] > tail[pref[t]]:
             t -= 1
         tail[u] = t
         return pref[t] if t >= 0 else -1
@@ -342,13 +329,13 @@ class _Table:
         The deletions reached do not depend on the order in which agents
         propose, so the worklist is processed last in, first out.
         """
-        work, held, rank = self.work, self.held, self.rank
+        work, held, head, mirror = self.work, self.held, self.head, self.mirror
         while work:
             u = work.pop()
             v = self.first(u)
             if v < 0:
                 continue
-            r = rank[v][u]
+            r = mirror[u][head[u]]
             if held[v] != r:
                 # Cut before taking over ``held[v]``, so that the
                 # displaced proposer goes back on the worklist.
@@ -361,12 +348,13 @@ class _Table:
         """The rotation that the walk ``x -> last(second(x))`` from ``start`` enters.
 
         It comes as the pairs ``(x[i], y[i+1])``, where ``y[i+1]`` is the
-        second entry of ``x[i]`` and the first of ``x[i+1]``.  Two guards
-        hold the walk to a rotation of a stable table, and a table that
-        breaks either raises :class:`InternalError`: every agent it leaves
-        has a second entry, and ``y[i+1]`` heads the list of its last entry
-        ``x[i+1]``.  Then, on lists without repeats, ``x[i]`` is live on
-        ``y[i+1]``'s list above ``x[i+1]``, so eliminating it shortens a list.
+        second entry of ``x[i]``, at position ``sec[x[i]]``, and the first
+        of ``x[i+1]``.  Two guards hold the walk to a rotation of a stable
+        table, and a table that breaks either raises
+        :class:`InternalError`: every agent it leaves has a second entry,
+        and ``y[i+1]`` heads the list of its last entry ``x[i+1]``.  Then,
+        on lists without repeats, ``x[i]`` is live on ``y[i+1]``'s list
+        above ``x[i+1]``, so eliminating it shortens a list.
         """
         names, second = self.names, self.second
         seq: list[tuple[int, int]] = []
@@ -406,40 +394,37 @@ class _Table:
         that agent never moves backwards in ``order``.  The rotation found
         from there is locked as one odd party when it is singular (see the
         module docstring) and otherwise eliminated, cutting each
-        ``y[i+1]``'s list below ``x[i]``.  A lock empties lists of two
-        entries or more, and an elimination that shortens no list is an
-        engine fault, so the loop ends.  The successor list assembled at
-        the end is checked against the market cut at ``tail``
-        (:meth:`violations`) and only then named.  Engine faults raise
-        :class:`InternalError`.
+        ``y[i+1]``'s list below ``x[i]``, whose position there is
+        ``mirror[x[i]][sec[x[i]]]``.  A lock empties lists of two entries
+        or more, and an elimination that shortens no list is an engine
+        fault, so the loop ends.  The successor list assembled at the end
+        is checked against the market cut at ``tail`` (:func:`_violations`)
+        and only then named.  Engine faults raise :class:`InternalError`.
         """
-        names, rank, n = self.names, self.rank, len(self.names)
+        names, mirror, order, n = self.names, self.mirror, self.order, len(self.names)
         self.head = [0] * n
-        self.sec = [1] * n
+        self.sec = sec = [1] * n
         self.tail = list(tail)
         self.held = [-1] * n
         self.succ = list(range(n))
-        self.work = list(range(n - 1, -1, -1))
+        self.work = list(reversed(order))
         first, second, cut = self.first, self.second, self.cut
-        start = 0
-        try:
+        k = 0
+        self.stabilize()
+        while True:
+            while k < n and second(order[k]) < 0:
+                k += 1
+            if k == n:
+                break
+            rotation = self.find_rotation(order[k])
+            xs, ys = zip(*rotation)
+            if set(xs) == set(ys) and all(first(y) == x for x, y in rotation):
+                self.lock_odd_party(rotation)
+            elif not any([cut(y, mirror[x][sec[x]]) for x, y in rotation]):
+                raise InternalError(f"eliminating the rotation at {names[order[k]]} cut nothing")
             self.stabilize()
-            while True:
-                while start < n and second(start) < 0:
-                    start += 1
-                if start == n:
-                    break
-                rotation = self.find_rotation(start)
-                xs, ys = zip(*rotation)
-                if set(xs) == set(ys) and all(first(y) == x for x, y in rotation):
-                    self.lock_odd_party(rotation)
-                elif not any([cut(y, rank[y][x]) for x, y in rotation]):
-                    raise InternalError(f"eliminating the rotation at {names[start]} cut nothing")
-                self.stabilize()
-            succ = self._assemble()
-        except KeyError as exc:  # an entry whose agent does not list its owner back
-            raise _rejected(self.inst) from exc
-        violations = self.violations(succ, tail)
+        succ = self._assemble()
+        violations = _violations(self.core, succ, tail)
         if violations:
             raise InternalError("invalid partition: " + "; ".join(violations))
         return StablePartition({names[u]: names[s] for u, s in enumerate(succ)})
@@ -452,53 +437,56 @@ class _Table:
                 succ[u] = v
         return succ
 
-    # -- the stable-partition axioms ---------------------------------------
 
-    def violations(self, succ: Sequence[int], tail: Sequence[int]) -> list[str]:
-        """Check the successor list ``succ`` against the market of the lists cut at ``tail``.
+# ---------------------------------------------------------------------------
+# The stable-partition axioms
 
-        The axioms: ``succ`` is a permutation of the agent indices; each
-        agent's successor is acceptable to it, and preferred to its
-        predecessor when the two differ; and no acceptable pair of
-        agents that are not each other's successor blocks, where a pair
-        blocks when each prefers the other to its predecessor (a fixed
-        point ranks below every acceptable agent).  Violations come
-        grouped in that order, and within a group in table order, which is
-        the sorted order of the names when the table was interned sorted.
-        Only the entries before each agent's predecessor are scanned for
-        blocking pairs: no other entry can block.
-        """
-        names, pref, rank = self.names, self.pref, self.rank
-        n, absent = len(names), float("inf")  # ``absent`` ranks a missing entry
-        if len(succ) != n or set(succ) != set(range(n)):
-            return ["successor map is not a permutation"]
-        pred = [0] * n
-        for u, s in enumerate(succ):
-            pred[s] = u
-        out = []
-        for u, s in enumerate(succ):
-            r, q = rank[u].get(s, absent), rank[s].get(u, absent)
-            if s != u and not (r <= tail[u] and q <= tail[s]):
-                out.append(f"successor of {names[u]} is the unacceptable agent {names[s]}")
-        if out:
-            return out
-        for u, s in enumerate(succ):
-            p = pred[u]
-            if s != u and s != p and not rank[u][s] < rank[u][p]:
-                out.append(
-                    f"{names[u]} prefers its predecessor {names[p]} to its successor {names[s]}"
-                )
-        # Agent u prefers the entries before ``bound[u]`` to its predecessor.
-        bound = [rank[u][p] if p != u else tail[u] + 1 for u, p in enumerate(pred)]
-        for u in range(n):
-            lst, s = pref[u], succ[u]
-            blockers = [
-                v
-                for v in lst[: bound[u]]
-                if v > u and rank[v].get(u, absent) < bound[v] and v != s and succ[v] != u
-            ]
-            out += [f"pair {names[u]},{names[v]} blocks the partition" for v in sorted(blockers)]
+
+def _violations(core: MarketCore, succ: Sequence[int], tail: Sequence[int]) -> list[str]:
+    """Check the successor list ``succ`` against ``core``'s market cut at ``tail``.
+
+    The axioms: ``succ`` is a permutation of the agent indices; each
+    agent's successor is acceptable to it, and preferred to its
+    predecessor when the two differ; and no acceptable pair of agents
+    that are not each other's successor blocks, where a pair blocks when
+    each prefers the other to its predecessor (a fixed point ranks below
+    every acceptable agent).  Violations come grouped in that order, and
+    within a group in the sorted order of the names.  Only the entries
+    before each agent's predecessor are scanned for blocking pairs: no
+    other entry can block.
+    """
+    names, pref, mirror = core.names, core.pref, core.mirror
+    n = len(names)
+    if len(succ) != n or set(succ) != set(range(n)):
+        return ["successor map is not a permutation"]
+    pred = [0] * n
+    for u, s in enumerate(succ):
+        pred[s] = u
+    # ``at[u]`` is the position of u's successor on its list, -1 when absent.
+    at = [pref[u].index(s) if s in pref[u] else -1 for u, s in enumerate(succ)]
+    out = [
+        f"successor of {names[u]} is the unacceptable agent {names[s]}"
+        for u, (s, r) in enumerate(zip(succ, at))
+        if s != u and not (0 <= r <= tail[u] and mirror[u][r] <= tail[s])
+    ]
+    if out:
         return out
+    # Every successor is acceptable: u's predecessor p lists u at ``at[p]``,
+    # so u lists p at ``mirror[p][at[p]]`` and prefers the entries before
+    # ``bound[u]`` to p.
+    bound = [mirror[p][at[p]] if p != u else tail[u] + 1 for u, p in enumerate(pred)]
+    out = [
+        f"{names[u]} prefers its predecessor {names[pred[u]]} to its successor {names[s]}"
+        for u, s in enumerate(succ)
+        if s != u and s != pred[u] and not at[u] < bound[u]
+    ]
+    blocking = [
+        (u, v)
+        for u in range(n)
+        for p, v in enumerate(pref[u][: bound[u]])
+        if v > u and mirror[u][p] < bound[v] and v != succ[u] and succ[v] != u
+    ]
+    return out + [f"pair {names[u]},{names[v]} blocks the partition" for u, v in sorted(blocking)]
 
 
 def tan_stable_partition(
@@ -508,16 +496,17 @@ def tan_stable_partition(
 
     ``order`` fixes the internal processing priority and defaults to the
     sorted agent list; the partition returned may depend on it, but the
-    multiset of odd parties never does.
+    multiset of odd parties never does.  Every order runs on the one
+    cached integer core of ``inst``.
     """
-    if order is None:
-        order = sorted(inst.agents)
-    else:
+    if order is not None:
         order = list(order)
         if set(order) != set(inst.agents) or len(order) != len(inst.agents):
             raise ValueError("order must be a permutation of the instance agents")
-    table = _Table(inst, order)
-    return table.run(table.whole)
+    core = inst.core
+    if order is not None:
+        order = list(map(core.index.__getitem__, order))
+    return _Table(core, order).run(core.whole)
 
 
 def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
@@ -537,7 +526,7 @@ def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
 # or more, plus one for every singleton party formed by such an agent.
 #
 # The fixed instance is never built on the way to an answer: fixing cuts
-# the tails of one integer table of the instance the query was asked on,
+# the tails of the integer core of the instance the query was asked on,
 # and the engine runs from those tails and checks its partition at them.
 
 
@@ -547,11 +536,12 @@ class FixingContext:
 
     ``a_star`` holds the agents ``a`` prefers to ``b``; ``b_star`` the
     agents ``b`` prefers to ``a``.  The fixed market is ``instance``'s
-    integer ``table`` with its lists cut at ``tail``: every agent of
+    integer ``core`` with its lists cut at ``tail``: every agent of
     ``a_star`` (resp. ``b_star``) keeps only the entries above ``a``
-    (resp. ``b``), and the tail rule of the table kills the mirror entry
-    on the list of every agent it cut off.  ``reduced`` builds that
-    market as an instance.
+    (resp. ``b``), and the tail rule of the engine kills the mirror entry
+    on the list of every agent it cut off.  The context holds no run
+    state, so any number of contexts on one instance share its core.
+    ``reduced`` builds the fixed market as an instance.
     """
 
     instance: RoommatesInstance
@@ -559,25 +549,18 @@ class FixingContext:
     b: AgentId
     a_star: frozenset
     b_star: frozenset
-    table: _Table = field(repr=False, compare=False)
     tail: tuple = field(repr=False, compare=False)
 
     @cached_property
     def reduced(self) -> RoommatesInstance:
-        """The fixed market as an instance: each list keeps its live entries.
-
-        An entry whose agent does not list its owner back raises
-        :class:`InvalidInstanceError`, as it does in an engine run.
-        """
-        inst, table, tail = self.instance, self.table, self.tail
-        names, live = table.names, table.live
-        try:
-            prefs = {
-                names[u]: tuple(names[v] for p, v in enumerate(lst) if live(u, p, tail))
-                for u, lst in enumerate(table.pref)
-            }
-        except KeyError as exc:
-            raise _rejected(inst) from exc
+        """The fixed market as an instance: each list keeps its live entries."""
+        inst, tail = self.instance, self.tail
+        core = inst.core
+        names = core.names
+        prefs = {
+            names[u]: tuple(names[v] for p, v in enumerate(lst) if _live(core, tail, u, p))
+            for u, lst in enumerate(core.pref)
+        }
         return RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
 
 
@@ -608,32 +591,30 @@ class PartitionDiagnosis:
         return dropped | self.forbidden_singletons, matching
 
 
-def _fix(inst: RoommatesInstance, table: _Table, a: AgentId, b: AgentId) -> FixingContext:
-    """Cut ``table``, interned sorted from ``inst``, so that ``{a, b}`` is fixed."""
-    index, pref, rank, live = table.index, table.pref, table.rank, table.live
+def _fix(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
+    """Cut the lists of ``inst``'s integer core so that ``{a, b}`` is fixed."""
+    core = inst.core
+    index, pref, mirror = core.index, core.pref, core.mirror
     i, j = index.get(a), index.get(b)
-    if i is None or j is None or (j not in rank[i] and i not in rank[j]):
+    if i is None or j is None or b not in inst.ranks[a]:
         raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    tail = list(table.whole)
-    try:  # each endpoint, and each agent either one outranks, must list the other back
-        a_star, b_star = pref[i][: rank[i][j]], pref[j][: rank[j][i]]
-        for star, anchor in ((a_star, i), (b_star, j)):
-            for x in star:
-                tail[x] = min(tail[x], rank[x][anchor] - 1)
-    except KeyError as exc:
-        raise _rejected(inst) from exc
-    for u, v in ((i, j), (j, i)):
-        top = rank[u][v]
-        if not live(u, top, tail) or any(live(u, p, tail) for p in range(top)):
+    tops = {i: inst.ranks[a][b], j: inst.ranks[b][a]}
+    tail = list(core.whole)
+    # Each agent an endpoint outranks keeps only the entries above that endpoint.
+    for u, top in tops.items():
+        for x, q in zip(pref[u][:top], mirror[u]):
+            if q <= tail[x]:
+                tail[x] = q - 1
+    for u, top in tops.items():
+        if not _live(core, tail, u, top) or any(_live(core, tail, u, p) for p in range(top)):
             raise InternalError("fixing deletions did not make the target mutually top-ranked")
-    names = table.names
+    names = core.names
     return FixingContext(
         instance=inst,
         a=a,
         b=b,
-        a_star=frozenset(names[x] for x in a_star),
-        b_star=frozenset(names[x] for x in b_star),
-        table=table,
+        a_star=frozenset(names[x] for x in pref[i][: tops[i]]),
+        b_star=frozenset(names[x] for x in pref[j][: tops[j]]),
         tail=tuple(tail),
     )
 
@@ -646,26 +627,25 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
     and symmetrically on ``b``'s side: each such ``x`` keeps only the head
     of its list above the endpoint, and leaves the list of every ``y`` in
     the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
-    first choices.  The deletions are tail cuts on a fresh integer table
+    first choices.  The deletions are tail cuts on the cached integer core
     of ``inst``; nothing is copied until ``reduced`` is read.
     """
-    return _fix(inst, _Table(inst, sorted(inst.agents)), a, b)
+    return _fix(inst, a, b)
 
 
 def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingContext]:
     """The market fixed for ``agent`` and each of its partners in turn.
 
-    Partners come in sorted order, and every context cuts the same integer
-    table of ``inst``, which is built once.
+    Partners come in sorted order, and every context cuts the one cached
+    integer core of ``inst``.
     """
-    table = _Table(inst, sorted(inst.agents))
     for partner in sorted(inst.prefs[agent]):
-        yield _fix(inst, table, *sorted((agent, partner)))
+        yield _fix(inst, *sorted((agent, partner)))
 
 
 def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
     """Run the engine on the fixed market, from the tails that fixing cut."""
-    partition = ctx.table.run(ctx.tail)
+    partition = _Table(ctx.instance.core).run(ctx.tail)
     return PartitionDiagnosis(
         partition=partition, forbidden_singletons=partition.singletons & (ctx.a_star | ctx.b_star)
     )

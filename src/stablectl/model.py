@@ -10,13 +10,15 @@ one walk over the agents.
 
 Instances are immutable, hashable values: ``prefs`` and ``side`` are
 read-only mappings copied once at construction, so values derived from an
-instance and cached on it (``ranks``, ``acceptable_pairs``,
+instance and cached on it (``ranks``, ``core``, ``acceptable_pairs``,
 ``search_memo``) cannot go stale.  ``ranks`` is the public rank map: built
 once per instance on first use and shared by every reader, it maps each
-agent to a read-only view of the position of each entry on its list.  All
-mutating operations (agent deletion, acceptability deletion, induction on
-a chosen addable subset) return fresh instances and never touch their
-input.
+agent to a read-only view of the position of each entry on its list.
+``core`` is the market interned as integers for the partition engine
+(:class:`MarketCore`), built once from ``ranks`` and shared by every
+engine run and pair answer on the instance.  All mutating operations
+(agent deletion, acceptability deletion, induction on a chosen addable
+subset) return fresh instances and never touch their input.
 
 File formats
 ------------
@@ -47,7 +49,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidInstanceError, ParseError
 
@@ -73,6 +75,25 @@ def pair_text(p: Pair) -> str:
     """Render a pair as ``a,b`` with endpoints in sorted order."""
     a, b = sorted(p)
     return f"{a},{b}"
+
+
+class MarketCore(NamedTuple):
+    """A market interned as integers: agent ``i`` is ``names[i]``, in sorted order.
+
+    ``index`` inverts ``names``.  ``pref[u]`` is ``u``'s list as agent
+    indices, and ``mirror[u][p]`` is the position of ``u`` on the list of
+    ``pref[u][p]``, so both sides of a pair are reached without a lookup.
+    ``whole[u]`` is the last position of ``u``'s list.  Every row is a
+    tuple, except that ``mirror`` rows are ``bytes`` when no list is
+    longer than 256, so that every position fits a byte; ``index`` is a
+    read-only view.  So the core of an immutable instance is immutable.
+    """
+
+    names: tuple
+    index: Mapping
+    pref: tuple
+    mirror: tuple
+    whole: tuple
 
 
 @dataclass(frozen=True)
@@ -131,6 +152,38 @@ class RoommatesInstance:
         return MappingProxyType(
             {u: MappingProxyType(dict(zip(lst, range(len(lst))))) for u, lst in self.prefs.items()}
         )
+
+    @cached_property
+    def core(self) -> MarketCore:
+        """The market interned as integers, built once from ``ranks`` and cached.
+
+        A list that names an unknown agent, its owner, one agent twice, or
+        an agent that does not list its owner back cannot be mirrored; it
+        raises :class:`InvalidInstanceError` with :func:`validate`'s
+        violations.  Building it costs O(n + m) for ``n`` agents and ``m``
+        list entries.
+        """
+        prefs, ranks = self.prefs, self.ranks
+        names = tuple(sorted(prefs))
+        index = {u: i for i, u in enumerate(names)}
+        # A byte per position takes an eighth of the room of a tuple entry.
+        row = bytes if max(map(len, prefs.values()), default=0) <= 256 else tuple
+        pref, mirror = [], []
+        try:
+            for u in names:
+                lst, mine = prefs[u], ranks[u]
+                if u in mine or len(mine) != len(lst):
+                    break
+                # Sized once from a list: a tuple grown from an iterator is
+                # reallocated as it grows, which fragments the heap.
+                pref.append(tuple([index[v] for v in lst]))
+                mirror.append(row([ranks[v][u] for v in lst]))
+            else:
+                whole = tuple([len(lst) - 1 for lst in pref])
+                return MarketCore(names, MappingProxyType(index), tuple(pref), tuple(mirror), whole)
+        except KeyError:  # an unknown agent, or one that does not list ``u`` back
+            pass
+        raise InvalidInstanceError(validate(self))
 
     @cached_property
     def acceptable_pairs(self) -> frozenset:

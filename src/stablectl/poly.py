@@ -16,15 +16,16 @@ partition engine in :mod:`stablectl.classic`.  :func:`solve` answers any
 query, with these solvers or with the search of :mod:`stablectl.exact`.
 
 Every answer is certified; a failed check is a bug, never a verdict.  A
-pair answer is computed on one integer table of the instance it was asked
-on: fixing cuts its tails, and the engine runs from them and checks the
+pair answer is computed on the cached integer core of the instance it was
+asked on: fixing cuts its tails, and the engine runs from them and checks the
 axioms of the partition it returns at the same tails, as every engine run
 does, for positive and negative answers alike.  The agent solver does the
-same for every partner on one table.  A positive answer is then certified
-with nothing shared with the engine: the target pair is in the matching
-read off, and that matching is stable once the witness is deleted.  That
-last check runs on the instance the query was asked on, through its own
-cached rank map, and builds no controlled instance: the witness must
+same for every partner on that core.  A positive answer is then certified
+with none of the engine's code: the target pair is in the matching read
+off, and that matching is stable once the witness is deleted.  That last
+check runs on the instance the query was asked on, through its cached
+rank map (the one fact it shares with the engine, whose core mirrors that
+map), and builds no controlled instance: the witness must
 name agents of that instance, the matching must miss them, and every
 pair that blocks the matching there must meet the witness
 (:func:`_stable_without` has the argument).

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import signal
 
 import pytest
 
-from stablectl import classic
+from stablectl import classic, model
 from stablectl.classic import StablePartition
 from stablectl.model import make_sm, make_sr
 
@@ -66,8 +67,9 @@ def fault_the_engine(monkeypatch, partition):
     """
 
     def assemble(table):
-        successor = partition(table.names).successor
-        return [table.index[successor[u]] for u in table.names]
+        names = table.core.names
+        successor = partition(names).successor
+        return [table.core.index[successor[u]] for u in names]
 
     monkeypatch.setattr(classic._Table, "_assemble", assemble)
 
@@ -157,19 +159,21 @@ def fault_the_witness(monkeypatch, keep, fault):
 
 
 def count_engine_calls(monkeypatch) -> dict:
-    """Count integer tables built and engine runs, at the engine's own seam."""
+    """Count integer cores built (as ``tables``) and engine runs, at the engine's own seam."""
     counts = {"tables": 0, "runs": 0}
-    build, run = classic._Table.__init__, classic._Table.run
+    build, run = model.RoommatesInstance.core.func, classic._Table.run
 
-    def counted_build(table, *args, **kwargs):
+    def counted_build(inst):
         counts["tables"] += 1
-        return build(table, *args, **kwargs)
+        return build(inst)
 
     def counted_run(table, *args, **kwargs):
         counts["runs"] += 1
         return run(table, *args, **kwargs)
 
-    monkeypatch.setattr(classic._Table, "__init__", counted_build)
+    core = functools.cached_property(counted_build)
+    core.__set_name__(model.RoommatesInstance, "core")
+    monkeypatch.setattr(model.RoommatesInstance, "core", core)
     monkeypatch.setattr(classic._Table, "run", counted_run)
     return counts
 

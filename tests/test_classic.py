@@ -1,6 +1,8 @@
 import hashlib
+import operator
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from stablectl.classic import (
     irving_stable_matching,
     pair_fixing_cost,
     partition_to_matching,
+    partner_fixings,
     render_partition,
     tan_stable_partition,
     validate_partition,
@@ -256,6 +259,76 @@ def test_irving_interns_the_market_once(monkeypatch):
         assert counts == {"tables": 1, "runs": 1}
 
 
+def test_one_core_serves_every_engine_run_and_pair_answer_on_an_instance(monkeypatch):
+    inst = random_sr(40, 0.3, 11)
+    n = len(inst.agents)
+    agent = max(sorted(inst.agents), key=lambda u: len(inst.prefs[u]))
+    order = sorted(inst.agents)
+    random.Random(3).shuffle(order)
+    counts = count_engine_calls(monkeypatch)
+    for target in sorted(inst.acceptable_pairs, key=sorted)[:50]:
+        solve_delag_mp(inst, target, n)
+    solve_delag_ma(inst, agent, n)
+    irving_stable_matching(inst)
+    assert validate_partition(inst, tan_stable_partition(inst, order)) == []
+    assert counts == {"tables": 1, "runs": 50 + len(inst.prefs[agent]) + 2}
+    twin = random_sr(40, 0.3, 11)
+    irving_stable_matching(twin)
+    assert twin == inst and twin.core is not inst.core and twin.core == inst.core
+    assert counts["tables"] == 2
+
+
+def test_fixing_contexts_on_one_instance_diagnose_in_any_order():
+    inst = random_sr(30, 0.5, 5)
+    agent = max(sorted(inst.agents), key=lambda u: len(inst.prefs[u]))
+    ctxs = list(partner_fixings(inst, agent))[:2]
+    ctxs.append(fixing_deletions(inst, *min(inst.acceptable_pairs, key=sorted)))
+    for ctx in ctxs + ctxs[::-1] + ctxs:
+        fresh = random_sr(30, 0.5, 5)
+        assert diagnose_fixed_instance(ctx) == diagnose_fixed_instance(
+            fixing_deletions(fresh, ctx.a, ctx.b)
+        )
+
+
+def test_the_core_rows_are_read_only():
+    core = random_sr(9, 0.6, 4).core
+    u = next(u for u, row in enumerate(core.pref) if row)
+    for rows, key, value in (
+        (core.pref, u, ()),
+        (core.pref[u], 0, u),
+        (core.mirror[u], 0, 0),
+        (core.whole, u, -1),
+        (core.index, core.names[u], 0),
+    ):
+        with pytest.raises(TypeError):
+            operator.setitem(rows, key, value)
+    with pytest.raises(AttributeError):
+        core.pref = ()
+
+
+def test_building_the_core_retains_at_most_32_bytes_per_list_entry():
+    # A sparse 2000-agent market of degree 25: each agent lists its 12
+    # neighbours on either side of a ring and the agent opposite.
+    n, rng = 2000, random.Random(25)
+    names = [f"u{i:04d}" for i in range(n)]
+    prefs = {}
+    for i, u in enumerate(names):
+        lst = [names[(i + k) % n] for k in (*range(-12, 0), *range(1, 13), n // 2)]
+        rng.shuffle(lst)
+        prefs[u] = lst
+    inst = make_sr(prefs)
+    entries = sum(map(len, inst.prefs.values()))
+    assert entries == 25 * n
+    inst.ranks
+    tracemalloc.start()
+    try:
+        inst.core
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 32 * entries and peak <= 32 * entries, (retained, peak, entries)
+
+
 def test_engine_entry_points_report_an_unknown_agent_as_an_invalid_instance():
     inst = make_sr({"a": ["x"]})
     for call in (
@@ -304,21 +377,22 @@ def test_engine_entry_points_reject_a_malformed_market(prefs):
 
 
 def test_the_fixed_instance_rejects_an_entry_not_listed_back():
-    # c lists a, who does not list c back; fixing {a, b} reads no such entry.
+    # c lists a, who does not list c back; fixing {a, b} reads no such
+    # entry, but the market's core cannot mirror it.
     inst = make_sr({"a": ["b"], "b": ["a"], "c": ["a"]})
-    ctx = fixing_deletions(inst, "a", "b")
     with pytest.raises(InvalidInstanceError) as info:
-        ctx.reduced
+        fixing_deletions(inst, "a", "b")
     assert info.value.violations == validate(inst)
 
 
 def test_a_rotation_that_cuts_nothing_is_an_engine_fault():
     # A repeated entry, planted past the interning check, makes eliminating
     # the rotation (a, b) cut nothing: the run must stop, not find it again.
-    table = classic._Table(make_sr({"a": ["b"], "b": ["a"]}), ["a", "b"])
-    table.pref[0], table.rank[0] = [1, 1], {1: 1}
+    # a lists b twice, and b finds a at a's last position.
+    core = make_sr({"a": ["b"], "b": ["a"]}).core
+    core = core._replace(pref=((1, 1), (0,)), mirror=((0, 0), (1,)))
     with pytest.raises(InternalError, match="^eliminating the rotation at a cut nothing$"):
-        within(5, table.run, (1, 0))
+        within(5, classic._Table(core).run, (1, 0))
 
 
 def test_a_faulty_proposal_round_ends_in_an_error_or_a_certified_partition(monkeypatch):
@@ -360,7 +434,7 @@ def test_pair_path_partitions_the_fixed_market_it_would_build():
     assert sum(all(len(i.prefs[u]) == len(i.agents) - 1 for u in i.agents) for i in markets) >= 3
     checked = 0
     for inst in markets:
-        n = len(inst.agents)
+        n, core = len(inst.agents), inst.core
         for target in sorted(inst.acceptable_pairs, key=sorted):
             a, b = sorted(target)
             ctx = fixing_deletions(inst, a, b)
@@ -368,8 +442,8 @@ def test_pair_path_partitions_the_fixed_market_it_would_build():
             assert diag.partition == tan_stable_partition(ctx.reduced)
             alone = StablePartition({u: u for u in inst.agents})
             for partition in (diag.partition, alone):
-                succ = [ctx.table.index[partition.successor[u]] for u in ctx.table.names]
-                assert ctx.table.violations(succ, ctx.tail) == validate_partition(
+                succ = [core.index[partition.successor[u]] for u in core.names]
+                assert classic._violations(core, succ, ctx.tail) == validate_partition(
                     ctx.reduced, partition
                 )
             assert pair_fixing_cost(inst, target) == diag.cost
