@@ -294,6 +294,33 @@ def test_solve_cap_exceeded(capsys, instance_file, tmp_path):
     assert code == 4 and "cap" in err
 
 
+def test_a_non_integer_cap_in_the_environment_is_invalid_input(instance_file, capsys, monkeypatch):
+    monkeypatch.setenv("STABLECTL_CAP", "abc")
+    code, out, err = run(capsys, "stable", instance_file(VALID), "--enumerate")
+    assert code == 3 and out == "" and "STABLECTL_CAP" in err
+
+
+@pytest.mark.parametrize("problem,flag", [("delag-ma", "--target-agent"), ("delacc-ms", "--target-matching")])
+def test_solve_names_the_missing_target_flag(instance_file, capsys, problem, flag):
+    code, out, err = run(capsys, "solve", instance_file(THREE_CYCLE), "--problem", problem, "--budget", "1")
+    assert code == 3 and out == "" and flag in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "problem: sr\nagent\n",
+        "problem: sr\nagent a hidden\npref a:\n",
+        "problem: sr\nagent a\npref a\n",
+        "# only a comment\n\n# and another\n",
+    ],
+    ids=["agent-without-id", "unknown-attribute", "pref-without-colon", "only-comments"],
+)
+def test_malformed_instance_text_is_a_parse_error(instance_file, capsys, text):
+    code, out, err = run(capsys, "validate", instance_file(text))
+    assert code == 2 and out == "" and err.startswith("parse error:")
+
+
 # -- reduce --------------------------------------------------------------------
 
 
@@ -419,6 +446,12 @@ def test_gen_bipartite_to_stdout(capsys):
 def test_gen_needs_sizes(capsys):
     code, _, err = run(capsys, "gen", "--density", "0.5", "--seed", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("sizes", [[], ["--na", "2"], ["--nb", "2"]])
+def test_gen_bipartite_needs_both_sides(capsys, sizes):
+    code, out, err = run(capsys, "gen", "--bipartite", *sizes, "--density", "0.5", "--seed", "1")
+    assert code == 3 and out == "" and "--na and --nb" in err
 
 
 def test_gen_rejects_out_of_range_density(capsys):

@@ -208,6 +208,29 @@ def test_validate_query_flags_problems(build, fragment):
     assert any(fragment in p for p in problems)
 
 
+@pytest.mark.parametrize(
+    "query,fragment",
+    [
+        (ControlQuery(three_cycle(), "swap", ControlGoal.esm(), 0), "unknown action"),
+        (
+            delag(make_sr({"a": ["b"], "b": ["a"], "c": []}), ControlGoal.mp(pair("a", "c"))),
+            "not acceptable",
+        ),
+        (delag(three_cycle(), ControlGoal.ms(pairs_of(("a", "b"), ("a", "c")))), "twice"),
+        (
+            ControlQuery(
+                three_cycle(), DELETE_ACCEPTABILITY, ControlGoal.ms({pair("a", "b"), pair("c", "zz")}), 0
+            ),
+            "not acceptable",
+        ),
+    ],
+    ids=["unknown-action", "unacceptable-pair", "ms-agent-twice", "ms-unacceptable-pair"],
+)
+def test_validate_query_rejects_actions_and_targets(query, fragment):
+    problems = validate_query(query)
+    assert len(problems) == 1 and fragment in problems[0], problems
+
+
 def test_budget_monotonicity_in_subset_semantics():
     from stablectl.exact import solve_exact
 

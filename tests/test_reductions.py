@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from stablectl.control import apply_actions
 from stablectl.errors import CapExceededError, ParseError
 from stablectl.exact import solve_exact
-from stablectl.model import validate
+from stablectl.model import pair_text, serialize_instance, serialize_matching, validate
 from stablectl.reductions import (
     brute_clique,
     brute_independent_set,
@@ -218,3 +219,56 @@ def test_reduction_all_queries_validate():
     ]
     for q in queries:
         assert validate_query(q) == []
+
+
+# -- gadget digest --------------------------------------------------------------
+
+# SHA-256 over every gadget that ``REDUCTION_TARGETS`` builds on the graphs
+# below, for every k from 0 to |V|: the serialised instance, action, goal,
+# budget and name map, or the error a build raises.  Any change to a
+# gadget's agents, lists, pool, target or names changes the digest.
+GADGET_DIGEST = "4f2861f5beff7e29ffeb7e1f5e9429e120040f183a1e35f9ee49239f277dbd70"
+
+
+def _digest_graphs():
+    for n in range(5):
+        vs = [f"v{i}" for i in range(1, n + 1)]
+        pairs = list(itertools.combinations(vs, 2))
+        for mask in range(1 << len(pairs)):
+            yield make_graph(vs, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    # Names that look like the gadgets' own: an edge token, a selector, a copy.
+    pool = ["a", "b", "c", "a-b", "b-c", "s_1", "s_2", "x", "x'", "v1"]
+    rng = random.Random(113)
+    for _ in range(12):
+        vs = rng.sample(pool, rng.randint(5, 7))
+        yield make_graph(vs, [p for p in itertools.combinations(vs, 2) if rng.random() < 0.5])
+
+
+def _gadget_text(target, build, graph, k):
+    head = f"{target} k={k}\n{serialize_graph(graph)}"
+    try:
+        result = build(graph, k)
+    except ValueError as exc:
+        return f"{head}error {exc}\n"
+    query, goal = result.query, result.query.goal
+    lines = [
+        serialize_instance(query.instance),
+        f"{query.action}-{goal.kind} budget={query.budget} agent={goal.agent}",
+        "pair=" + (pair_text(goal.pair) if goal.pair is not None else "-"),
+        serialize_matching(goal.matching) if goal.matching is not None else "matching=-",
+        *(f"{role}={agent}" for role, agent in sorted(result.name_map.items())),
+    ]
+    return head + "\n".join(lines) + "\n"
+
+
+def test_gadget_digest():
+    from stablectl.cli import REDUCTION_TARGETS
+
+    digest, count = hashlib.sha256(), 0
+    for graph in _digest_graphs():
+        for target, (_, build) in sorted(REDUCTION_TARGETS.items()):
+            for k in range(len(graph.vertices) + 1):
+                digest.update(_gadget_text(target, build, graph, k).encode())
+                count += 1
+    assert count == 2225
+    assert digest.hexdigest() == GADGET_DIGEST
