@@ -3,7 +3,8 @@
 Four entry points:
 
 * :func:`gale_shapley`: deferred acceptance for marriage instances,
-  optimal for the proposing side.
+  optimal for the proposing side.  It rejects every market the engine
+  rejects, by reading the same cached core first.
 * :func:`tan_stable_partition`: a stable partition for any roommates
   instance, a permutation of the agents whose cycles ("parties")
   generalise stable matchings.  One always exists; a stable matching
@@ -13,10 +14,12 @@ Four entry points:
   parties of that partition, or ``None`` when it has an odd party.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
   pair into some stable matching, read off the stable partition of the
-  market *fixed* for that pair (:func:`fixing_deletions`): every agent
-  that an endpoint prefers to the other cuts its list just above that
-  endpoint.  :meth:`PartitionDiagnosis.witness` reads the deletions and
-  the stable matching they leave off the same partition.  Fixing is a
+  market *fixed* for that pair (:func:`fixing_deletions`, the one
+  statement of fixing, which :func:`partner_fixings` applies to every
+  partner of an agent): every agent that an endpoint prefers to the
+  other cuts its list just above that endpoint.
+  :meth:`PartitionDiagnosis.witness` reads the deletions and the stable
+  matching they leave off the same partition.  Fixing is a
   set of tail cuts on the integer core of the queried instance, and the
   engine runs from those tails, so no fixed instance is built on the way
   to an answer (``FixingContext.reduced`` builds one on demand).
@@ -204,11 +207,15 @@ def partition_to_matching(
 
 
 def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
-    """Deferred acceptance; returns the proposing-side-optimal matching."""
+    """Deferred acceptance; returns the proposing-side-optimal matching.
+
+    A market whose core cannot be built raises :class:`InvalidInstanceError`.
+    """
     if inst.kind != SM:
         raise ValueError("gale_shapley needs a marriage instance")
     if proposing not in ("a", "b"):
         raise ValueError("proposing side must be 'a' or 'b'")
+    inst.core  # built here only to reject a list that it cannot mirror
     proposers = sorted(u for u in inst.agents if inst.side[u] == proposing)
     nxt = {u: 0 for u in proposers}
     engaged: dict[AgentId, AgentId] = {}  # reviewer -> proposer
@@ -497,15 +504,15 @@ def tan_stable_partition(
     ``order`` fixes the internal processing priority and defaults to the
     sorted agent list; the partition returned may depend on it, but the
     multiset of odd parties never does.  Every order runs on the one
-    cached integer core of ``inst``.
+    cached integer core of ``inst``: it is mapped to agent indices once,
+    and raises ``ValueError`` unless those are a permutation.
     """
-    if order is not None:
-        order = list(order)
-        if set(order) != set(inst.agents) or len(order) != len(inst.agents):
-            raise ValueError("order must be a permutation of the instance agents")
     core = inst.core
     if order is not None:
-        order = list(map(core.index.__getitem__, order))
+        n = len(core.names)
+        order = [core.index.get(u, n) for u in order]
+        if len(order) != n or set(order) != set(range(n)):
+            raise ValueError("order must be a permutation of the instance agents")
     return _Table(core, order).run(core.whole)
 
 
@@ -591,8 +598,19 @@ class PartitionDiagnosis:
         return dropped | self.forbidden_singletons, matching
 
 
-def _fix(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
-    """Cut the lists of ``inst``'s integer core so that ``{a, b}`` is fixed."""
+def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
+    """Delete every pair that competes with ``{a, b}``.
+
+    Removed are the pairs ``{x, y}`` where ``x`` prefers ``a`` to ``y``
+    (or ``y`` is ``a`` itself) for some ``x`` that ``a`` prefers to ``b``,
+    and symmetrically on ``b``'s side: each such ``x`` keeps only the head
+    of its list above the endpoint, and leaves the list of every ``y`` in
+    the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
+    first choices.  The deletions are tail cuts on the cached integer core
+    of ``inst``; nothing is copied until ``reduced`` is read.  Raises
+    ``ValueError`` when ``{a, b}`` is not an acceptable pair of ``inst``,
+    and :class:`InvalidInstanceError` when the core cannot be built.
+    """
     core = inst.core
     index, pref, mirror = core.index, core.pref, core.mirror
     i, j = index.get(a), index.get(b)
@@ -619,20 +637,6 @@ def _fix(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
     )
 
 
-def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
-    """Delete every pair that competes with ``{a, b}``.
-
-    Removed are the pairs ``{x, y}`` where ``x`` prefers ``a`` to ``y``
-    (or ``y`` is ``a`` itself) for some ``x`` that ``a`` prefers to ``b``,
-    and symmetrically on ``b``'s side: each such ``x`` keeps only the head
-    of its list above the endpoint, and leaves the list of every ``y`` in
-    the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
-    first choices.  The deletions are tail cuts on the cached integer core
-    of ``inst``; nothing is copied until ``reduced`` is read.
-    """
-    return _fix(inst, a, b)
-
-
 def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingContext]:
     """The market fixed for ``agent`` and each of its partners in turn.
 
@@ -640,7 +644,7 @@ def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingC
     integer core of ``inst``.
     """
     for partner in sorted(inst.prefs[agent]):
-        yield _fix(inst, *sorted((agent, partner)))
+        yield fixing_deletions(inst, *sorted((agent, partner)))
 
 
 def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import exact, generators, poly, reductions
 from .classic import render_partition, tan_stable_partition
-from .control import ACTIONS, GOAL_KINDS, ControlGoal, ControlOutcome, ControlQuery
+from .control import ACTIONS, GOAL_KINDS, GOAL_TARGETS, ControlGoal, ControlOutcome, ControlQuery
 from .errors import (
     CapExceededError,
     InvalidInstanceError,
@@ -117,22 +117,20 @@ def cmd_stable(args) -> int:
 
 
 def _build_goal(args, kind: str) -> ControlGoal:
-    if kind == "ma":
-        if not args.target_agent:
-            raise InvalidQueryError("goal ma needs --target-agent")
-        return ControlGoal.ma(args.target_agent)
-    if kind == "mp":
-        if not args.target_pair:
-            raise InvalidQueryError("goal mp needs --target-pair")
-        parts = args.target_pair.split(",")
+    field = GOAL_TARGETS[kind]
+    if field is None:
+        return ControlGoal(kind=kind)
+    target = getattr(args, f"target_{field}")
+    if not target:
+        raise InvalidQueryError(f"goal {kind} needs --target-{field}")
+    if field == "pair":
+        parts = target.split(",")
         if len(parts) != 2 or parts[0] == parts[1] or not all(parts):
             raise InvalidQueryError("--target-pair must be two distinct ids joined by ','")
-        return ControlGoal.mp(frozenset(parts))
-    if kind == "ms":
-        if not args.target_matching:
-            raise InvalidQueryError("goal ms needs --target-matching")
-        return ControlGoal.ms(parse_matching(_read(args.target_matching)))
-    return ControlGoal(kind=kind)
+        target = frozenset(parts)
+    elif field == "matching":
+        target = parse_matching(_read(target))
+    return ControlGoal(kind=kind, **{field: target})
 
 
 def _render_outcome(outcome: ControlOutcome) -> None:
@@ -178,8 +176,6 @@ def cmd_reduce(args) -> int:
     ]
     if query.goal.agent is not None:
         sidecar_lines.append(f"target-agent: {query.goal.agent}")
-    if query.goal.pair is not None:
-        sidecar_lines.append(f"target-pair: {pair_text(query.goal.pair)}")
     if query.goal.matching is not None:
         matching_path = out.with_name(out.name + ".matching")
         matching_path.write_text(serialize_matching(query.goal.matching), encoding="utf-8")

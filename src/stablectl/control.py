@@ -15,6 +15,10 @@ taken.  Goals:
 ``esm`` / ``epsm``
     a stable (resp. perfect and stable) matching exists.
 
+:data:`GOAL_TARGETS` says which target field each goal kind takes, and
+:data:`GOAL_KINDS` is read off it; :func:`validate_query` and the CLI
+check a goal against that one table.
+
 Queries and outcomes are immutable; evaluation is purely functional.
 """
 
@@ -34,19 +38,21 @@ from .model import (
     induce_with_added,
     pair_text,
 )
-from .stability import covered_agents, is_stable
+from .stability import check_matching, is_stable
 
 ADD_AGENTS = "addag"
 DELETE_AGENTS = "delag"
 DELETE_ACCEPTABILITY = "delacc"
 ACTIONS = (ADD_AGENTS, DELETE_AGENTS, DELETE_ACCEPTABILITY)
 
-GOAL_KINDS = ("ma", "mp", "ms", "esm", "epsm")
+# The one target field each goal kind takes, ``None`` for none.
+GOAL_TARGETS = {"ma": "agent", "mp": "pair", "ms": "matching", "esm": None, "epsm": None}
+GOAL_KINDS = tuple(GOAL_TARGETS)
 
 
 @dataclass(frozen=True)
 class ControlGoal:
-    """A goal kind plus its target, if the kind takes one."""
+    """A goal kind plus its target, if the kind takes one (:data:`GOAL_TARGETS`)."""
 
     kind: str
     agent: AgentId | None = None
@@ -97,14 +103,21 @@ def original_agents(query: ControlQuery) -> frozenset:
 
 
 def validate_query(query: ControlQuery) -> list[str]:
-    """Structural checks for a query; empty result means well-formed."""
+    """Structural checks for a query; empty result means well-formed.
+
+    The goal carries exactly the target :data:`GOAL_TARGETS` names for its
+    kind: an original agent, an acceptable pair of original agents, or a
+    matching (:func:`check_matching`), perfect under agent addition or
+    deletion.  A malformed target is reported, never raised.
+    """
     inst = query.instance
     out: list[str] = []
     if query.action not in ACTIONS:
         out.append(f"unknown action {query.action!r}")
         return out
-    if query.goal.kind not in GOAL_KINDS:
-        out.append(f"unknown goal {query.goal.kind!r}")
+    goal = query.goal
+    if goal.kind not in GOAL_KINDS:
+        out.append(f"unknown goal {goal.kind!r}")
         return out
     if query.budget < 0:
         out.append("budget must be non-negative")
@@ -113,41 +126,36 @@ def validate_query(query: ControlQuery) -> list[str]:
             out.append("agent addition needs a non-empty addable pool")
     elif inst.addable:
         out.append("only agent-addition queries may carry addable agents")
-    originals = original_agents(query)
-    goal = query.goal
-    if goal.kind == "ma":
-        if goal.agent is None:
-            out.append("goal ma needs a target agent")
-        elif goal.agent not in originals:
-            out.append(f"target agent {goal.agent} is not an original agent")
-    elif goal.kind == "mp":
-        if goal.pair is None:
-            out.append("goal mp needs a target pair")
-        elif not (goal.pair <= originals):
+    field = GOAL_TARGETS[goal.kind]
+    target = None if field is None else getattr(goal, field)
+    if field is not None and target is None:
+        out.append(f"goal {goal.kind} needs a target {field}")
+    elif (goal.agent, goal.pair, goal.matching).count(None) != 2 + (field is None):  # a stray one
+        only = "no target" if field is None else f"only a target {field}"
+        out.append(f"goal {goal.kind} takes {only}")
+    elif field == "agent":
+        # Original agents (:func:`original_agents`) are tested on ``agents``
+        # and ``addable`` directly, without building their set per call.
+        if not (isinstance(target, str) and target in inst.agents and target not in inst.addable):
+            out.append(f"target agent {target} is not an original agent")
+    elif field == "pair":
+        if not (isinstance(target, frozenset) and len(target) == 2):
+            out.append(f"target pair {target!r} is not a pair of agents")
+        elif not (target <= inst.agents and inst.addable.isdisjoint(target)):
             out.append("target pair endpoints must be original agents")
-        elif not inst.is_acceptable_pair(goal.pair):
-            out.append(f"target pair {pair_text(goal.pair)} is not acceptable")
-    elif goal.kind == "ms":
-        if goal.matching is None:
-            out.append("goal ms needs a target matching")
+        elif not inst.acceptable(*target):
+            out.append(f"target pair {pair_text(target)} is not acceptable")
+    elif field == "matching":
+        try:
+            partners = check_matching(inst, target)
+        except ValueError as exc:
+            out.append(f"target matching {exc}")
         else:
-            seen: set[AgentId] = set()
-            for p in goal.matching:
-                if not inst.is_acceptable_pair(p):
-                    out.append(f"target matching pair {pair_text(p)} is not acceptable")
-                if seen & p:
-                    out.append("target matching matches an agent twice")
-                seen |= p
-            if query.action in (ADD_AGENTS, DELETE_AGENTS):
-                uncovered = inst.agents - covered_agents(goal.matching)
-                if uncovered:
-                    out.append(
-                        "target matching must be perfect, uncovered: "
-                        + " ".join(sorted(uncovered))
-                    )
-    else:
-        if goal.agent is not None or goal.pair is not None or goal.matching is not None:
-            out.append(f"goal {goal.kind} takes no target")
+            if query.action != DELETE_ACCEPTABILITY and len(partners) != len(inst.agents):
+                uncovered = inst.agents - partners.keys()
+                out.append(
+                    "target matching must be perfect, uncovered: " + " ".join(sorted(uncovered))
+                )
     return out
 
 

@@ -5,14 +5,19 @@ lexicographically within one cardinality, so the reported optimum is the
 true minimum and the witness is the smallest successful set in that
 order.  The search refuses instances whose candidate count exceeds the
 cap instead of truncating: answers are exact or absent, never
-approximate.
+approximate.  Adding or deleting agents never repairs a list, so a
+market that the partition engine rejects stays rejected in every subset
+tried, and the search raises :class:`InvalidInstanceError` on it as the
+polynomial solvers do.
 
 The search result does not depend on the budget, so it runs once per
 action and goal on an instance and is kept in that instance's
 ``search_memo``; a later call at another budget (or the same one) only
 derives its verdict from it.  The memo lives and dies with the instance,
 which is immutable, so it cannot go stale; an equal but distinct instance
-searches again.  The cap is checked on every call, memo hit or not.
+searches again.  The cap is checked on every call, memo hit or not, on
+the size of the action universe; only a search sorts the universe into
+its candidate order.
 
 Under acceptability deletion with an ``ms`` goal, deleting a target pair
 fails by definition, so the search leaves those pairs out of its
@@ -69,14 +74,15 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
     problems = validate_query(query)
     if problems:
         raise InvalidQueryError("; ".join(problems))
-    candidates = candidate_actions(query)
-    if len(candidates) > cap:
+    universe = action_universe(query)
+    if len(universe) > cap:
         raise CapExceededError(
-            f"{len(candidates)} candidate actions exceed the search cap of {cap}"
+            f"{len(universe)} candidate actions exceed the search cap of {cap}"
         )
     memo = query.instance.search_memo
     key = (query.action, query.goal)
     if key not in memo:
+        candidates = sorted(universe, key=_sort_key)
         if query.action == DELETE_ACCEPTABILITY and query.goal.kind == "ms":
             candidates = [p for p in candidates if p not in query.goal.matching]
         memo[key] = _first_success(query, candidates, len(candidates))

@@ -48,6 +48,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -286,22 +287,33 @@ def _reject_unknown(unknown, what: str) -> None:
         raise ValueError(f"unknown {what}: {' '.join(sorted(map(str, unknown)))}")
 
 
-def _keep_agents(inst: RoommatesInstance, keep: frozenset, addable: frozenset) -> RoommatesInstance:
-    """``inst`` restricted to ``keep``, with ``addable`` as its pool."""
+def _drop_agents(inst: RoommatesInstance, gone: frozenset, addable: frozenset) -> RoommatesInstance:
+    """``inst`` without the agents ``gone``, with ``addable`` as its pool.
+
+    Only the entries that name a removed agent leave a list, so an entry
+    naming an agent outside ``inst`` stays for :func:`validate` to report.
+    """
     return RoommatesInstance(
         kind=inst.kind,
-        prefs={u: tuple(filter(keep.__contains__, inst.prefs[u])) for u in inst.prefs if u in keep},
-        side={u: s for u, s in inst.side.items() if u in keep},
+        prefs={
+            u: tuple(filterfalse(gone.__contains__, lst))
+            for u, lst in inst.prefs.items()
+            if u not in gone
+        },
+        side={u: s for u, s in inst.side.items() if u not in gone},
         addable=addable,
     )
 
 
 def delete_agents(inst: RoommatesInstance, agents: Iterable[AgentId]) -> RoommatesInstance:
-    """Remove the given agents and restrict every preference list to survivors."""
+    """Remove the given agents and their entries on every other list.
+
+    No other entry is touched: a list that names an agent outside the
+    market keeps that entry, so a malformed market stays malformed.
+    """
     gone = frozenset(agents)
     _reject_unknown(gone - inst.agents, "agents")
-    keep = inst.agents - gone
-    return _keep_agents(inst, keep, inst.addable & keep)
+    return _drop_agents(inst, gone, inst.addable - gone)
 
 
 def delete_pairs(inst: RoommatesInstance, pairs: Iterable[Pair]) -> RoommatesInstance:
@@ -328,11 +340,12 @@ def induce_with_added(inst: RoommatesInstance, added: Iterable[AgentId]) -> Room
     """Keep the chosen addable agents, drop the rest of the addable pool.
 
     The result is the market in which the agent-addition controller has
-    exercised exactly ``added``; its addable pool is cleared.
+    exercised exactly ``added``; its addable pool is cleared.  As with
+    :func:`delete_agents`, only the dropped agents' entries leave a list.
     """
     chosen = frozenset(added)
     _reject_unknown(chosen - inst.addable, "addable agents")
-    return _keep_agents(inst, inst.agents - (inst.addable - chosen), frozenset())
+    return _drop_agents(inst, inst.addable - chosen, frozenset())
 
 
 # ---------------------------------------------------------------------------

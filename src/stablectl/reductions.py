@@ -140,6 +140,17 @@ def _check_k(graph: UndirectedGraph, k: int) -> None:
         raise ValueError(f"k must lie between 0 and the vertex count, got {k}")
 
 
+def _name(name_map: dict, role: str, prefix: str, keys, label=str) -> dict:
+    """Name the agent ``prefix + label(key)`` for each of ``keys``, in order.
+
+    Each agent is entered in ``name_map`` under the gadget role
+    ``role(label(key))``; the agents come back by key.
+    """
+    agents = {key: prefix + label(key) for key in keys}
+    name_map.update((f"{role}({label(key)})", agent) for key, agent in agents.items())
+    return agents
+
+
 def _freeze_names(name_map: dict) -> None:
     ids = list(name_map.values())
     if len(set(ids)) != len(ids):
@@ -161,52 +172,40 @@ def clique_to_csm_addag(graph: UndirectedGraph, k: int, goal_kind: str = "ma") -
     _check_k(graph, k)
     vs = sorted(graph.vertices)
     es = sorted(graph.edges, key=_edge_token)
-    selectors = [f"s_{i}" for i in range(1, k * (k - 1) // 2 + 1)]
-    dummies = [f"d_{j}" for j in range(1, len(vs) - k + 1)]
-    name_map = {"w*": "wstar", "m*": "mstar"}
-    for v in vs:
-        name_map[f"w_v({v})"] = f"wv_{v}"
-        name_map[f"m'_v({v})"] = f"mv'_{v}"
-    for e in es:
-        t = _edge_token(e)
-        name_map[f"w_e({t})"] = f"we_{t}"
-        name_map[f"m_e({t})"] = f"me_{t}"
-        name_map[f"m'_e({t})"] = f"me'_{t}"
-    for i, s in enumerate(selectors, start=1):
-        name_map[f"s({i})"] = s
-    for j, d in enumerate(dummies, start=1):
-        name_map[f"d({j})"] = d
+    wstar = "wstar"
+    mstar = "mstar"
+    name_map = {"w*": wstar, "m*": mstar}
+    wv = _name(name_map, "w_v", "wv_", vs)
+    mv = _name(name_map, "m'_v", "mv'_", vs)
+    we = _name(name_map, "w_e", "we_", es, _edge_token)
+    me = _name(name_map, "m_e", "me_", es, _edge_token)
+    me_prime = _name(name_map, "m'_e", "me'_", es, _edge_token)
+    selectors = tuple(_name(name_map, "s", "s_", range(1, k * (k - 1) // 2 + 1)).values())
+    dummies = tuple(_name(name_map, "d", "d_", range(1, len(vs) - k + 1)).values())
     _freeze_names(name_map)
 
-    wv = {v: f"wv_{v}" for v in vs}
-    mv = {v: f"mv'_{v}" for v in vs}
-    we = {e: f"we_{_edge_token(e)}" for e in es}
-    me = {e: f"me_{_edge_token(e)}" for e in es}
-    me_prime = {e: f"me'_{_edge_token(e)}" for e in es}
-    all_me = [me[e] for e in es]
-
     prefs: dict[str, tuple] = {}
-    prefs["mstar"] = tuple(selectors) + ("wstar",)
-    prefs["wstar"] = ("mstar",)
+    prefs[mstar] = (*selectors, wstar)
+    prefs[wstar] = (mstar,)
     for s in selectors:
-        prefs[s] = tuple(all_me) + ("mstar",)
+        prefs[s] = (*me.values(), mstar)
     for e in es:
         u, v = sorted(e)
-        prefs[me[e]] = (we[e], wv[u], wv[v]) + tuple(selectors)
+        prefs[me[e]] = (we[e], wv[u], wv[v], *selectors)
         prefs[we[e]] = (me_prime[e], me[e])
         prefs[me_prime[e]] = (we[e],)
     for v in vs:
         incident = [me[e] for e in es if v in e]
-        prefs[wv[v]] = (mv[v],) + tuple(incident) + tuple(dummies)
+        prefs[wv[v]] = (mv[v], *incident, *dummies)
         prefs[mv[v]] = (wv[v],)
     for d in dummies:
-        prefs[d] = tuple(wv[v] for v in vs)
+        prefs[d] = tuple(wv.values())
 
-    women = {"wstar", *wv.values(), *we.values(), *selectors}
+    women = {wstar, *wv.values(), *we.values(), *selectors}
     side = {agent: ("a" if agent in women else "b") for agent in prefs}
-    addable = frozenset(mv.values()) | frozenset(me_prime.values())
+    addable = frozenset([*mv.values(), *me_prime.values()])
     inst = make_instance(SM, prefs, side=side, addable=addable)
-    goal = ControlGoal.ma("wstar") if goal_kind == "ma" else ControlGoal.epsm()
+    goal = ControlGoal.ma(wstar) if goal_kind == "ma" else ControlGoal.epsm()
     budget = k + k * (k - 1) // 2
     return ReductionResult(
         query=ControlQuery(instance=inst, action="addag", goal=goal, budget=budget),
@@ -224,18 +223,17 @@ def is_to_csr_addag_ms(graph: UndirectedGraph, k: int) -> ReductionResult:
     """
     _check_k(graph, k)
     vs = sorted(graph.vertices)
-    name_map = {}
-    for v in vs:
-        for role in ("a", "b", "c"):
-            name_map[f"{role}({v})"] = f"{role}_{v}"
-            name_map[f"{role}'({v})"] = f"{role}'_{v}"
+    roles = ("a", "b", "c")
+    name_map: dict = {}
+    agent = {r: _name(name_map, r, f"{r}_", vs) for r in roles}
+    copy = {r: _name(name_map, f"{r}'", f"{r}'_", vs) for r in roles}
     _freeze_names(name_map)
 
     prefs: dict[str, tuple] = {}
     for v in vs:
-        a, b, c = f"a_{v}", f"b_{v}", f"c_{v}"
-        ap, bp, cp = f"a'_{v}", f"b'_{v}", f"c'_{v}"
-        adjacent_copies = tuple(f"a'_{u}" for u in sorted(graph.neighbors(v)))
+        a, b, c = (agent[r][v] for r in roles)
+        ap, bp, cp = (copy[r][v] for r in roles)
+        adjacent_copies = tuple(copy["a"][u] for u in sorted(graph.neighbors(v)))
         prefs[a] = (ap, b, c)
         prefs[ap] = adjacent_copies + (a,)
         prefs[b] = (bp, a)
@@ -243,11 +241,9 @@ def is_to_csr_addag_ms(graph: UndirectedGraph, k: int) -> ReductionResult:
         prefs[c] = (cp, a)
         prefs[cp] = (c,)
 
-    addable = frozenset(f"{role}'_{v}" for v in vs for role in ("a", "b", "c"))
+    addable = frozenset(x for r in roles for x in copy[r].values())
     inst = make_instance(SR, prefs, addable=addable)
-    matching = frozenset(
-        frozenset((f"{role}_{v}", f"{role}'_{v}")) for v in vs for role in ("a", "b", "c")
-    )
+    matching = frozenset(frozenset((agent[r][v], copy[r][v])) for r in roles for v in vs)
     return ReductionResult(
         query=ControlQuery(
             instance=inst,
@@ -273,26 +269,24 @@ def is_to_csr_addag_existssm(
         raise ValueError("goal must be 'esm' or 'epsm'")
     _check_k(graph, k)
     vs = sorted(graph.vertices)
-    name_map = {}
-    for v in vs:
-        name_map[f"vertex({v})"] = v
-    for i in range(1, k + 1):
-        name_map[f"s({i})"] = f"s_{i}"
-        name_map[f"a({i})"] = f"ai_{i}"
-        name_map[f"b({i})"] = f"bi_{i}"
+    triples = range(1, k + 1)
+    name_map: dict = {}
+    vertex = _name(name_map, "vertex", "", vs)  # each vertex agent is the vertex
+    selectors = _name(name_map, "s", "s_", triples)
+    ai = _name(name_map, "a", "ai_", triples)
+    bi = _name(name_map, "b", "bi_", triples)
     _freeze_names(name_map)
 
-    selectors = [f"s_{i}" for i in range(1, k + 1)]
     prefs: dict[str, tuple] = {}
     for v in vs:
-        prefs[v] = tuple(sorted(graph.neighbors(v))) + tuple(selectors)
-    for i in range(1, k + 1):
-        s, a, b = f"s_{i}", f"ai_{i}", f"bi_{i}"
-        prefs[s] = tuple(vs) + (a, b)
+        prefs[vertex[v]] = (*(vertex[u] for u in sorted(graph.neighbors(v))), *selectors.values())
+    for i in triples:
+        s, a, b = selectors[i], ai[i], bi[i]
+        prefs[s] = (*vertex.values(), a, b)
         prefs[a] = (b, s)
         prefs[b] = (s, a)
 
-    inst = make_instance(SR, prefs, addable=frozenset(vs))
+    inst = make_instance(SR, prefs, addable=frozenset(vertex.values()))
     goal = ControlGoal.esm() if goal_kind == "esm" else ControlGoal.epsm()
     return ReductionResult(
         query=ControlQuery(instance=inst, action="addag", goal=goal, budget=k),

@@ -1,5 +1,11 @@
 """Blocking pairs, stability checks and exhaustive matching enumeration.
 
+:func:`check_matching` is the one statement of what a matching of a
+market is: a set of acceptable pairs of the market, no two sharing an
+agent.  It returns the matching's partner map, which
+:func:`blocking_pairs` and :func:`is_perfect` read, and the query checks
+of :mod:`stablectl.control` call it on a target matching.
+
 :func:`blocking_pairs` reads the instance's cached rank map
 (``RoommatesInstance.ranks``) once per agent and scans only the entries
 an agent prefers to its partner, in O(n + m) for ``n`` agents and ``m``
@@ -20,16 +26,25 @@ from .model import AgentId, Matching, RoommatesInstance, pair_text, validate
 DEFAULT_ENUM_CAP = 24
 
 
-def check_matching(inst: RoommatesInstance, matching: Matching) -> None:
-    """Raise ``ValueError`` unless ``matching`` is a matching in ``inst``."""
-    seen = set()
+def check_matching(inst: RoommatesInstance, matching: Matching) -> dict:
+    """The partner map of ``matching``, a matching in ``inst``.
+
+    Every member must be an acceptable pair of ``inst``, and no agent may
+    be in two of them.  Raises ``ValueError`` naming the first member that
+    breaks this: one that is no pair of agents is named by its ``repr``.
+    """
+    partners = {}
     for p in matching:
-        if not inst.is_acceptable_pair(p):
+        if not (isinstance(p, frozenset) and len(p) == 2):
+            raise ValueError(f"member {p!r} is not a pair of agents")
+        if not inst.acceptable(*p):
             raise ValueError(f"pair {{{pair_text(p)}}} is not acceptable in the instance")
-        for u in p:
-            if u in seen:
-                raise ValueError(f"agent {u} is matched twice")
-            seen.add(u)
+        a, b = p
+        if a in partners or b in partners:
+            raise ValueError(f"agent {a if a in partners else b} is matched twice")
+        partners[a] = b
+        partners[b] = a
+    return partners
 
 
 def partner_map(matching: Matching) -> dict:
@@ -49,12 +64,11 @@ def blocking_pairs(inst: RoommatesInstance, matching: Matching) -> frozenset:
     on a list that names an agent twice, since a position on it is then
     ambiguous.
     """
-    check_matching(inst, matching)
     ranks, absent = inst.ranks, float("inf")
     # Lists run best first, so each matched agent prefers exactly the
     # entries before position ``bound[u]``, its partner's; an unmatched
     # agent prefers every entry.
-    bound = {u: ranks[u][v] for u, v in partner_map(matching).items()}
+    bound = {u: ranks[u][v] for u, v in check_matching(inst, matching).items()}
     out = []
     for u, lst in inst.prefs.items():
         if len(ranks[u]) != len(lst):
@@ -77,8 +91,7 @@ def covered_agents(matching: Matching) -> frozenset:
 
 
 def is_perfect(inst: RoommatesInstance, matching: Matching) -> bool:
-    check_matching(inst, matching)
-    return covered_agents(matching) == inst.agents
+    return check_matching(inst, matching).keys() == inst.agents
 
 
 def enumerate_matchings(inst: RoommatesInstance, cap: int = DEFAULT_ENUM_CAP) -> Iterator[Matching]:

@@ -77,6 +77,16 @@ def test_gs_rejects_roommates_instances():
         gale_shapley(three_cycle())
 
 
+@pytest.mark.parametrize("proposing", ["a", "b"])
+def test_gs_rejects_a_market_the_engine_rejects(proposing):
+    # w does not list m back; the partition engine refuses this market too.
+    inst = make_sm({"m": ["w"], "w": []}, side={"m": "a", "w": "b"})
+    for fn, *args in ((gale_shapley, inst, proposing), (irving_stable_matching, inst)):
+        with pytest.raises(InvalidInstanceError) as info:
+            fn(*args)
+        assert info.value.violations == validate(inst)
+
+
 def test_gs_output_is_stable_and_proposer_optimal():
     from stablectl.generators import random_sm
     from stablectl.stability import partner_map
@@ -351,6 +361,7 @@ MALFORMED = {
     "self-listed": {"a": ["a", "b"], "b": ["a"]},
     "repeat-beside-a-loner": {"a": ["b", "b"], "b": ["a"], "c": []},
     "not-listed-back": {"a": ["b"], "b": []},
+    "unknown-agent": {"a": ["b", "x"], "b": ["a"]},
 }
 
 

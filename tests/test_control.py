@@ -231,6 +231,37 @@ def test_validate_query_rejects_actions_and_targets(query, fragment):
     assert len(problems) == 1 and fragment in problems[0], problems
 
 
+@pytest.mark.parametrize(
+    "goal,fragment",
+    [
+        (ControlGoal.mp(frozenset({"a"})), "not a pair of agents"),
+        (ControlGoal.mp(frozenset({"a", "b", "c"})), "not a pair of agents"),
+        (ControlGoal.mp(("a", "b")), "not a pair of agents"),
+        (ControlGoal.ms({frozenset({"a"})}), "member frozenset({'a'}) is not a pair of agents"),
+        (ControlGoal(kind="ma", agent=["a"]), "not an original agent"),
+        (ControlGoal(kind="ma", agent="a", pair=pair("a", "b")), "goal ma takes only a target agent"),
+    ],
+    ids=[
+        "one-agent-pair",
+        "three-agent-pair",
+        "tuple-pair",
+        "one-agent-member",
+        "list-agent",
+        "stray-pair",
+    ],
+)
+def test_a_malformed_goal_target_is_a_problem_not_a_crash(goal, fragment):
+    from stablectl.poly import solve
+
+    query = delag(three_cycle(), goal, budget=1)
+    problems = validate_query(query)
+    assert len(problems) == 1 and fragment in problems[0], problems
+    for method in ("exact", "poly"):
+        with pytest.raises(InvalidQueryError) as info:
+            solve(query, method=method)
+        assert str(info.value) == problems[0]
+
+
 def test_budget_monotonicity_in_subset_semantics():
     from stablectl.exact import solve_exact
 
