@@ -54,10 +54,8 @@ from .model import (
 from .poly import solve
 from .stability import (
     blocking_pairs,
-    covered_agents,
     enumerate_matchings,
     enumerate_stable_matchings,
-    is_perfect,
     is_stable,
 )
 
@@ -73,7 +71,6 @@ __all__ = [
     "StablePartition",
     "StablectlError",
     "blocking_pairs",
-    "covered_agents",
     "delete_agents",
     "delete_pairs",
     "enumerate_matchings",
@@ -81,7 +78,6 @@ __all__ = [
     "gale_shapley",
     "induce_with_added",
     "irving_stable_matching",
-    "is_perfect",
     "is_stable",
     "make_instance",
     "make_sm",

@@ -3,8 +3,8 @@
 Four entry points:
 
 * :func:`gale_shapley`: deferred acceptance for marriage instances,
-  optimal for the proposing side.  It rejects every market the engine
-  rejects, by reading the same cached core first.
+  optimal for the proposing side.  It runs on the same cached core as
+  the engine, so it rejects every market the engine rejects.
 * :func:`tan_stable_partition`: a stable partition for any roommates
   instance, a permutation of the agents whose cycles ("parties")
   generalise stable matchings.  One always exists; a stable matching
@@ -209,32 +209,37 @@ def partition_to_matching(
 def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     """Deferred acceptance; returns the proposing-side-optimal matching.
 
-    A market whose core cannot be built raises :class:`InvalidInstanceError`.
+    Proposers, in sorted order, walk their rows of the instance's cached
+    core, and a reviewer compares two proposers by their positions on its
+    own list, which the core's ``mirror`` rows hold.  A market whose core
+    cannot be built raises :class:`InvalidInstanceError`.
     """
     if inst.kind != SM:
         raise ValueError("gale_shapley needs a marriage instance")
     if proposing not in ("a", "b"):
         raise ValueError("proposing side must be 'a' or 'b'")
-    inst.core  # built here only to reject a list that it cannot mirror
-    proposers = sorted(u for u in inst.agents if inst.side[u] == proposing)
-    nxt = {u: 0 for u in proposers}
-    engaged: dict[AgentId, AgentId] = {}  # reviewer -> proposer
-    free = list(reversed(proposers))
+    core = inst.core
+    pref, mirror, names = core.pref, core.mirror, core.names
+    nxt = [0] * len(names)
+    held = [-1] * len(names)  # reviewer -> proposer it holds
+    seat = [0] * len(names)  # reviewer -> position of that proposer on its list
+    # Names are sorted, and the stack pops from its end, so the proposers
+    # are served in sorted order.
+    free = [i for i, u in enumerate(names) if inst.side[u] == proposing][::-1]
     while free:
         u = free.pop()
-        while nxt[u] < len(inst.prefs[u]):
-            v = inst.prefs[u][nxt[u]]
-            nxt[u] += 1
-            cur = engaged.get(v)
-            if cur is None:
-                engaged[v] = u
-                break
-            if inst.prefers(v, u, cur):
-                engaged[v] = u
-                free.append(cur)
+        lst, back = pref[u], mirror[u]
+        for p in range(nxt[u], len(lst)):
+            v, q = lst[p], back[p]  # ``u`` is at position ``q`` on ``v``'s list
+            cur = held[v]
+            if cur < 0 or q < seat[v]:
+                held[v], seat[v] = u, q
+                if cur >= 0:
+                    free.append(cur)
+                nxt[u] = p + 1
                 break
         # List exhausted: u stays unmatched.
-    return frozenset(frozenset((u, v)) for v, u in engaged.items())
+    return frozenset(frozenset((names[u], names[v])) for v, u in enumerate(held) if u >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,6 @@ class ControlOutcome:
     witness: frozenset | None = None
 
 
-def original_agents(query: ControlQuery) -> frozenset:
-    """The original market: every agent outside the addable pool."""
-    return query.instance.agents - query.instance.addable
-
-
 def validate_query(query: ControlQuery) -> list[str]:
     """Structural checks for a query; empty result means well-formed.
 
@@ -134,8 +129,8 @@ def validate_query(query: ControlQuery) -> list[str]:
         only = "no target" if field is None else f"only a target {field}"
         out.append(f"goal {goal.kind} takes {only}")
     elif field == "agent":
-        # Original agents (:func:`original_agents`) are tested on ``agents``
-        # and ``addable`` directly, without building their set per call.
+        # Original agents, those outside the addable pool, are tested on
+        # ``agents`` and ``addable`` directly, without building their set.
         if not (isinstance(target, str) and target in inst.agents and target not in inst.addable):
             out.append(f"target agent {target} is not an original agent")
     elif field == "pair":

@@ -49,11 +49,6 @@ def _sort_key(item):
     return (item,)
 
 
-def candidate_actions(query: ControlQuery) -> list:
-    """The individual actions available to the controller, in search order."""
-    return sorted(action_universe(query), key=_sort_key)
-
-
 def _first_success(query: ControlQuery, candidates: list, max_size: int):
     for size in range(0, max_size + 1):
         for combo in combinations(candidates, size):

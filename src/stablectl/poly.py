@@ -22,13 +22,17 @@ axioms of the partition it returns at the same tails, as every engine run
 does, for positive and negative answers alike.  The agent solver does the
 same for every partner on that core.  A positive answer is then certified
 with none of the engine's code: the target pair is in the matching read
-off, and that matching is stable once the witness is deleted.  That last
-check runs on the instance the query was asked on, through its cached
-rank map (the one fact it shares with the engine, whose core mirrors that
-map), and builds no controlled instance: the witness must
-name agents of that instance, the matching must miss them, and every
-pair that blocks the matching there must meet the witness
-(:func:`_stable_without` has the argument).
+off, the witness names agents of the instance, and the matching is stable
+once the witness is deleted.  An acceptability-deletion answer is
+certified the same way: the target matching is stable once its blocking
+pairs are deleted.  Both stability checks are one early-exit scan of the
+instance the query was asked on (:func:`~stablectl.stability.is_stable`
+with the deletions as arguments), through its cached rank map, the one
+fact it shares with the engine, whose core mirrors that map.  So no
+certified answer builds a controlled instance or a set of the pairs that
+block its witness matching.  The acceptability witness is enumerated by
+:func:`~stablectl.stability.blocking_pairs` and certified by that other
+scan, so the two checks are derived separately.
 """
 
 from __future__ import annotations
@@ -50,14 +54,7 @@ from .control import (
 )
 from .errors import InternalError, InvalidQueryError
 from .exact import DEFAULT_CANDIDATE_CAP, solve_exact
-from .model import (
-    AgentId,
-    Matching,
-    Pair,
-    RoommatesInstance,
-    delete_pairs,
-    pair_text,
-)
+from .model import AgentId, Matching, Pair, RoommatesInstance, pair_text
 from .stability import blocking_pairs, is_stable
 
 # (action, goal kind) of each problem with a polynomial solver below.
@@ -80,8 +77,8 @@ def _mp_outcome(
 
     A positive answer is certified on ``inst`` itself: the witness names
     agents of ``inst``, the target pair is in the witness matching, and
-    that matching is stable in ``inst`` minus the witness
-    (:func:`_stable_without`).  A failed check raises
+    that matching is stable in ``inst`` minus the witness, decided by
+    :func:`is_stable` on ``inst``.  A failed check raises
     :class:`InternalError`.
     """
     optimum = diag.cost
@@ -93,32 +90,12 @@ def _mp_outcome(
     if frozenset((ctx.a, ctx.b)) not in matching:
         raise InternalError("stable matching of the fixed instance misses the target")
     try:
-        stable = _stable_without(inst, witness, matching)
+        stable = is_stable(inst, matching, deleted_agents=witness)
     except ValueError as exc:  # not a matching of ``inst`` at all
         raise InternalError(f"witness matching is not a matching of the instance: {exc}") from exc
     if not stable:
         raise InternalError("witness matching is unstable in the controlled instance")
     return ControlOutcome(verdict=True, optimum=optimum, witness=witness)
-
-
-def _stable_without(inst: RoommatesInstance, agents: frozenset, matching: Matching) -> bool:
-    """Whether ``matching``, a matching of ``inst``, is stable in ``inst`` minus ``agents``.
-
-    It is exactly when no pair of ``matching`` meets ``agents`` and every
-    pair that blocks ``matching`` in ``inst`` meets ``agents``.  Deleting
-    agents keeps the relative order of every surviving list, and keeps
-    acceptability among the survivors.  So once no matched pair meets
-    ``agents``, ``matching`` is a matching of the smaller market, every
-    survivor keeps its partner, and a pair of survivors blocks there
-    exactly when it blocks in ``inst``; pairs that meet ``agents`` are
-    gone.  A matched pair that meets ``agents`` is no pair of the smaller
-    market, so ``matching`` is then not one of its matchings.  ``agents``
-    must be agents of ``inst``.  Raises ``ValueError`` when ``matching``
-    is not a matching of ``inst``.
-    """
-    if any(p & agents for p in matching):
-        return False
-    return all(p & agents for p in blocking_pairs(inst, matching))
 
 
 def solve_delag_ma(inst: RoommatesInstance, target: AgentId, budget: int) -> ControlOutcome:
@@ -144,16 +121,16 @@ def solve_delacc_ms(inst: RoommatesInstance, matching: Matching, budget: int) ->
     """Acceptability deletion until ``matching`` is stable.
 
     The blocking pairs of ``matching`` must all be removed and removing
-    them suffices, so they are both the witness and the optimum.
+    them suffices, so they are both the witness and the optimum.  A
+    nonzero optimum is certified by deciding that ``matching`` is stable
+    once they are deleted.
     """
     blockers = blocking_pairs(inst, matching)
     optimum = len(blockers)
-    if optimum:
-        stabilised = delete_pairs(inst, blockers)
-        if not is_stable(stabilised, matching):
-            raise InternalError(
-                f"removing {' '.join(sorted(map(pair_text, blockers)))} did not stabilise"
-            )
+    if optimum and not is_stable(inst, matching, deleted_pairs=blockers):
+        raise InternalError(
+            f"removing {' '.join(sorted(map(pair_text, blockers)))} did not stabilise"
+        )
     return ControlOutcome(verdict=optimum <= budget, optimum=optimum, witness=blockers)
 
 

@@ -11,7 +11,9 @@ import pytest
 
 from stablectl import classic, model
 from stablectl.classic import StablePartition
+from stablectl.control import action_universe
 from stablectl.model import make_sm, make_sr
+from stablectl.stability import check_matching
 
 
 def mutual_pair():
@@ -228,3 +230,31 @@ def all_small_sr_instances(names):
 
 def pairs_of(*pairs):
     return frozenset(frozenset(p) for p in pairs)
+
+
+def partner_map(matching):
+    """Each matched agent's partner."""
+    return {u: v for p in matching for u, v in (tuple(p), tuple(p)[::-1])}
+
+
+def covered_agents(matching):
+    """The agents that ``matching`` matches."""
+    return frozenset().union(*matching)
+
+
+def is_perfect(inst, matching):
+    """Whether ``matching``, a matching of ``inst``, matches every agent."""
+    return check_matching(inst, matching).keys() == inst.agents
+
+
+def candidate_actions(query):
+    """The individual actions available to the controller, in the exact search's order."""
+    return sorted(
+        action_universe(query),
+        key=lambda a: tuple(sorted(a)) if isinstance(a, frozenset) else (a,),
+    )
+
+
+def original_agents(query):
+    """The original market: every agent outside the addable pool."""
+    return query.instance.agents - query.instance.addable

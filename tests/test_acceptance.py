@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from helpers import covered_agents, is_perfect, partner_map
 from stablectl.classic import (
     gale_shapley,
     irving_stable_matching,
@@ -39,11 +40,8 @@ from stablectl.reductions import (
 )
 from stablectl.stability import (
     blocking_pairs,
-    covered_agents,
     enumerate_stable_matchings,
-    is_perfect,
     is_stable,
-    partner_map,
 )
 
 # Every exact solve performed by criteria 2, 3 and 7-9, replayed by criterion 10.

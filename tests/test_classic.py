@@ -12,6 +12,7 @@ from helpers import (
     all_alone,
     all_small_sr_instances,
     count_engine_calls,
+    covered_agents,
     drop_half_the_worklist,
     drop_one_proposer,
     fault_the_engine,
@@ -20,6 +21,7 @@ from helpers import (
     mutual_pair,
     paired_triangles,
     pairs_of,
+    partner_map,
     random_sr_instance,
     skip_proposals,
     spurious_odd_party,
@@ -47,7 +49,7 @@ from stablectl.errors import InternalError, InvalidInstanceError
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import make_sm, make_sr, pair, validate
 from stablectl.poly import solve, solve_delag_ma, solve_delag_mp
-from stablectl.stability import covered_agents, enumerate_stable_matchings, is_stable
+from stablectl.stability import enumerate_stable_matchings, is_stable
 
 
 # -- gale_shapley -----------------------------------------------------------
@@ -89,7 +91,6 @@ def test_gs_rejects_a_market_the_engine_rejects(proposing):
 
 def test_gs_output_is_stable_and_proposer_optimal():
     from stablectl.generators import random_sm
-    from stablectl.stability import partner_map
 
     for seed in range(60):
         inst = random_sm(4, 4, 0.7, seed)

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from helpers import (
+    covered_agents,
     fault_the_engine,
     mutual_pair,
+    original_agents,
     pairs_of,
     spurious_odd_party,
     three_cycle,
@@ -21,13 +23,12 @@ from stablectl.control import (
     action_universe,
     apply_actions,
     goal_holds,
-    original_agents,
     validate_query,
 )
 from stablectl.errors import InternalError, InvalidQueryError
 from stablectl.generators import random_query, random_sm, random_sr
 from stablectl.model import make_sr, pair
-from stablectl.stability import covered_agents, enumerate_stable_matchings
+from stablectl.stability import enumerate_stable_matchings
 
 
 def delag(inst, goal, budget=0):

@@ -1,9 +1,9 @@
 import pytest
 
+from helpers import covered_agents
 from stablectl.control import ADD_AGENTS, DELETE_ACCEPTABILITY, DELETE_AGENTS, validate_query
 from stablectl.generators import random_query, random_sm, random_sr
 from stablectl.model import validate
-from stablectl.stability import covered_agents
 
 
 def test_random_sr_zero_agents():

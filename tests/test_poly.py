@@ -28,7 +28,7 @@ from stablectl.poly import (
     solve_delag_ma,
     solve_delag_mp,
 )
-from stablectl.stability import enumerate_stable_matchings, is_stable
+from stablectl.stability import blocking_pairs, enumerate_stable_matchings, is_stable
 
 
 # -- fixing_deletions --------------------------------------------------------
@@ -286,9 +286,9 @@ def test_a_faulty_witness_fails_the_certificate(fault, message, monkeypatch):
 
 
 def test_stability_without_a_witness_agrees_with_the_controlled_instance():
-    # ``poly._stable_without`` must say what rebuilding the controlled
-    # instance says; a matched agent that is deleted leaves no matching
-    # of the controlled instance, which counts as unstable.
+    # ``is_stable`` with deleted agents must say what rebuilding the
+    # controlled instance says; a matched agent that is deleted leaves no
+    # matching of the controlled instance, which counts as unstable.
     rng = random.Random(13)
     verdicts = {True: 0, False: 0}
     for seed in range(2000):
@@ -317,7 +317,7 @@ def test_stability_without_a_witness_agrees_with_the_controlled_instance():
             expected = is_stable(delete_agents(inst, deleted), matching)
         except ValueError:  # a matched pair meets the deleted agents
             expected = False
-        assert poly._stable_without(inst, deleted, matching) == expected
+        assert is_stable(inst, matching, deleted_agents=deleted) == expected
         verdicts[expected] += 1
     assert min(verdicts.values()) >= 400
 
@@ -372,8 +372,6 @@ def test_delacc_ms_single_blocker():
 
 
 def test_delacc_ms_counts_blockers_exactly():
-    from stablectl.stability import blocking_pairs
-
     rng = random.Random(43)
     for seed in range(60):
         inst = random_sr(rng.randint(0, 8), rng.choice([0.4, 0.9]), seed)
@@ -385,6 +383,19 @@ def test_delacc_ms_counts_blockers_exactly():
             assert out.optimum == len(blockers)
             assert out.verdict == (len(blockers) <= budget)
             assert out.witness == blockers
+
+
+def test_delacc_ms_certificate_catches_a_missing_blocker(monkeypatch):
+    # A witness that leaves one blocking pair in place must fail the
+    # certificate, which decides stability without the witness afresh.
+    inst = random_sr(12, 0.6, 5)
+    matching = frozenset()
+    blockers = blocking_pairs(inst, matching)
+    assert len(blockers) >= 2
+    kept = min(blockers, key=sorted)
+    monkeypatch.setattr(poly, "blocking_pairs", lambda i, m: blocking_pairs(i, m) - {kept})
+    with pytest.raises(InternalError, match="did not stabilise$"):
+        solve_delacc_ms(inst, matching, len(blockers))
 
 
 # -- solve (dispatch) ----------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import is_perfect
 from stablectl.control import apply_actions
 from stablectl.errors import CapExceededError, ParseError
 from stablectl.exact import solve_exact
@@ -18,7 +19,6 @@ from stablectl.reductions import (
     parse_graph,
     serialize_graph,
 )
-from stablectl.stability import is_perfect
 
 
 def k_n(n):

@@ -2,16 +2,14 @@ import random
 
 import pytest
 
-from helpers import mutual_pair, pairs_of, three_cycle, two_by_two_sm
+from helpers import covered_agents, is_perfect, mutual_pair, pairs_of, three_cycle, two_by_two_sm
 from stablectl.errors import CapExceededError, InvalidInstanceError
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import delete_pairs, make_sr, validate
 from stablectl.stability import (
     blocking_pairs,
-    covered_agents,
     enumerate_matchings,
     enumerate_stable_matchings,
-    is_perfect,
     is_stable,
 )
 
@@ -178,3 +176,71 @@ def test_blocking_pairs_reject_a_list_that_names_an_agent_twice():
         with pytest.raises(InvalidInstanceError) as info:
             check(inst, {frozenset("ab")})
         assert info.value.violations == validate(inst) == ["agent a has duplicate preference entries"]
+
+
+def test_is_stable_rejects_a_repeated_entry_that_the_scan_never_reaches():
+    # {a,b} blocks the empty matching before the scan meets c's list.
+    inst = make_sr({"a": ["b"], "b": ["a"], "c": ["d", "d"], "d": ["c"]})
+    for kwargs in ({}, {"deleted_agents": frozenset("c")}, {"deleted_pairs": pairs_of(("c", "d"))}):
+        with pytest.raises(InvalidInstanceError) as info:
+            is_stable(inst, frozenset(), **kwargs)
+        assert info.value.violations == ["agent c has duplicate preference entries"]
+
+
+def test_is_stable_checks_the_matching_before_the_deletions():
+    inst = make_sr({"a": ["b", "c"], "b": ["a"], "c": ["a"]})
+    with pytest.raises(ValueError, match="matched twice"):
+        is_stable(inst, pairs_of(("a", "b"), ("a", "c")), deleted_agents=frozenset("a"))
+    assert not is_stable(inst, pairs_of(("a", "b")), deleted_agents=frozenset("b"))
+    assert not is_stable(inst, pairs_of(("a", "b")), deleted_pairs=pairs_of(("a", "b")))
+    assert is_stable(inst, pairs_of(("a", "c")), deleted_pairs=pairs_of(("a", "b")))
+
+
+def random_matching(rng, inst):
+    pairs = sorted(inst.acceptable_pairs, key=sorted)
+    rng.shuffle(pairs)
+    used, chosen = set(), set()
+    for p in pairs[: rng.randint(0, len(pairs))]:
+        if not p & used:
+            chosen.add(p)
+            used |= p
+    return frozenset(chosen)
+
+
+def test_stability_without_deleted_pairs_agrees_with_the_smaller_market():
+    # ``is_stable`` with deleted pairs must say what deleting them says;
+    # deleting a matched pair leaves no matching of the smaller market,
+    # which counts as unstable.  The deleted pairs are the blocking set,
+    # a subset or a superset of it, or a set that holds a matched pair.
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    shapes = {"blocking": 0, "subset": 0, "superset": 0, "matched": 0}
+    for seed in range(2400):
+        n = rng.randint(2, 30)
+        if seed % 2:
+            inst = random_sr(n, rng.choice([0.2, 0.5, 0.9]), seed)
+        else:
+            inst = random_sm(n // 2, n - n // 2, rng.choice([0.3, 0.6, 1.0]), seed)
+        matching = random_matching(rng, inst)
+        blockers = blocking_pairs(inst, matching)
+        others = sorted(inst.acceptable_pairs - blockers - matching, key=sorted)
+        shape = ("blocking", "subset", "superset", "matched")[seed % 4]
+        if shape == "subset":
+            deleted = set(rng.sample(sorted(blockers, key=sorted), rng.randint(0, len(blockers))))
+        else:
+            deleted = set(blockers)
+        if shape == "superset" and others:
+            deleted |= set(rng.sample(others, rng.randint(1, len(others))))
+        if shape == "matched" and matching:
+            deleted.add(rng.choice(sorted(matching, key=sorted)))
+            deleted |= set(rng.sample(others, rng.randint(0, len(others))))
+        deleted = frozenset(deleted)
+        try:
+            expected = is_stable(delete_pairs(inst, deleted), matching)
+        except ValueError:  # a matched pair is deleted
+            expected = False
+        assert is_stable(inst, matching, deleted_pairs=deleted) == expected
+        verdicts[expected] += 1
+        shapes[shape] += 1
+    assert min(verdicts.values()) >= 400
+    assert min(shapes.values()) == 600
