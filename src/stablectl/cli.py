@@ -19,6 +19,9 @@ stdout only, never through the exit code, so pipelines can tell "solved,
 answer no" from failure.  The environment variable ``STABLECTL_CAP``
 overrides the default enumeration and search caps; a ``--cap`` flag wins
 over both.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused by every later call.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import exact, generators, poly, reductions
@@ -207,7 +211,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="stablectl",
         description="Solve control problems on stable roommates and marriage markets.",

@@ -5,8 +5,9 @@ list over the agents it finds acceptable, and the agent set is the keys of
 those lists.  Acceptability is symmetric: ``v`` appears on ``u``'s list
 exactly when ``u`` appears on ``v``'s.  Marriage instances are roommates
 instances with a bipartition label on every agent; every algorithm in this
-package treats them uniformly.  :func:`validate` checks every invariant in
-one walk over the agents.
+package treats them uniformly.  :func:`validate` lists every broken
+invariant in one walk over the agents; :func:`parse_instance` proves a
+file valid without it, and calls it only to word a rejection.
 
 Instances are immutable, hashable values: ``prefs`` and ``side`` are
 read-only mappings copied once at construction, so values derived from an
@@ -16,7 +17,8 @@ once per instance on first use and shared by every reader, it maps each
 agent to a read-only view of the position of each entry on its list.
 ``core`` is the market interned as integers for the partition engine
 (:class:`MarketCore`), built once from ``ranks`` and shared by every
-engine run and pair answer on the instance.  All mutating operations
+engine run, pair answer and ``gale_shapley`` call on the instance; a
+parsed instance arrives with it built.  All mutating operations
 (agent deletion, acceptability deletion, induction on a chosen addable
 subset) return fresh instances and never touch their input.
 
@@ -52,7 +54,7 @@ from itertools import filterfalse
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import InvalidInstanceError, ParseError
+from .errors import InternalError, InvalidInstanceError, ParseError
 
 AgentId = str
 Pair = frozenset  # frozenset[AgentId] of size two
@@ -158,11 +160,15 @@ class RoommatesInstance:
     def core(self) -> MarketCore:
         """The market interned as integers, built once from ``ranks`` and cached.
 
-        A list that names an unknown agent, its owner, one agent twice, or
-        an agent that does not list its owner back cannot be mirrored; it
-        raises :class:`InvalidInstanceError` with :func:`validate`'s
-        violations.  Building it costs O(n + m) for ``n`` agents and ``m``
-        list entries.
+        The build proves the four list rules: a list that names an unknown
+        agent, its owner, one agent twice, or an agent that does not list
+        its owner back cannot be mirrored, and raises
+        :class:`InvalidInstanceError` with :func:`validate`'s violations
+        (:class:`InternalError` if there are none).  It checks no other
+        rule: :func:`parse_instance`'s grammar enforces identifiers, the
+        kind, side labels and the addable pool, and the parse checks that
+        ``sm`` lists name only the other side.  Building it costs
+        O(n + m) for ``n`` agents and ``m`` list entries.
         """
         prefs, ranks = self.prefs, self.ranks
         names = tuple(sorted(prefs))
@@ -184,7 +190,7 @@ class RoommatesInstance:
                 return MarketCore(names, MappingProxyType(index), tuple(pref), tuple(mirror), whole)
         except KeyError:  # an unknown agent, or one that does not list ``u`` back
             pass
-        raise InvalidInstanceError(validate(self))
+        raise _rejection(self)
 
     @cached_property
     def acceptable_pairs(self) -> frozenset:
@@ -282,6 +288,18 @@ def validate(inst: RoommatesInstance) -> list[str]:
     return out
 
 
+def _rejection(inst: RoommatesInstance) -> Exception:
+    """The error for a market that broke a list rule: :func:`validate`'s violations.
+
+    A rule check that fails where :func:`validate` finds nothing is a fault
+    of this package, never bad input, so it is an :class:`InternalError`.
+    """
+    violations = validate(inst)
+    return InvalidInstanceError(violations) if violations else InternalError(
+        f"a list rule failed on an {inst.kind} market that validate accepts"
+    )
+
+
 def _reject_unknown(unknown, what: str) -> None:
     if unknown:
         raise ValueError(f"unknown {what}: {' '.join(sorted(map(str, unknown)))}")
@@ -367,11 +385,17 @@ def _check_id(token: str, lineno: int) -> str:
 
 
 def parse_instance(text: str) -> RoommatesInstance:
-    """Parse the instance file format and validate the result.
+    """Parse the instance file format and prove the result valid.
 
+    The grammar enforces every rule outside the lists: identifiers, the
+    ``sr``/``sm`` kind, side labels (each ``sm`` agent has one, no ``sr``
+    agent has any) and an addable pool of declared agents.  Building
+    ``inst.core``, which the returned instance keeps for every later
+    engine call, proves the four list rules (see ``core``), and one set
+    test per list here proves that ``sm`` lists name only the other side.
     Raises :class:`ParseError` on malformed text and
-    :class:`InvalidInstanceError`, listing every violation, when the
-    parsed instance breaks an invariant.
+    :class:`InvalidInstanceError` with :func:`validate`'s violations, all
+    of them in its order, when a list rule fails.
     """
     kind: str | None = None
     agents: dict[AgentId, None] = {}  # declaration order, O(1) membership
@@ -433,9 +457,11 @@ def parse_instance(text: str) -> RoommatesInstance:
         raise ParseError(f"missing pref line for: {' '.join(sorted(missing))}")
 
     inst = RoommatesInstance(kind=kind, prefs=prefs, side=side, addable=frozenset(addable))
-    violations = validate(inst)
-    if violations:
-        raise InvalidInstanceError(violations)
+    inst.core  # proves the four list rules, or raises with validate's violations
+    # Every sm agent has a side and lists only the other side; sr has no sides.
+    other = {s: frozenset(u for u, t in side.items() if t != s) for s in "ab"}
+    if not all(other[s].issuperset(prefs[u]) for u, s in side.items()):
+        raise _rejection(inst)
     return inst
 
 

@@ -14,6 +14,7 @@ from helpers import (
     paired_triangles,
     spurious_odd_party,
 )
+from stablectl import cli, model
 from stablectl.cli import main
 from stablectl.generators import random_sr
 from stablectl.model import parse_instance, parse_matching, serialize_instance
@@ -481,6 +482,16 @@ def test_internal_value_error_is_not_reported_as_invalid_input(
         main(["solve", path, "--problem", "delag-mp", "--target-pair", "a,b", "--budget", "1"])
 
 
+def test_a_list_rule_that_validate_does_not_see_exits_1(instance_file, capsys, monkeypatch):
+    monkeypatch.setattr(model, "validate", lambda inst: [])
+    for command in ("validate", "stable"):
+        assert run(capsys, command, instance_file(ASYMMETRIC)) == (
+            1,
+            "",
+            "error: a list rule failed on an sr market that validate accepts\n",
+        )
+
+
 def test_stable_reports_an_engine_fault_as_an_error(instance_file, capsys, monkeypatch):
     fault_the_engine(monkeypatch, all_alone)
     code, out, err = run(capsys, "stable", instance_file(THREE_CYCLE))
@@ -531,6 +542,63 @@ def test_a_faulty_witness_prints_an_error_and_exits_1(fault, message, instance_f
         code, out, err = run(capsys, "solve", path, "--problem", *query, "--budget", "5")
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+
+def test_a_market_command_builds_one_core_in_the_parse(instance_file, capsys, monkeypatch, tmp_path):
+    counts = count_engine_calls(monkeypatch)
+    parsed = []
+
+    def parse(text):
+        inst = parse_instance(text)
+        parsed.append("core" in vars(inst))
+        return inst
+
+    monkeypatch.setattr(cli, "parse_instance", parse)
+    matching = tmp_path / "target.matching"
+    matching.write_text("match u00 u01\n", encoding="utf-8")
+    path = instance_file(serialize_instance(random_sr(12, 0.6, 3)))
+    commands = [
+        ["stable", path],
+        ["stable", path, "--partition"],
+        ["solve", path, "--problem", "delag-mp", "--target-pair", "u00,u01", "--budget", "3"],
+        ["solve", path, "--problem", "delag-ma", "--target-agent", "u00", "--budget", "3"],
+        ["solve", path, "--problem", "delacc-ms", "--target-matching", str(matching), "--budget", "9"],
+    ]
+    for argv in commands:
+        counts["tables"] = 0
+        parsed.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err, parsed, counts["tables"]) == (0, "", [True], 1), argv
+
+
+def test_repeated_commands_in_one_process_print_what_the_first_printed(instance_file, capsys):
+    good, bad = instance_file(THREE_CYCLE), instance_file(ASYMMETRIC, "bad.sr")
+    commands = [
+        ["validate", good],
+        ["stable", good, "--partition"],
+        ["solve", good, "--problem", "delag-mp", "--target-pair", "a,b", "--budget", "1"],
+        ["solve", good, "--budget", "1"],  # usage error: --problem is missing
+        ["validate", bad],
+        ["stable", good, "--cap"],  # usage error: --cap needs a value
+        ["solve", good, "--problem", "delag-mp", "--budget", "1"],
+        ["validate", instance_file(MALFORMED, "malformed.sr")],
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli.build_parser.cache_clear()
+    first = [call(argv) for argv in commands]
+    assert [code for code, _, _ in first] == [0, 0, 0, ("exit", 2), 3, ("exit", 2), 3, 2]
+    assert first[3][2].startswith("usage: stablectl solve ")
+    for argv, expected in [*zip(commands, first), *zip(commands[::-1], first[::-1])]:
+        assert call(argv) == expected, argv
+    assert cli.build_parser() is cli.build_parser()
 
 
 # -- module entry point ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import pickle
 import random
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from helpers import mutual_pair, three_cycle, two_by_two_sm
 from stablectl.control import DELETE_AGENTS, ControlGoal, ControlQuery
 from stablectl.classic import fixing_deletions
-from stablectl.errors import InvalidInstanceError, ParseError
+from stablectl import model
+from stablectl.errors import InternalError, InvalidInstanceError, ParseError
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import (
     delete_agents,
@@ -299,6 +301,93 @@ def test_validate_matches_the_multi_loop_reference():
         assert validate(inst) == expected, (inst, expected)
         flagged += bool(expected)
     assert 1000 < flagged < len(corpus)
+
+
+def instance_text(inst):
+    """``inst`` in the file format, also when it breaks a rule that the parser enforces."""
+    lines = [f"problem: {inst.kind}"]
+    for u in sorted(inst.agents | inst.addable):
+        side = f" side={inst.side[u]}" if u in inst.side else ""
+        lines.append(f"agent {u}{side}{' addable' if u in inst.addable else ''}")
+    lines += [f"pref {u}: {' > '.join(inst.prefs[u])}" for u in sorted(inst.agents)]
+    return "\n".join(lines) + "\n"
+
+
+def same_side_market(rng: random.Random):
+    """A seeded SM market with a few same-side entries, some listed back and some not."""
+    base = random_sm(rng.randint(1, 6), rng.randint(1, 6), rng.choice([0.3, 0.7, 1.0]), rng.randrange(10**6))
+    prefs = {u: list(lst) for u, lst in base.prefs.items()}
+    for _ in range(rng.randint(1, 3)):
+        u = rng.choice(sorted(prefs))
+        mates = sorted(v for v in prefs if v != u and base.side[v] == base.side[u] and v not in prefs[u])
+        if mates:
+            v = rng.choice(mates)
+            prefs[u].insert(rng.randint(0, len(prefs[u])), v)
+            if rng.random() < 0.6:  # mutual, so only the side rule breaks
+                prefs[v].insert(rng.randint(0, len(prefs[v])), u)
+    return make_sm(prefs, side=base.side, addable=base.addable)
+
+
+# SHA-256 over every ParseError message that the corpus of
+# ``test_parse_decides_validity_as_validate_does`` raises; any change to a
+# message, its line number or which texts fail to parse changes it.
+PARSE_ERROR_DIGEST = "352a18bc6bcc07a5bfc11bb10fd458f9f9144dce545bb3627aa46b6bfc1a2bc2"
+PARSER_RULES = (
+    "unknown problem kind",
+    "invalid agent identifier",
+    "has no valid side label",
+    "side labels are only allowed",
+    "is not part of the instance",
+)
+
+
+def test_parse_decides_validity_as_validate_does():
+    rng = random.Random(20261019)
+    corpus = [corrupted_instance(rng) for _ in range(2400)] + [same_side_market(rng) for _ in range(1000)]
+    digest, outcomes = hashlib.sha256(), {"parse": 0, "invalid": 0, "side": 0, "valid": 0}
+    for inst in corpus:
+        violations = validate(inst)
+        try:
+            parsed = parse_instance(instance_text(inst))
+        except ParseError as exc:
+            assert any(rule in v for v in violations for rule in PARSER_RULES), (inst, exc)
+            digest.update(f"{exc}\n".encode())
+            outcomes["parse"] += 1
+        except InvalidInstanceError as exc:
+            assert exc.violations == violations != [], inst
+            outcomes["side" if all(v.startswith("same-side") for v in violations) else "invalid"] += 1
+        else:
+            assert violations == [] and parsed == inst and "core" in vars(parsed), inst
+            outcomes["valid"] += 1
+    assert digest.hexdigest() == PARSE_ERROR_DIGEST
+    assert len(corpus) - outcomes["parse"] >= 2000
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+@pytest.mark.parametrize(
+    "prefs",
+    [{"a": ["b"], "b": []}, {"a": ["a"]}, {"a": ["b", "b"], "b": ["a"]}, {"a": ["x"]}],
+)
+def test_a_list_rule_that_validate_does_not_see_is_an_internal_error(monkeypatch, prefs):
+    monkeypatch.setattr(model, "validate", lambda inst: [])
+    inst = make_sr(prefs)
+    with pytest.raises(InternalError, match="validate accepts"):
+        inst.core
+    with pytest.raises(InternalError, match="validate accepts"):
+        parse_instance(instance_text(inst))
+
+
+def test_a_side_rule_that_validate_does_not_see_is_an_internal_error(monkeypatch):
+    inst = make_sm({"m": ["n"], "n": ["m"], "w": []}, side={"m": "a", "n": "a", "w": "b"})
+    with pytest.raises(InvalidInstanceError) as err:
+        parse_instance(instance_text(inst))
+    assert err.value.violations == [
+        "same-side preference entry n on list of m",
+        "same-side preference entry m on list of n",
+    ]
+    monkeypatch.setattr(model, "validate", lambda inst: [])
+    with pytest.raises(InternalError, match="validate accepts"):
+        parse_instance(instance_text(inst))
 
 
 def test_agents_are_the_keys_of_the_preference_lists():
