@@ -15,7 +15,7 @@ Library layout:
 * :mod:`stablectl.exact`: the brute-force ground-truth solver.
 * :mod:`stablectl.reductions`: graph-to-control-instance constructions
   with brute-force clique/independent-set oracles.
-* :mod:`stablectl.generators`: seeded random instances and queries.
+* :mod:`stablectl.generators`: seeded random instances.
 * :mod:`stablectl.cli`: the ``stablectl`` command line front end.
 """
 

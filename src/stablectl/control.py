@@ -103,7 +103,11 @@ def validate_query(query: ControlQuery) -> list[str]:
     The goal carries exactly the target :data:`GOAL_TARGETS` names for its
     kind: an original agent, an acceptable pair of original agents, or a
     matching (:func:`check_matching`), perfect under agent addition or
-    deletion.  A malformed target is reported, never raised.
+    deletion.  A malformed target is reported, never raised.  A market
+    that breaks a list rule raises
+    :class:`~stablectl.errors.InvalidInstanceError` when its ``core`` is
+    built: here for a matching goal, whose test never runs the partition
+    engine, and by the engine for every other goal.
     """
     inst = query.instance
     out: list[str] = []
@@ -141,6 +145,7 @@ def validate_query(query: ControlQuery) -> list[str]:
         elif not inst.acceptable(*target):
             out.append(f"target pair {pair_text(target)} is not acceptable")
     elif field == "matching":
+        inst.core  # an ``ms`` answer runs no engine: prove the list rules here, or raise
         try:
             partners = check_matching(inst, target)
         except ValueError as exc:

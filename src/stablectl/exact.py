@@ -5,10 +5,16 @@ lexicographically within one cardinality, so the reported optimum is the
 true minimum and the witness is the smallest successful set in that
 order.  The search refuses instances whose candidate count exceeds the
 cap instead of truncating: answers are exact or absent, never
-approximate.  Adding or deleting agents never repairs a list, so a
-market that the partition engine rejects stays rejected in every subset
-tried, and the search raises :class:`InvalidInstanceError` on it as the
-polynomial solvers do.
+approximate.
+
+A market that breaks a list rule raises :class:`InvalidInstanceError`
+before it is answered, as it does under :func:`stablectl.poly.solve`.
+:func:`~stablectl.control.validate_query` builds its core for a matching
+goal, whose test never runs the partition engine.  For every other goal
+the engine builds the core of the first subset tried, which under agent
+or acceptability deletion is the market itself.  Under agent addition it
+is the market without its pool, so a broken list of a pool agent raises
+once a subset adds that agent.
 
 The search result does not depend on the budget, so it runs once per
 action and goal on an instance and is kept in that instance's

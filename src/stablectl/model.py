@@ -213,15 +213,6 @@ class RoommatesInstance:
         """``p in self.acceptable_pairs``, without building that set."""
         return isinstance(p, frozenset) and len(p) == 2 and self.acceptable(*p)
 
-    def rank(self, u: AgentId, v: AgentId) -> int:
-        """Position of ``v`` on ``u``'s list (0 = most preferred)."""
-        return self.ranks[u][v]
-
-    def prefers(self, u: AgentId, x: AgentId, y: AgentId) -> bool:
-        """True iff ``u`` strictly prefers ``x`` to ``y``."""
-        r = self.ranks[u]
-        return r[x] < r[y]
-
 
 def make_instance(
     kind: str,

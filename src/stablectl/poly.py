@@ -1,7 +1,8 @@
 """Polynomial-time control solvers and the solver dispatch.
 
-Three problems admit efficient algorithms and are solved here exactly
-(:data:`POLY_PROBLEMS`):
+Three problems admit efficient algorithms and are solved here exactly;
+:data:`POLY_SOLVERS` maps each, as (action, goal kind), to the call that
+answers it, and :data:`POLY_PROBLEMS` is its key set:
 
 * agent deletion with a pair goal (:func:`solve_delag_mp`),
 * agent deletion with an agent goal (:func:`solve_delag_ma`), reduced to
@@ -57,12 +58,6 @@ from .exact import DEFAULT_CANDIDATE_CAP, solve_exact
 from .model import AgentId, Matching, Pair, RoommatesInstance, pair_text
 from .stability import blocking_pairs, is_stable
 
-# (action, goal kind) of each problem with a polynomial solver below.
-POLY_PROBLEMS = frozenset(
-    {(DELETE_AGENTS, "mp"), (DELETE_AGENTS, "ma"), (DELETE_ACCEPTABILITY, "ms")}
-)
-
-
 def solve_delag_mp(inst: RoommatesInstance, target: Pair, budget: int) -> ControlOutcome:
     """Agent deletion until ``target`` lies in some stable matching."""
     a, b = sorted(target)
@@ -107,6 +102,7 @@ def solve_delag_ma(inst: RoommatesInstance, target: AgentId, budget: int) -> Con
     """
     if target not in inst.agents:
         raise ValueError(f"unknown agent {target!r}")
+    inst.core  # a rejected market raises here, even where ``target`` has no partner
     best: tuple[FixingContext, PartitionDiagnosis] | None = None
     for ctx in partner_fixings(inst, target):
         diag = diagnose_fixed_instance(ctx)
@@ -134,6 +130,17 @@ def solve_delacc_ms(inst: RoommatesInstance, matching: Matching, budget: int) ->
     return ControlOutcome(verdict=optimum <= budget, optimum=optimum, witness=blockers)
 
 
+# The call that answers each problem with a polynomial solver, keyed by
+# (action, goal kind).  Each entry looks its solver up when it runs, so a
+# solver rebound on this module is the one called.
+POLY_SOLVERS = {
+    (DELETE_AGENTS, "mp"): lambda q: solve_delag_mp(q.instance, q.goal.pair, q.budget),
+    (DELETE_AGENTS, "ma"): lambda q: solve_delag_ma(q.instance, q.goal.agent, q.budget),
+    (DELETE_ACCEPTABILITY, "ms"): lambda q: solve_delacc_ms(q.instance, q.goal.matching, q.budget),
+}
+POLY_PROBLEMS = frozenset(POLY_SOLVERS)
+
+
 def solve(
     query: ControlQuery, method: str = "auto", cap: int = DEFAULT_CANDIDATE_CAP
 ) -> ControlOutcome:
@@ -145,9 +152,9 @@ def solve(
     :class:`InvalidQueryError` for a malformed query or a ``"poly"``
     request on a problem without a polynomial solver.
     """
-    is_poly = (query.action, query.goal.kind) in POLY_PROBLEMS
+    solver = POLY_SOLVERS.get((query.action, query.goal.kind))
     if method == "auto":
-        method = "poly" if is_poly else "exact"
+        method = "exact" if solver is None else "poly"
     if method == "exact":
         return solve_exact(query, cap=cap)
     if method != "poly":
@@ -155,11 +162,6 @@ def solve(
     problems = validate_query(query)
     if problems:
         raise InvalidQueryError("; ".join(problems))
-    if not is_poly:
+    if solver is None:
         raise InvalidQueryError(f"no polynomial solver for {query.action}-{query.goal.kind}")
-    inst, goal, budget = query.instance, query.goal, query.budget
-    if goal.kind == "mp":
-        return solve_delag_mp(inst, goal.pair, budget)
-    if goal.kind == "ma":
-        return solve_delag_ma(inst, goal.agent, budget)
-    return solve_delacc_ms(inst, goal.matching, budget)
+    return solver(query)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .control import ControlGoal, ControlQuery
+from .control import ADD_AGENTS, ControlGoal, ControlQuery
 from .errors import CapExceededError, ParseError
 from .model import ID_RE, SM, SR, Pair, content_lines, make_instance
 
@@ -208,7 +208,7 @@ def clique_to_csm_addag(graph: UndirectedGraph, k: int, goal_kind: str = "ma") -
     goal = ControlGoal.ma(wstar) if goal_kind == "ma" else ControlGoal.epsm()
     budget = k + k * (k - 1) // 2
     return ReductionResult(
-        query=ControlQuery(instance=inst, action="addag", goal=goal, budget=budget),
+        query=ControlQuery(instance=inst, action=ADD_AGENTS, goal=goal, budget=budget),
         name_map=name_map,
     )
 
@@ -247,7 +247,7 @@ def is_to_csr_addag_ms(graph: UndirectedGraph, k: int) -> ReductionResult:
     return ReductionResult(
         query=ControlQuery(
             instance=inst,
-            action="addag",
+            action=ADD_AGENTS,
             goal=ControlGoal.ms(matching),
             budget=2 * len(vs) - k,
         ),
@@ -289,6 +289,6 @@ def is_to_csr_addag_existssm(
     inst = make_instance(SR, prefs, addable=frozenset(vertex.values()))
     goal = ControlGoal.esm() if goal_kind == "esm" else ControlGoal.epsm()
     return ReductionResult(
-        query=ControlQuery(instance=inst, action="addag", goal=goal, budget=k),
+        query=ControlQuery(instance=inst, action=ADD_AGENTS, goal=goal, budget=k),
         name_map=name_map,
     )

@@ -16,9 +16,10 @@ builds no set of them.  It also answers for the market left once some
 agents and some pairs are deleted, on the instance itself, so a
 certificate builds no smaller market to check a witness.
 
-The enumeration here is the ground-truth substrate used by the exact
-solvers and the test-suite oracles.  It is deliberately exhaustive and
-refuses (rather than truncates) when an instance exceeds the size cap.
+The enumeration here lists every stable matching for ``stablectl stable
+--enumerate`` and serves as the test-suite oracle.  It is deliberately
+exhaustive and refuses (rather than truncates) when an instance exceeds
+the size cap.
 """
 
 from __future__ import annotations

@@ -11,8 +11,15 @@ import pytest
 
 from stablectl import classic, model
 from stablectl.classic import StablePartition
-from stablectl.control import action_universe
-from stablectl.model import make_sm, make_sr
+from stablectl.control import (
+    ACTIONS,
+    ADD_AGENTS,
+    DELETE_AGENTS,
+    ControlGoal,
+    ControlQuery,
+    action_universe,
+)
+from stablectl.model import SM, RoommatesInstance, make_instance, make_sm, make_sr
 from stablectl.stability import check_matching
 
 
@@ -232,6 +239,11 @@ def pairs_of(*pairs):
     return frozenset(frozenset(p) for p in pairs)
 
 
+def prefers(inst, u, x, y):
+    """Whether ``u`` strictly prefers ``x`` to ``y`` in ``inst``."""
+    return inst.ranks[u][x] < inst.ranks[u][y]
+
+
 def partner_map(matching):
     """Each matched agent's partner."""
     return {u: v for p in matching for u, v in (tuple(p), tuple(p)[::-1])}
@@ -258,3 +270,87 @@ def candidate_actions(query):
 def original_agents(query):
     """The original market: every agent outside the addable pool."""
     return query.instance.agents - query.instance.addable
+
+
+def _random_maximal_matching(inst: RoommatesInstance, rng: random.Random) -> set:
+    pairs = sorted(inst.acceptable_pairs, key=lambda p: tuple(sorted(p)))
+    rng.shuffle(pairs)
+    used: set = set()
+    matching = set()
+    for p in pairs:
+        if not (p & used):
+            matching.add(p)
+            used |= p
+    return matching
+
+
+def _with_fillers(inst: RoommatesInstance, rng: random.Random):
+    """Extend a random maximal matching to a perfect one with fresh partners.
+
+    Agents left unmatched get a brand-new filler agent appended to the end
+    of their list; the filler lists only them.  Returns the widened
+    instance and the perfect matching.
+    """
+    matching = _random_maximal_matching(inst, rng)
+    covered = set().union(*matching) if matching else set()
+    prefs = {u: list(lst) for u, lst in inst.prefs.items()}
+    side = dict(inst.side)
+    for i, u in enumerate(sorted(inst.agents - covered)):
+        filler = f"f{i:02d}"
+        if filler in prefs:
+            raise ValueError("filler name collides with an existing agent")
+        prefs[u].append(filler)
+        prefs[filler] = [u]
+        if inst.kind == SM:
+            side[filler] = "a" if side[u] == "b" else "b"
+        matching.add(frozenset((u, filler)))
+    widened = make_instance(inst.kind, prefs, side=side, addable=inst.addable)
+    return widened, frozenset(matching)
+
+
+def random_query(inst: RoommatesInstance, action: str, goal_kind: str, seed: int) -> ControlQuery:
+    """A valid random query over ``inst`` for the given action and goal.
+
+    For agent addition a random non-empty strict subset of the agents is
+    marked addable.  Matching goals draw a random maximal matching,
+    extended to a perfect one with fresh filler agents where the action's
+    convention demands perfection.  Raises ``ValueError`` when no legal
+    target exists.
+    """
+    if action not in ACTIONS:
+        raise ValueError(f"unknown action {action!r}")
+    rng = random.Random(seed)
+    if action == ADD_AGENTS:
+        if not inst.agents:
+            raise ValueError("cannot mark addable agents on an empty instance")
+        agents = sorted(inst.agents)
+        pool_size = rng.randint(1, max(1, len(agents) - 2)) if len(agents) > 1 else 1
+        inst = make_instance(
+            inst.kind, inst.prefs, side=inst.side, addable=rng.sample(agents, pool_size)
+        )
+    originals = sorted(inst.agents - inst.addable)
+    budget = rng.randint(0, max(1, len(inst.agents) // 2))
+
+    if goal_kind == "ma":
+        if not originals:
+            raise ValueError("no agent available as a target")
+        goal = ControlGoal.ma(rng.choice(originals))
+    elif goal_kind == "mp":
+        legal = sorted(
+            (p for p in inst.acceptable_pairs if p <= set(originals)),
+            key=lambda p: tuple(sorted(p)),
+        )
+        if not legal:
+            raise ValueError("no acceptable pair available as a target")
+        goal = ControlGoal.mp(rng.choice(legal))
+    elif goal_kind == "ms":
+        if action == DELETE_AGENTS or action == ADD_AGENTS:
+            inst, matching = _with_fillers(inst, rng)
+        else:
+            matching = frozenset(_random_maximal_matching(inst, rng))
+        goal = ControlGoal.ms(matching)
+    elif goal_kind in ("esm", "epsm"):
+        goal = ControlGoal(kind=goal_kind)
+    else:
+        raise ValueError(f"unknown goal kind {goal_kind!r}")
+    return ControlQuery(instance=inst, action=action, goal=goal, budget=budget)

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import covered_agents, is_perfect, partner_map
+from helpers import covered_agents, is_perfect, partner_map, prefers
 from stablectl.classic import (
     gale_shapley,
     irving_stable_matching,
@@ -188,7 +188,7 @@ def test_criterion_6_gale_shapley_proposer_optimal():
                         if inst.side[u] != side or u not in theirs:
                             continue
                         assert u in mine  # equal coverage across stable matchings
-                        assert not inst.prefers(u, theirs[u], mine[u])
+                        assert not prefers(inst, u, theirs[u], mine[u])
 
 
 def _four_vertex_graph_classes():

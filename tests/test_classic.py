@@ -22,6 +22,7 @@ from helpers import (
     paired_triangles,
     pairs_of,
     partner_map,
+    prefers,
     random_sr_instance,
     skip_proposals,
     spurious_odd_party,
@@ -102,7 +103,7 @@ def test_gs_output_is_stable_and_proposer_optimal():
             for m in inst.agents:
                 if inst.side[m] != "a" or m not in partner or m not in best_partner:
                     continue
-                assert not inst.prefers(m, partner[m], best_partner[m])
+                assert not prefers(inst, m, partner[m], best_partner[m])
 
 
 # -- tan_stable_partition ---------------------------------------------------

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from helpers import (
     paired_triangles,
     spurious_odd_party,
 )
+import stablectl
 from stablectl import cli, model
 from stablectl.cli import main
 from stablectl.generators import random_sr
@@ -607,9 +610,12 @@ def test_repeated_commands_in_one_process_print_what_the_first_printed(instance_
 def test_python_dash_m_entry(tmp_path):
     path = tmp_path / "inst.sr"
     path.write_text(VALID, encoding="utf-8")
+    # The child imports the package under test, not an installed copy.
+    env = {**os.environ, "PYTHONPATH": str(Path(stablectl.__file__).resolve().parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "stablectl", "validate", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "ok"

@@ -9,6 +9,7 @@ from helpers import (
     mutual_pair,
     original_agents,
     pairs_of,
+    random_query,
     spurious_odd_party,
     three_cycle,
     top_pair_and_loner,
@@ -26,7 +27,7 @@ from stablectl.control import (
     validate_query,
 )
 from stablectl.errors import InternalError, InvalidQueryError
-from stablectl.generators import random_query, random_sm, random_sr
+from stablectl.generators import random_sm, random_sr
 from stablectl.model import make_sr, pair
 from stablectl.stability import enumerate_stable_matchings
 

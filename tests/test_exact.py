@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import candidate_actions, mutual_pair, three_cycle
+from helpers import candidate_actions, mutual_pair, random_query, three_cycle
 from stablectl import exact
 from stablectl.classic import tan_stable_partition
 from stablectl.control import (
@@ -20,7 +20,7 @@ from stablectl.control import (
 )
 from stablectl.errors import CapExceededError, InvalidQueryError
 from stablectl.exact import solve_exact
-from stablectl.generators import random_query, random_sm, random_sr
+from stablectl.generators import random_sm, random_sr
 from stablectl.model import make_sr, pair
 from stablectl.reductions import is_to_csr_addag_existssm, make_graph
 

@@ -1,8 +1,8 @@
 import pytest
 
-from helpers import covered_agents
+from helpers import covered_agents, random_query
 from stablectl.control import ADD_AGENTS, DELETE_ACCEPTABILITY, DELETE_AGENTS, validate_query
-from stablectl.generators import random_query, random_sm, random_sr
+from stablectl.generators import random_sm, random_sr
 from stablectl.model import validate
 
 

@@ -4,6 +4,8 @@
 * No module imports another module's private (``_``-prefixed) names, nor
   reads a private attribute (``obj._name``) that it does not define itself.
 * The module import graph is acyclic.
+* :mod:`stablectl.generators` builds instances from :mod:`stablectl.model`
+  alone: it imports no other package module.
 * Every import from outside the package, at any level, is of a standard
   library module: the core has no third-party dependency.
 * Every ``(module, function)`` pair that the benchmark's tracer wraps
@@ -113,6 +115,11 @@ def test_module_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, ())
+
+
+def test_generators_import_only_the_model():
+    tree = modules()["generators"]
+    assert {dep for _, deps in package_imports(tree) for dep in deps} == {"model"}
 
 
 def test_package_imports_only_the_standard_library():

@@ -588,12 +588,12 @@ def test_rank_map_is_read_only_and_built_once_per_instance():
     assert ranks == {u: {v: i for i, v in enumerate(lst)} for u, lst in inst.prefs.items()}
     u = next(u for u, lst in sorted(inst.prefs.items()) if lst)
     v = inst.prefs[u][0]
-    assert ranks[u][v] == inst.rank(u, v) == 0
+    assert ranks[u][v] == 0
     with pytest.raises(TypeError):
         ranks[u] = {}
     with pytest.raises(TypeError):
         ranks[u][v] = 1
-    assert inst.rank(u, v) == 0
+    assert inst.ranks[u][v] == 0
     assert pickle.loads(pickle.dumps(inst)) == inst
 
 
@@ -625,7 +625,7 @@ def test_instances_keep_no_handle_on_their_inputs():
     for inst in built:
         assert inst.prefs == {"m": ("w",), "w": ("m",)}
         assert inst.side == {"m": "a", "w": "b"}
-        assert inst.rank("w", "m") == 0 and not validate(inst)
+        assert inst.ranks["w"]["m"] == 0 and not validate(inst)
 
 
 def test_instances_and_queries_hash_by_value():

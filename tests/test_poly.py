@@ -13,16 +13,26 @@ from helpers import (
     match_an_agent_twice,
     mutual_pair,
     pairs_of,
+    prefers,
+    random_query,
     three_cycle,
 )
 from stablectl import classic, poly
-from stablectl.control import ACTIONS, DELETE_AGENTS, GOAL_KINDS, ControlGoal, ControlQuery
-from stablectl.errors import InternalError, InvalidQueryError
+from stablectl.control import (
+    ACTIONS,
+    ADD_AGENTS,
+    DELETE_AGENTS,
+    GOAL_KINDS,
+    ControlGoal,
+    ControlQuery,
+)
+from stablectl.errors import InternalError, InvalidInstanceError, InvalidQueryError
 from stablectl.exact import solve_exact
-from stablectl.generators import random_query, random_sm, random_sr
+from stablectl.generators import random_sm, random_sr
 from stablectl.model import delete_agents, delete_pairs, make_instance, make_sr, pair
 from stablectl.poly import (
     POLY_PROBLEMS,
+    POLY_SOLVERS,
     fixing_deletions,
     solve_delacc_ms,
     solve_delag_ma,
@@ -73,7 +83,7 @@ def test_fixing_makes_target_mutually_top():
             # Agents that outrank the target hold no options below it.
             for x in ctx.a_star:
                 for y in ctx.reduced.prefs[x]:
-                    assert y != a and not inst.prefers(x, a, y)
+                    assert y != a and not prefers(inst, x, a, y)
 
 
 def test_fixing_matches_the_pairwise_rule():
@@ -88,8 +98,8 @@ def test_fixing_matches_the_pairwise_rule():
     for inst in markets:
         for target in sorted(inst.acceptable_pairs, key=sorted):
             a, b = sorted(target)
-            a_star = {x for x in inst.prefs[a] if inst.prefers(a, x, b)}
-            b_star = {x for x in inst.prefs[b] if inst.prefers(b, x, a)}
+            a_star = {x for x in inst.prefs[a] if prefers(inst, a, x, b)}
+            b_star = {x for x in inst.prefs[b] if prefers(inst, b, x, a)}
             # {x, y} goes when x is in a star and y is that star's endpoint
             # or an agent x ranks below it.
             doomed = {
@@ -97,7 +107,7 @@ def test_fixing_matches_the_pairwise_rule():
                 for star, anchor in ((a_star, a), (b_star, b))
                 for x in star
                 for y in inst.prefs[x]
-                if y == anchor or inst.prefers(x, anchor, y)
+                if y == anchor or prefers(inst, x, anchor, y)
             }
             ctx = fixing_deletions(inst, a, b)
             assert (ctx.a_star, ctx.b_star) == (a_star, b_star)
@@ -420,6 +430,7 @@ def small_queries(action, kind, count=4):
 
 def test_poly_problems_are_the_three_tractable_ones():
     assert POLY_PROBLEMS == {("delag", "mp"), ("delag", "ma"), ("delacc", "ms")}
+    assert POLY_PROBLEMS == frozenset(POLY_SOLVERS)
     assert len(ALL_PROBLEMS) == 15 and len(OTHER_PROBLEMS) == 12
 
 
@@ -457,6 +468,26 @@ def test_solve_rejects_an_unknown_method():
     q = small_queries("delag", "mp", count=1)[0]
     with pytest.raises(ValueError, match="unknown method"):
         poly.solve(q, method="fast")
+
+
+@pytest.mark.parametrize("method", ["auto", "exact"])
+@pytest.mark.parametrize("action", ACTIONS)
+def test_solve_rejects_a_malformed_market_under_a_matching_goal(action, method):
+    # a lists c, but c does not list a back; {ab, cd} is stable where that entry is ignored.
+    prefs = {"a": ["b", "c"], "b": ["a", "d"], "c": ["d"], "d": ["c", "b"]}
+    inst = make_sr(prefs, addable=["d"] if action == ADD_AGENTS else [])
+    query = ControlQuery(inst, action, ControlGoal.ms(pairs_of("ab", "cd")), 1)
+    with pytest.raises(InvalidInstanceError, match="asymmetric acceptability between a and c"):
+        poly.solve(query, method=method)
+
+
+@pytest.mark.parametrize("method", ["auto", "poly", "exact"])
+def test_solve_rejects_a_malformed_market_under_an_agent_goal_without_partners(method):
+    # b lists c, but c does not list b back; the target a has no partner at all.
+    inst = make_sr({"a": [], "b": ["c"], "c": []})
+    query = ControlQuery(inst, DELETE_AGENTS, ControlGoal.ma("a"), 1)
+    with pytest.raises(InvalidInstanceError, match="asymmetric acceptability between b and c"):
+        poly.solve(query, method=method)
 
 
 @pytest.mark.parametrize("action,kind", sorted(POLY_PROBLEMS))

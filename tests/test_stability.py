@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from helpers import covered_agents, is_perfect, mutual_pair, pairs_of, three_cycle, two_by_two_sm
+from helpers import (
+    covered_agents,
+    is_perfect,
+    mutual_pair,
+    pairs_of,
+    prefers,
+    three_cycle,
+    two_by_two_sm,
+)
 from stablectl.errors import CapExceededError, InvalidInstanceError
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import delete_pairs, make_sr, validate
@@ -126,7 +134,7 @@ def test_blocking_pairs_match_the_definition_on_every_matching():
                 p
                 for p in inst.acceptable_pairs - matching
                 if all(
-                    partner.get(u) is None or inst.prefers(u, v, partner[u])
+                    partner.get(u) is None or prefers(inst, u, v, partner[u])
                     for u, v in (tuple(p), tuple(p)[::-1])
                 )
             }
