@@ -22,7 +22,8 @@ Four entry points:
   matching they leave off the same partition.  Fixing is a
   set of tail cuts on the integer core of the queried instance, and the
   engine runs from those tails, so no fixed instance is built on the way
-  to an answer (``FixingContext.reduced`` builds one on demand).
+  to an answer (``FixingContext.reduced`` builds one on demand), and no
+  partition is named on the way either (see below).
 
 The partition engine runs the classical proposal ("phase 1") table
 reduction followed by repeated rotation elimination [Irving 1985,
@@ -42,9 +43,9 @@ Every other rotation is eliminated, even one whose two tracks coincide
 as sets.  A run builds its partition as one integer successor list and
 ends by checking that list against the stable-partition axioms, on the
 same core and tails, raising :class:`InternalError` on a violation;
-only then are the agents named, once, in a :class:`StablePartition`.
-Every partition the engine returns is therefore certified, whether it
-yields a stable matching or an odd party that refutes one.
+only then does it return the list.  Every partition the engine returns
+is therefore certified, whether it yields a stable matching or an odd
+party that refutes one.
 
 Engine bookkeeping and cost, for ``n`` agents and ``m`` acceptable
 pairs: the market is interned once per instance, in O(n + m), as its
@@ -72,8 +73,23 @@ elimination shortens a list, and an elimination that shortens none
 raises :class:`InternalError`, so a run makes at most O(n + m) rotation
 steps whatever the table.  Fixing a pair costs O(n) plus one cut per
 agent the endpoints outrank.  The closing axiom check
-(:func:`_violations`) reads only the entries above each agent's
+(:func:`_violations`) finds each successor on its owner's list with one
+scan of the row and reads only the entries above each agent's
 predecessor, since no other entry can block: at most O(n + m).
+
+Naming: ``_Table.run`` returns the certified successor list over the
+core's agent indices, and the agents are named only where an answer
+leaves the module.  The core's names are sorted, so "smallest member
+first" means the same on indices as on names, and one party walk
+(:func:`_parties`) and one pair-up (:func:`_pair_up`) serve both.
+:func:`tan_stable_partition` names the list it gets, once, as a
+:class:`StablePartition` (and :func:`irving_stable_matching` pairs up
+that partition).  The pair path never names a partition to answer: a
+:class:`PartitionDiagnosis` walks the parties, counts its ``cost`` and
+pairs up its witness on integers, names only the witness, and names
+``partition`` and ``forbidden_singletons`` when they are read.  So
+:func:`~stablectl.poly.solve_delag_ma` names one witness per call, not
+a partition per partner.
 """
 
 from __future__ import annotations
@@ -117,26 +133,14 @@ class StablePartition:
         """Cycle decomposition; each cycle starts at its smallest member.
 
         Raises ``ValueError`` when ``successor`` is not a permutation of
-        its keys: the walk from an agent revisits another one, or leaves
-        the keys.
+        its keys (:func:`_parties`).
         """
-        succ, done, out = self.successor, set(), []
-        for start in sorted(succ):
-            if start not in done:
-                cycle = [start]
-                done.add(start)
-                while (nxt := succ[cycle[-1]]) != start:
-                    if nxt in done or nxt not in succ:
-                        raise ValueError("successor map is not a permutation")
-                    cycle.append(nxt)
-                    done.add(nxt)
-                out.append(tuple(cycle))
-        return tuple(sorted(out))
+        return tuple(map(tuple, _parties(self.successor, sorted(self.successor))))
 
     @cached_property
     def odd_parties(self) -> tuple:
         """The parties of odd size three or more; a stable matching exists iff there are none."""
-        return tuple(p for p in self.parties if len(p) % 2 == 1 and len(p) >= 3)
+        return tuple(filter(_is_odd, self.parties))
 
     @cached_property
     def singletons(self) -> frozenset:
@@ -148,14 +152,56 @@ class StablePartition:
         return None if self.odd_parties else self._pair_up()[1]
 
     def _pair_up(self) -> tuple[frozenset, Matching]:
-        """Drop the smallest (first) member of each odd party and pair up the rest in turn."""
-        deleted, pairs = set(), set()
-        for party in self.parties:
-            if len(party) % 2 and len(party) > 1:
-                deleted.add(party[0])
-                party = party[1:]
-            pairs.update(frozenset(party[i : i + 2]) for i in range(0, len(party) - 1, 2))
-        return frozenset(deleted), frozenset(pairs)
+        """:func:`_pair_up` on the parties: the agents it drops and the matching."""
+        dropped, pairs = _pair_up(self.parties)
+        return frozenset(dropped), frozenset(map(frozenset, pairs))
+
+
+def _parties(succ, agents: Iterable) -> list[list]:
+    """The cycles of the successor map ``succ``, each from its first member in ``agents``.
+
+    ``succ`` maps every agent of ``agents`` to one of them: a partition's
+    names in sorted order, or the engine's successor list over the indices
+    ``range(n)`` of a core, whose names are sorted, so that both walks give
+    the same parties in the same order.  Raises ``ValueError`` when the
+    walk from an agent revisits another one, or leaves the keys.
+    """
+    done, out = set(), []
+    try:
+        for start in agents:
+            if start not in done:
+                cycle = [start]
+                done.add(start)
+                while (nxt := succ[cycle[-1]]) != start:
+                    if nxt in done:
+                        raise ValueError("successor map is not a permutation")
+                    cycle.append(nxt)
+                    done.add(nxt)
+                out.append(cycle)
+    except KeyError:
+        raise ValueError("successor map is not a permutation") from None
+    return out
+
+
+def _is_odd(party: Sequence) -> bool:
+    """Whether a party is odd: of odd size three or more, so that it refutes a stable matching."""
+    return len(party) % 2 == 1 and len(party) >= 3
+
+
+def _pair_up(parties: Iterable[Sequence]) -> tuple[list, list]:
+    """Drop the smallest (first) member of each odd party and pair up the rest in turn."""
+    dropped, pairs = [], []
+    for party in parties:
+        members = iter(party)
+        if _is_odd(party):
+            dropped.append(next(members))
+        pairs += zip(members, members)
+    return dropped, pairs
+
+
+def _named(names: Sequence[AgentId], succ: Sequence[int]) -> StablePartition:
+    """The successor list ``succ`` over agent indices, as a partition of the agents ``names``."""
+    return StablePartition({names[u]: names[s] for u, s in enumerate(succ)})
 
 
 def render_partition(partition: StablePartition) -> str:
@@ -397,7 +443,7 @@ class _Table:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self, tail: Sequence[int]) -> StablePartition:
+    def run(self, tail: Sequence[int]) -> list[int]:
         """Stabilize, resolve rotations until no list has two entries, and certify.
 
         The run starts from the lists cut at ``tail`` with no proposal
@@ -411,7 +457,8 @@ class _Table:
         or more, and an elimination that shortens no list is an engine
         fault, so the loop ends.  The successor list assembled at the end
         is checked against the market cut at ``tail`` (:func:`_violations`)
-        and only then named.  Engine faults raise :class:`InternalError`.
+        and returned as it is, one successor index per agent, unnamed.
+        Engine faults raise :class:`InternalError`.
         """
         names, mirror, order, n = self.names, self.mirror, self.order, len(self.names)
         self.head = [0] * n
@@ -439,7 +486,7 @@ class _Table:
         violations = _violations(self.core, succ, tail)
         if violations:
             raise InternalError("invalid partition: " + "; ".join(violations))
-        return StablePartition({names[u]: names[s] for u, s in enumerate(succ)})
+        return succ
 
     def _assemble(self) -> list[int]:
         """``succ`` with the residual partner of each agent whose list is not empty."""
@@ -475,7 +522,13 @@ def _violations(core: MarketCore, succ: Sequence[int], tail: Sequence[int]) -> l
     for u, s in enumerate(succ):
         pred[s] = u
     # ``at[u]`` is the position of u's successor on its list, -1 when absent.
-    at = [pref[u].index(s) if s in pref[u] else -1 for u, s in enumerate(succ)]
+    at = [-1] * n
+    for u, s in enumerate(succ):
+        if s != u:
+            try:
+                at[u] = pref[u].index(s)
+            except ValueError:  # reported below as unacceptable
+                pass
     out = [
         f"successor of {names[u]} is the unacceptable agent {names[s]}"
         for u, (s, r) in enumerate(zip(succ, at))
@@ -510,7 +563,8 @@ def tan_stable_partition(
     sorted agent list; the partition returned may depend on it, but the
     multiset of odd parties never does.  Every order runs on the one
     cached integer core of ``inst``: it is mapped to agent indices once,
-    and raises ``ValueError`` unless those are a permutation.
+    and raises ``ValueError`` unless those are a permutation.  The
+    engine's certified successor list is named here, once.
     """
     core = inst.core
     if order is not None:
@@ -518,11 +572,14 @@ def tan_stable_partition(
         order = [core.index.get(u, n) for u in order]
         if len(order) != n or set(order) != set(range(n)):
             raise ValueError("order must be a permutation of the instance agents")
-    return _Table(core, order).run(core.whole)
+    return _named(core.names, _Table(core, order).run(core.whole))
 
 
 def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
-    """Some stable matching of ``inst``, or ``None`` when none exists."""
+    """Some stable matching of ``inst``, or ``None`` when none exists.
+
+    The parties of :func:`tan_stable_partition` paired up in turn.
+    """
     return tan_stable_partition(inst).stable_matching()
 
 
@@ -546,22 +603,32 @@ def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
 class FixingContext:
     """A market fixed so that a target pair is mutually top-ranked.
 
-    ``a_star`` holds the agents ``a`` prefers to ``b``; ``b_star`` the
-    agents ``b`` prefers to ``a``.  The fixed market is ``instance``'s
-    integer ``core`` with its lists cut at ``tail``: every agent of
-    ``a_star`` (resp. ``b_star``) keeps only the entries above ``a``
-    (resp. ``b``), and the tail rule of the engine kills the mirror entry
-    on the list of every agent it cut off.  The context holds no run
-    state, so any number of contexts on one instance share its core.
+    The fixed market is ``instance``'s integer ``core`` with its lists cut
+    at ``tail``: every agent that ``a`` prefers to ``b`` (resp. ``b`` to
+    ``a``) keeps only the entries above ``a`` (resp. ``b``), and the tail
+    rule of the engine kills the mirror entry on the list of every agent
+    it cut off.  ``stars`` holds those two sets of agents as the index
+    runs of ``a``'s and ``b``'s lists above the other endpoint; ``a_star``
+    and ``b_star`` name them when read.  The context holds no run state,
+    so any number of contexts on one instance share its core.
     ``reduced`` builds the fixed market as an instance.
     """
 
     instance: RoommatesInstance
     a: AgentId
     b: AgentId
-    a_star: frozenset
-    b_star: frozenset
     tail: tuple = field(repr=False, compare=False)
+    stars: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def a_star(self) -> frozenset:
+        """The agents ``a`` prefers to ``b``."""
+        return frozenset(map(self.instance.core.names.__getitem__, self.stars[0]))
+
+    @cached_property
+    def b_star(self) -> frozenset:
+        """The agents ``b`` prefers to ``a``."""
+        return frozenset(map(self.instance.core.names.__getitem__, self.stars[1]))
 
     @cached_property
     def reduced(self) -> RoommatesInstance:
@@ -578,19 +645,40 @@ class FixingContext:
 
 @dataclass(frozen=True)
 class PartitionDiagnosis:
-    """What the stable partition of a fixed instance says about deletions.
+    """What the stable partition of a fixed market says about deletions.
 
-    The partition is the engine's, so its axioms were checked on the fixed
-    market when the engine returned it; nothing here checks them again.
+    ``succ`` is the engine's successor list over the agent indices of the
+    queried instance's core, whose agents are ``names``.  Its axioms were
+    checked on the fixed market when the engine returned it; nothing here
+    checks them again.  ``forbidden`` holds its fixed points among the
+    agents in the fixing's ``stars``.  The party walk, ``cost`` and
+    :meth:`witness` run on these integers; the agents are named only in
+    the witness and when ``partition`` or ``forbidden_singletons`` is read.
     """
 
-    partition: StablePartition
-    forbidden_singletons: frozenset
+    names: tuple = field(repr=False)
+    succ: tuple
+    forbidden: frozenset
 
-    @property
+    @cached_property
+    def parties(self) -> list[list[int]]:
+        """The cycles of ``succ``, as agent indices (:func:`_parties`)."""
+        return _parties(self.succ, range(len(self.succ)))
+
+    @cached_property
     def cost(self) -> int:
         """Agent deletions needed: one per odd party and per forbidden singleton."""
-        return len(self.partition.odd_parties) + len(self.forbidden_singletons)
+        return sum(map(_is_odd, self.parties)) + len(self.forbidden)
+
+    @cached_property
+    def partition(self) -> StablePartition:
+        """The partition, named."""
+        return _named(self.names, self.succ)
+
+    @cached_property
+    def forbidden_singletons(self) -> frozenset:
+        """The singleton parties of agents that an endpoint prefers to the other, named."""
+        return frozenset(map(self.names.__getitem__, self.forbidden))
 
     def witness(self) -> tuple[frozenset, Matching]:
         """The deletions that ``cost`` counts, and the stable matching they leave.
@@ -599,8 +687,10 @@ class PartitionDiagnosis:
         :func:`partition_to_matching`, the rest pair up, and the forbidden
         singletons go too.
         """
-        dropped, matching = self.partition._pair_up()
-        return dropped | self.forbidden_singletons, matching
+        names = self.names
+        dropped, pairs = _pair_up(self.parties)
+        deleted = frozenset(names[u] for u in dropped).union(self.forbidden_singletons)
+        return deleted, frozenset(frozenset((names[u], names[v])) for u, v in pairs)
 
 
 def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
@@ -631,15 +721,8 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
     for u, top in tops.items():
         if not _live(core, tail, u, top) or any(_live(core, tail, u, p) for p in range(top)):
             raise InternalError("fixing deletions did not make the target mutually top-ranked")
-    names = core.names
-    return FixingContext(
-        instance=inst,
-        a=a,
-        b=b,
-        a_star=frozenset(names[x] for x in pref[i][: tops[i]]),
-        b_star=frozenset(names[x] for x in pref[j][: tops[j]]),
-        tail=tuple(tail),
-    )
+    stars = (pref[i][: tops[i]], pref[j][: tops[j]])
+    return FixingContext(instance=inst, a=a, b=b, tail=tuple(tail), stars=stars)
 
 
 def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingContext]:
@@ -654,10 +737,10 @@ def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingC
 
 def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
     """Run the engine on the fixed market, from the tails that fixing cut."""
-    partition = _Table(ctx.instance.core).run(ctx.tail)
-    return PartitionDiagnosis(
-        partition=partition, forbidden_singletons=partition.singletons & (ctx.a_star | ctx.b_star)
-    )
+    core = ctx.instance.core
+    succ = _Table(core).run(ctx.tail)
+    forbidden = frozenset(x for star in ctx.stars for x in star if succ[x] == x)
+    return PartitionDiagnosis(names=core.names, succ=tuple(succ), forbidden=forbidden)
 
 
 def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:

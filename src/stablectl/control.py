@@ -106,8 +106,9 @@ def validate_query(query: ControlQuery) -> list[str]:
     deletion.  A malformed target is reported, never raised.  A market
     that breaks a list rule raises
     :class:`~stablectl.errors.InvalidInstanceError` when its ``core`` is
-    built: here for a matching goal, whose test never runs the partition
-    engine, and by the engine for every other goal.
+    built: here for agent addition, whose search starts from the market
+    without its pool, and for a matching goal, whose test never runs the
+    partition engine, and by the engine for every other query.
     """
     inst = query.instance
     out: list[str] = []
@@ -121,6 +122,9 @@ def validate_query(query: ControlQuery) -> list[str]:
     if query.budget < 0:
         out.append("budget must be non-negative")
     if query.action == ADD_AGENTS:
+        # The search starts from the market without its pool and may answer
+        # before any run reads a pool agent's list: prove the whole market.
+        inst.core
         if not inst.addable:
             out.append("agent addition needs a non-empty addable pool")
     elif inst.addable:

@@ -9,12 +9,11 @@ approximate.
 
 A market that breaks a list rule raises :class:`InvalidInstanceError`
 before it is answered, as it does under :func:`stablectl.poly.solve`.
-:func:`~stablectl.control.validate_query` builds its core for a matching
-goal, whose test never runs the partition engine.  For every other goal
-the engine builds the core of the first subset tried, which under agent
-or acceptability deletion is the market itself.  Under agent addition it
-is the market without its pool, so a broken list of a pool agent raises
-once a subset adds that agent.
+:func:`~stablectl.control.validate_query` builds its core under agent
+addition, whose first subset is the market without its pool, and for a
+matching goal, whose test never runs the partition engine.  For every
+other query the engine builds the core of the first subset tried, which
+under agent or acceptability deletion is the market itself.
 
 The search result does not depend on the budget, so it runs once per
 action and goal on an instance and is kept in that instance's

@@ -13,8 +13,12 @@ answers it, and :data:`POLY_PROBLEMS` is its key set:
 
 The pair solver reads its optimum, witness and matching off one stable
 partition of the instance fixed for the target pair, built next to the
-partition engine in :mod:`stablectl.classic`.  :func:`solve` answers any
-query, with these solvers or with the search of :mod:`stablectl.exact`.
+partition engine in :mod:`stablectl.classic`.  That partition stays the
+engine's certified integer successor list: the diagnosis counts the
+optimum and pairs up the matching on agent indices, and names only the
+witness it hands out, so the agent solver names nothing for the
+partners it tries and drops.  :func:`solve` answers any query, with
+these solvers or with the search of :mod:`stablectl.exact`.
 
 Every answer is certified; a failed check is a bug, never a verdict.  A
 pair answer is computed on the cached integer core of the instance it was

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from stablectl.control import (
 from stablectl.errors import InternalError, InvalidInstanceError, InvalidQueryError
 from stablectl.exact import solve_exact
 from stablectl.generators import random_sm, random_sr
-from stablectl.model import delete_agents, delete_pairs, make_instance, make_sr, pair
+from stablectl.model import delete_agents, delete_pairs, make_instance, make_sr, pair, validate
 from stablectl.poly import (
     POLY_PROBLEMS,
     POLY_SOLVERS,
@@ -269,6 +270,23 @@ def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
     assert counts == {"tables": 1, "runs": k}
 
 
+def test_ma_names_at_most_one_partition(monkeypatch):
+    # Every partner's partition is read as integers; only the answer is named.
+    named = []
+    post_init = classic.StablePartition.__post_init__
+
+    def counted(partition):
+        named.append(partition)
+        post_init(partition)
+
+    monkeypatch.setattr(classic.StablePartition, "__post_init__", counted)
+    counts = count_engine_calls(monkeypatch)
+    inst = random_sr(20, 1.0, 5)
+    out = solve_delag_ma(inst, "u00", budget=len(inst.agents))
+    assert out.verdict and counts["runs"] == 19
+    assert len(named) <= 1
+
+
 def test_engine_fault_in_the_pair_read_off_is_an_internal_error(monkeypatch):
     fault_the_engine(monkeypatch, all_alone)
     with pytest.raises(InternalError, match="invalid partition: pair a,b blocks"):
@@ -358,6 +376,49 @@ def test_witness_follows_the_partition_rule_and_clears_the_fixed_instance():
             assert not rest.singletons & ((ctx.a_star | ctx.b_star) - out.witness)
             checked += 1
     assert checked >= 200
+
+
+# SHA-256 over the delag-mp and delag-ma outcomes of the corpus below,
+# computed with a diagnosis that named every partition it read, so the
+# integer read-off must give the same answers.
+DIAGNOSIS_DIGEST = "856e53f68b2900c4a27047884c7c2e56e615f62d0795e0c59a0bfa885b3c480c"
+
+
+def test_diagnosis_matches_the_named_partition_of_the_fixed_market():
+    # Far beyond the exact oracle's reach: complete and sparse markets of
+    # 10-60 agents, where the cost, witness and matching read off the
+    # engine's successor list must be what the named partition of the
+    # fixed market built as an instance gives.
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    fixings = 0
+    for seed in range(64):
+        n = rng.randint(10, 60)
+        inst = random_sr(n, 1.0 if seed % 2 else rng.choice((0.1, 0.25, 0.5)), seed)
+        pairs = sorted(tuple(sorted(p)) for p in inst.acceptable_pairs)
+        for a, b in rng.sample(pairs, min(36, len(pairs))):
+            ctx = fixing_deletions(inst, a, b)
+            diag = classic.diagnose_fixed_instance(ctx)
+            partition = classic.tan_stable_partition(ctx.reduced)
+            dropped, matching = classic.partition_to_matching(ctx.reduced, partition)
+            la, lb = inst.prefs[a], inst.prefs[b]
+            forbidden = partition.singletons & set(la[: la.index(b)] + lb[: lb.index(a)])
+            assert diag.partition == partition
+            assert diag.forbidden_singletons == forbidden
+            assert diag.cost == len(partition.odd_parties) + len(forbidden)
+            assert diag.witness() == (dropped | forbidden, matching)
+            budget = rng.choice((0, 3, n))
+            out = solve_delag_mp(inst, frozenset((a, b)), budget)
+            witness = " ".join(sorted(out.witness or ()))
+            digest.update(f"{seed} mp {a},{b} {budget} {out.verdict} {out.optimum} {witness}\n".encode())
+            fixings += 1
+        for agent in rng.sample(sorted(inst.agents), 2):
+            budget = rng.choice((0, 3, n))
+            out = solve_delag_ma(inst, agent, budget)
+            witness = " ".join(sorted(out.witness or ()))
+            digest.update(f"{seed} ma {agent} {budget} {out.verdict} {out.optimum} {witness}\n".encode())
+    assert fixings >= 2000
+    assert digest.hexdigest() == DIAGNOSIS_DIGEST
 
 
 # -- solve_delacc_ms ---------------------------------------------------------
@@ -488,6 +549,36 @@ def test_solve_rejects_a_malformed_market_under_an_agent_goal_without_partners(m
     query = ControlQuery(inst, DELETE_AGENTS, ControlGoal.ma("a"), 1)
     with pytest.raises(InvalidInstanceError, match="asymmetric acceptability between b and c"):
         poly.solve(query, method=method)
+
+
+# Markets whose only broken list is that of the pool agent d.
+MALFORMED_POOLS = {
+    "not-listed-back": {"a": ["b"], "b": ["a"], "d": ["a"]},
+    "unknown-agent": {"a": ["b"], "b": ["a"], "d": ["z"]},
+    "self-listed": {"a": ["b"], "b": ["a"], "d": ["d"]},
+    "repeat": {"a": ["b", "d"], "b": ["a"], "d": ["a", "a"]},
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "exact"])
+@pytest.mark.parametrize("market", sorted(MALFORMED_POOLS))
+def test_solve_rejects_a_market_whose_only_broken_list_is_in_the_pool(market, method):
+    # Without d the market is well-formed, and the search starts there.
+    prefs = MALFORMED_POOLS[market]
+    goals = {
+        "ma": ControlGoal.ma("a"),
+        "mp": ControlGoal.mp(pair("a", "b")),
+        "ms": ControlGoal.ms(pairs_of("ab")),
+        "esm": ControlGoal.esm(),
+        "epsm": ControlGoal.epsm(),
+    }
+    assert sorted(goals) == sorted(GOAL_KINDS)
+    for action in ACTIONS:
+        inst = make_sr(prefs, addable=["d"] if action == ADD_AGENTS else [])
+        for kind, goal in goals.items():
+            with pytest.raises(InvalidInstanceError) as info:
+                poly.solve(ControlQuery(inst, action, goal, 1), method=method)
+            assert info.value.violations == validate(inst), (action, kind)
 
 
 @pytest.mark.parametrize("action,kind", sorted(POLY_PROBLEMS))
