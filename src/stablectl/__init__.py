@@ -4,17 +4,17 @@ Library layout:
 
 * :mod:`stablectl.model`: instances, matchings, file formats, mutation.
 * :mod:`stablectl.stability`: blocking pairs and exhaustive enumeration.
-* :mod:`stablectl.classic`: deferred acceptance, stable partitions,
-  stable-matching existence, and pair fixing (the fewest agent deletions
-  that put a pair into a stable matching).
+* :mod:`stablectl.classic`: the partition engine: deferred acceptance,
+  stable partitions, stable-matching existence (:func:`~stablectl.classic.diagnose`),
+  and pair fixing (the fewest agent deletions that put a pair into a
+  stable matching).
 * :mod:`stablectl.control`: control queries (action, goal, budget) and
   goal evaluation.
 * :mod:`stablectl.poly`: the polynomial-time control solvers and
   :func:`solve`, which answers any control query with them or, where
   none applies, with the exhaustive search.
 * :mod:`stablectl.exact`: the brute-force ground-truth solver.
-* :mod:`stablectl.reductions`: graph-to-control-instance constructions
-  with brute-force clique/independent-set oracles.
+* :mod:`stablectl.reductions`: graph-to-control-instance constructions.
 * :mod:`stablectl.generators`: seeded random instances.
 * :mod:`stablectl.cli`: the ``stablectl`` command line front end.
 """

@@ -1,10 +1,14 @@
 """Classical matching subroutines: proposal algorithms and stable partitions.
 
-Four entry points:
+Five entry points, all on one partition engine:
 
 * :func:`gale_shapley`: deferred acceptance for marriage instances,
-  optimal for the proposing side.  It runs on the same cached core as
-  the engine, so it rejects every market the engine rejects.
+  optimal for the proposing side.  It is the engine's proposal phase on
+  its own: on a marriage market that phase leaves every agent its
+  GS-list, and the heads of the proposing side's GS-lists are the
+  proposer-optimal stable matching [Gusfield & Irving 1989, *The Stable
+  Marriage Problem*, §1.2 and ch. 4].  So it rejects every market the
+  engine rejects.
 * :func:`tan_stable_partition`: a stable partition for any roommates
   instance, a permutation of the agents whose cycles ("parties")
   generalise stable matchings.  One always exists; a stable matching
@@ -12,18 +16,23 @@ Four entry points:
   every stable matching leaves exactly the singleton parties unmatched.
 * :func:`irving_stable_matching`: the stable matching that pairs up the
   parties of that partition, or ``None`` when it has an odd party.
+* :func:`diagnose`: the same partition read for a set of *interested*
+  agents, as a :class:`PartitionDiagnosis` whose ``cost`` is 0 exactly
+  when some stable matching matches all of them [Tan 1991, J. Algorithms
+  12:154].  The existence goals of :mod:`stablectl.control` are this
+  cost.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
   pair into some stable matching, read off the stable partition of the
   market *fixed* for that pair (:func:`fixing_deletions`, the one
   statement of fixing, which :func:`partner_fixings` applies to every
   partner of an agent): every agent that an endpoint prefers to the
-  other cuts its list just above that endpoint.
-  :meth:`PartitionDiagnosis.witness` reads the deletions and the stable
-  matching they leave off the same partition.  Fixing is a
-  set of tail cuts on the integer core of the queried instance, and the
-  engine runs from those tails, so no fixed instance is built on the way
-  to an answer (``FixingContext.reduced`` builds one on demand), and no
-  partition is named on the way either (see below).
+  other cuts its list just above that endpoint, and those agents are the
+  interested ones.  :meth:`PartitionDiagnosis.witness` reads the
+  deletions and the stable matching they leave off the same partition.
+  Fixing is a set of tail cuts on the integer core of the queried
+  instance, and the engine runs from those tails, so no fixed instance
+  is built on the way to an answer (``FixingContext.reduced`` builds one
+  on demand), and no partition is named on the way either (see below).
 
 The partition engine runs the classical proposal ("phase 1") table
 reduction followed by repeated rotation elimination [Irving 1985,
@@ -81,15 +90,17 @@ Naming: ``_Table.run`` returns the certified successor list over the
 core's agent indices, and the agents are named only where an answer
 leaves the module.  The core's names are sorted, so "smallest member
 first" means the same on indices as on names, and one party walk
-(:func:`_parties`) and one pair-up (:func:`_pair_up`) serve both.
-:func:`tan_stable_partition` names the list it gets, once, as a
-:class:`StablePartition` (and :func:`irving_stable_matching` pairs up
-that partition).  The pair path never names a partition to answer: a
-:class:`PartitionDiagnosis` walks the parties, counts its ``cost`` and
-pairs up its witness on integers, names only the witness, and names
-``partition`` and ``forbidden_singletons`` when they are read.  So
-:func:`~stablectl.poly.solve_delag_ma` names one witness per call, not
-a partition per partner.
+(:func:`_parties`) and one pair-up (:func:`_pair_up`) serve both.  Every
+engine run that ends in a partition is made by one constructor,
+:func:`_diagnosis`, from a core, its tails, the interested agents and a
+processing order, and gives a :class:`PartitionDiagnosis`.  That walks
+the parties, counts its ``cost`` and pairs up its witness on integers,
+names only the witness, and names ``partition`` and
+``forbidden_singletons`` when they are read.  :func:`tan_stable_partition`
+reads ``partition``, once (and :func:`irving_stable_matching` pairs up
+that partition); every other caller reads the cost or the witness.  So
+:func:`~stablectl.poly.solve_delag_ma` names one witness per call, not a
+partition per partner, and a goal evaluation names none.
 """
 
 from __future__ import annotations
@@ -141,11 +152,6 @@ class StablePartition:
     def odd_parties(self) -> tuple:
         """The parties of odd size three or more; a stable matching exists iff there are none."""
         return tuple(filter(_is_odd, self.parties))
-
-    @cached_property
-    def singletons(self) -> frozenset:
-        """The fixed points: the agents that every stable matching leaves unmatched."""
-        return frozenset(u for u, v in self.successor.items() if u == v)
 
     def stable_matching(self) -> Matching | None:
         """The stable matching the parties pair up; ``None`` when an odd party exists."""
@@ -199,11 +205,6 @@ def _pair_up(parties: Iterable[Sequence]) -> tuple[list, list]:
     return dropped, pairs
 
 
-def _named(names: Sequence[AgentId], succ: Sequence[int]) -> StablePartition:
-    """The successor list ``succ`` over agent indices, as a partition of the agents ``names``."""
-    return StablePartition({names[u]: names[s] for u, s in enumerate(succ)})
-
-
 def render_partition(partition: StablePartition) -> str:
     """One ``party (a b c) odd`` line per party, odd sizes marked."""
     lines = []
@@ -255,37 +256,29 @@ def partition_to_matching(
 def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     """Deferred acceptance; returns the proposing-side-optimal matching.
 
-    Proposers, in sorted order, walk their rows of the instance's cached
-    core, and a reviewer compares two proposers by their positions on its
-    own list, which the core's ``mirror`` rows hold.  A market whose core
-    cannot be built raises :class:`InvalidInstanceError`.
+    This is phase 1 of the partition engine (:meth:`_Table.stabilize`)
+    on the whole lists of the instance's cached core.  On a marriage
+    market it leaves every agent its GS-list, the entries that both the
+    man-oriented and the woman-oriented proposal sequences keep, and the
+    head of each proposing-side agent's GS-list is its partner in the
+    proposer-optimal stable matching; an empty list leaves it unmatched
+    [Gusfield & Irving 1989, *The Stable Marriage Problem*, §1.2 and
+    ch. 4].  A market whose core cannot be built raises
+    :class:`InvalidInstanceError`.
     """
     if inst.kind != SM:
         raise ValueError("gale_shapley needs a marriage instance")
     if proposing not in ("a", "b"):
         raise ValueError("proposing side must be 'a' or 'b'")
     core = inst.core
-    pref, mirror, names = core.pref, core.mirror, core.names
-    nxt = [0] * len(names)
-    held = [-1] * len(names)  # reviewer -> proposer it holds
-    seat = [0] * len(names)  # reviewer -> position of that proposer on its list
-    # Names are sorted, and the stack pops from its end, so the proposers
-    # are served in sorted order.
-    free = [i for i, u in enumerate(names) if inst.side[u] == proposing][::-1]
-    while free:
-        u = free.pop()
-        lst, back = pref[u], mirror[u]
-        for p in range(nxt[u], len(lst)):
-            v, q = lst[p], back[p]  # ``u`` is at position ``q`` on ``v``'s list
-            cur = held[v]
-            if cur < 0 or q < seat[v]:
-                held[v], seat[v] = u, q
-                if cur >= 0:
-                    free.append(cur)
-                nxt[u] = p + 1
-                break
-        # List exhausted: u stays unmatched.
-    return frozenset(frozenset((names[u], names[v])) for v, u in enumerate(held) if u >= 0)
+    table = _Table(core, core.whole)
+    table.stabilize()
+    names, side, first = core.names, inst.side, table.first
+    return frozenset(
+        frozenset((u, names[v]))
+        for i, u in enumerate(names)
+        if side[u] == proposing and (v := first(i)) >= 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +296,20 @@ class _Table:
     The market is ``core`` (:class:`MarketCore`): agent ``i`` is
     ``names[i]``, ``pref[i]`` its list as agent indices, and
     ``mirror[i][p]`` the position of ``i`` on the list of ``pref[i][p]``.
-    The core is built once per instance and never written; a table only
-    adds the run state, in O(n), and every :meth:`run` starts afresh from
-    the tails it is given.  Every reduction deletes a tail of some list,
-    so the tail position ``tail[i]`` is the only deletion state: the entry
-    at position ``p`` of ``u``'s list, naming ``v``, is live exactly when
-    ``p <= tail[u]`` and ``mirror[u][p] <= tail[v]`` (:func:`_live`), a
-    rule that gives both sides of a pair the same fate.  A market cut
-    before the run, such as one fixed for a pair, is therefore just a tail
-    per agent.  The position pointers ``head``, ``sec`` and ``tail`` only
-    move inwards and never pass the first, second and last live entry, so
-    list access costs amortised O(1).  ``held[v]`` is the position on
+    The core is built once per instance and never written; a table adds
+    the state of one run, set up in O(n) from the tails ``start`` it is
+    given (copied once, into ``tail``) and the processing ``order``, so one
+    table is one run.  :meth:`stabilize` on a fresh table is phase 1 on its
+    own, which :func:`gale_shapley` reads; :meth:`run` is the whole run.
+    Every reduction deletes a tail of some list, so the tail position
+    ``tail[i]`` is the only deletion state: the entry at position ``p`` of
+    ``u``'s list, naming ``v``, is live exactly when ``p <= tail[u]`` and
+    ``mirror[u][p] <= tail[v]`` (:func:`_live`), a rule that gives both
+    sides of a pair the same fate.  A market cut before the run, such as
+    one fixed for a pair, is therefore just a tail per agent.  The
+    position pointers ``head``, ``sec`` and ``tail`` only move inwards and
+    never pass the first, second and last live entry, so list access costs
+    amortised O(1).  ``held[v]`` is the position on
     ``v``'s list of the proposal ``v`` holds (-1 for none).  ``work``
     holds the agents that may have to propose again: every agent at the
     start, the first of ``order`` on top, then each agent whose held
@@ -324,10 +320,17 @@ class _Table:
     a proposal from its tail.
     """
 
-    def __init__(self, core: MarketCore, order: Sequence[int] | None = None):
-        self.core = core
+    def __init__(self, core: MarketCore, tail: Sequence[int], order: Sequence[int] | None = None):
+        n = len(core.names)
+        self.core, self.start = core, tail
         self.names, self.pref, self.mirror = core.names, core.pref, core.mirror
-        self.order = range(len(core.names)) if order is None else order
+        self.order = range(n) if order is None else order
+        self.head = [0] * n
+        self.sec = [1] * n
+        self.tail = list(tail)
+        self.held = [-1] * n
+        self.succ = list(range(n))
+        self.work = list(reversed(self.order))
 
     # -- list access (-1 when the entry asked for does not exist) --------
 
@@ -443,10 +446,10 @@ class _Table:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self, tail: Sequence[int]) -> list[int]:
+    def run(self) -> list[int]:
         """Stabilize, resolve rotations until no list has two entries, and certify.
 
-        The run starts from the lists cut at ``tail`` with no proposal
+        The run starts from the lists cut at ``start`` with no proposal
         made.  The rotation start is the first agent in ``order`` with at
         least two entries; locked agents have none.  Lists only shrink, so
         that agent never moves backwards in ``order``.  The rotation found
@@ -456,18 +459,12 @@ class _Table:
         ``mirror[x[i]][sec[x[i]]]``.  A lock empties lists of two entries
         or more, and an elimination that shortens no list is an engine
         fault, so the loop ends.  The successor list assembled at the end
-        is checked against the market cut at ``tail`` (:func:`_violations`)
+        is checked against the market cut at ``start`` (:func:`_violations`)
         and returned as it is, one successor index per agent, unnamed.
         Engine faults raise :class:`InternalError`.
         """
         names, mirror, order, n = self.names, self.mirror, self.order, len(self.names)
-        self.head = [0] * n
-        self.sec = sec = [1] * n
-        self.tail = list(tail)
-        self.held = [-1] * n
-        self.succ = list(range(n))
-        self.work = list(reversed(order))
-        first, second, cut = self.first, self.second, self.cut
+        first, second, cut, sec = self.first, self.second, self.cut, self.sec
         k = 0
         self.stabilize()
         while True:
@@ -483,7 +480,7 @@ class _Table:
                 raise InternalError(f"eliminating the rotation at {names[order[k]]} cut nothing")
             self.stabilize()
         succ = self._assemble()
-        violations = _violations(self.core, succ, tail)
+        violations = _violations(self.core, succ, self.start)
         if violations:
             raise InternalError("invalid partition: " + "; ".join(violations))
         return succ
@@ -554,6 +551,99 @@ def _violations(core: MarketCore, succ: Sequence[int], tail: Sequence[int]) -> l
     return out + [f"pair {names[u]},{names[v]} blocks the partition" for u, v in sorted(blocking)]
 
 
+# ---------------------------------------------------------------------------
+# Engine runs, read for the agents a question is interested in
+
+
+@dataclass(frozen=True)
+class PartitionDiagnosis:
+    """What the partition that one engine run reached says about its interested agents.
+
+    ``succ`` is the engine's successor list over the agent indices of a
+    market's core, whose agents are ``names``: the partition of the whole
+    market (:func:`diagnose`, :func:`tan_stable_partition`) or of the
+    market fixed for a pair (:func:`diagnose_fixed_instance`).  Its axioms
+    were checked on that market when the engine returned it; nothing here
+    checks them again.  The interested agents are those a stable matching
+    has to match, and ``forbidden`` holds the ones the partition leaves
+    alone.  So ``cost`` is 0 exactly when some stable matching matches
+    every interested agent; on a fixed market, whose interested agents are
+    the fixing's ``stars``, it is the fewest agent deletions that put the
+    pair into a stable matching.  The party walk, ``cost`` and
+    :meth:`witness` run on these integers; the agents are named only in
+    the witness and when ``partition`` or ``forbidden_singletons`` is read.
+    """
+
+    names: tuple = field(repr=False)
+    succ: tuple
+    forbidden: frozenset
+
+    @cached_property
+    def parties(self) -> list[list[int]]:
+        """The cycles of ``succ``, as agent indices (:func:`_parties`)."""
+        return _parties(self.succ, range(len(self.succ)))
+
+    @cached_property
+    def cost(self) -> int:
+        """One agent deletion per odd party and per interested agent left alone."""
+        return sum(map(_is_odd, self.parties)) + len(self.forbidden)
+
+    @cached_property
+    def partition(self) -> StablePartition:
+        """The partition, named."""
+        names = self.names
+        return StablePartition({names[u]: names[s] for u, s in enumerate(self.succ)})
+
+    @cached_property
+    def forbidden_singletons(self) -> frozenset:
+        """The interested agents that the partition leaves alone, named."""
+        return frozenset(map(self.names.__getitem__, self.forbidden))
+
+    def witness(self) -> tuple[frozenset, Matching]:
+        """The deletions that ``cost`` counts, and the stable matching they leave.
+
+        One member (the smallest) of each odd party goes, as in
+        :func:`partition_to_matching`, the rest pair up, and the forbidden
+        singletons go too.
+        """
+        names = self.names
+        dropped, pairs = _pair_up(self.parties)
+        deleted = frozenset(names[u] for u in dropped).union(self.forbidden_singletons)
+        return deleted, frozenset(frozenset((names[u], names[v])) for u, v in pairs)
+
+
+def _diagnosis(
+    core: MarketCore,
+    tail: Sequence[int],
+    interested: Iterable[int],
+    order: Sequence[int] | None = None,
+) -> PartitionDiagnosis:
+    """One engine run on ``core`` cut at ``tail``, in ``order``, read for ``interested``.
+
+    ``interested`` holds agent indices.  Every engine run that ends in a
+    partition is made here.
+    """
+    succ = _Table(core, tail, order).run()
+    forbidden = frozenset(u for u in interested if succ[u] == u)
+    return PartitionDiagnosis(names=core.names, succ=tuple(succ), forbidden=forbidden)
+
+
+def diagnose(inst: RoommatesInstance, interested: Iterable[AgentId] = ()) -> PartitionDiagnosis:
+    """The stable partition of the whole market ``inst``, read for the ``interested`` agents.
+
+    Its ``cost`` is 0 exactly when some stable matching matches every
+    interested agent: when the partition has no odd party and leaves none
+    of them alone [Tan 1991, J. Algorithms 12:154].  An agent outside
+    ``inst`` raises ``ValueError``.
+    """
+    core = inst.core
+    try:
+        indices = [core.index[u] for u in interested]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is not an agent of the instance") from None
+    return _diagnosis(core, core.whole, indices)
+
+
 def tan_stable_partition(
     inst: RoommatesInstance, order: Iterable[AgentId] | None = None
 ) -> StablePartition:
@@ -563,8 +653,9 @@ def tan_stable_partition(
     sorted agent list; the partition returned may depend on it, but the
     multiset of odd parties never does.  Every order runs on the one
     cached integer core of ``inst``: it is mapped to agent indices once,
-    and raises ``ValueError`` unless those are a permutation.  The
-    engine's certified successor list is named here, once.
+    and raises ``ValueError`` unless those are a permutation.  The run is
+    the one diagnosis constructor's, with no interested agent, and its
+    certified successor list is named here, once.
     """
     core = inst.core
     if order is not None:
@@ -572,7 +663,7 @@ def tan_stable_partition(
         order = [core.index.get(u, n) for u in order]
         if len(order) != n or set(order) != set(range(n)):
             raise ValueError("order must be a permutation of the instance agents")
-    return _named(core.names, _Table(core, order).run(core.whole))
+    return _diagnosis(core, core.whole, (), order).partition
 
 
 def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
@@ -608,8 +699,8 @@ class FixingContext:
     ``a``) keeps only the entries above ``a`` (resp. ``b``), and the tail
     rule of the engine kills the mirror entry on the list of every agent
     it cut off.  ``stars`` holds those two sets of agents as the index
-    runs of ``a``'s and ``b``'s lists above the other endpoint; ``a_star``
-    and ``b_star`` name them when read.  The context holds no run state,
+    runs of ``a``'s and ``b``'s lists above the other endpoint: the agents
+    the diagnosis is interested in.  The context holds no run state,
     so any number of contexts on one instance share its core.
     ``reduced`` builds the fixed market as an instance.
     """
@@ -619,16 +710,6 @@ class FixingContext:
     b: AgentId
     tail: tuple = field(repr=False, compare=False)
     stars: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def a_star(self) -> frozenset:
-        """The agents ``a`` prefers to ``b``."""
-        return frozenset(map(self.instance.core.names.__getitem__, self.stars[0]))
-
-    @cached_property
-    def b_star(self) -> frozenset:
-        """The agents ``b`` prefers to ``a``."""
-        return frozenset(map(self.instance.core.names.__getitem__, self.stars[1]))
 
     @cached_property
     def reduced(self) -> RoommatesInstance:
@@ -641,56 +722,6 @@ class FixingContext:
             for u, lst in enumerate(core.pref)
         }
         return RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
-
-
-@dataclass(frozen=True)
-class PartitionDiagnosis:
-    """What the stable partition of a fixed market says about deletions.
-
-    ``succ`` is the engine's successor list over the agent indices of the
-    queried instance's core, whose agents are ``names``.  Its axioms were
-    checked on the fixed market when the engine returned it; nothing here
-    checks them again.  ``forbidden`` holds its fixed points among the
-    agents in the fixing's ``stars``.  The party walk, ``cost`` and
-    :meth:`witness` run on these integers; the agents are named only in
-    the witness and when ``partition`` or ``forbidden_singletons`` is read.
-    """
-
-    names: tuple = field(repr=False)
-    succ: tuple
-    forbidden: frozenset
-
-    @cached_property
-    def parties(self) -> list[list[int]]:
-        """The cycles of ``succ``, as agent indices (:func:`_parties`)."""
-        return _parties(self.succ, range(len(self.succ)))
-
-    @cached_property
-    def cost(self) -> int:
-        """Agent deletions needed: one per odd party and per forbidden singleton."""
-        return sum(map(_is_odd, self.parties)) + len(self.forbidden)
-
-    @cached_property
-    def partition(self) -> StablePartition:
-        """The partition, named."""
-        return _named(self.names, self.succ)
-
-    @cached_property
-    def forbidden_singletons(self) -> frozenset:
-        """The singleton parties of agents that an endpoint prefers to the other, named."""
-        return frozenset(map(self.names.__getitem__, self.forbidden))
-
-    def witness(self) -> tuple[frozenset, Matching]:
-        """The deletions that ``cost`` counts, and the stable matching they leave.
-
-        One member (the smallest) of each odd party goes, as in
-        :func:`partition_to_matching`, the rest pair up, and the forbidden
-        singletons go too.
-        """
-        names = self.names
-        dropped, pairs = _pair_up(self.parties)
-        deleted = frozenset(names[u] for u in dropped).union(self.forbidden_singletons)
-        return deleted, frozenset(frozenset((names[u], names[v])) for u, v in pairs)
 
 
 def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
@@ -736,11 +767,11 @@ def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingC
 
 
 def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
-    """Run the engine on the fixed market, from the tails that fixing cut."""
-    core = ctx.instance.core
-    succ = _Table(core).run(ctx.tail)
-    forbidden = frozenset(x for star in ctx.stars for x in star if succ[x] == x)
-    return PartitionDiagnosis(names=core.names, succ=tuple(succ), forbidden=forbidden)
+    """Run the engine on the fixed market, from the tails that fixing cut.
+
+    The interested agents are those of the fixing's ``stars``.
+    """
+    return _diagnosis(ctx.instance.core, ctx.tail, (x for star in ctx.stars for x in star))
 
 
 def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classic import pair_fixing_cost, tan_stable_partition
+from .classic import diagnose, pair_fixing_cost
 from .errors import InvalidQueryError
 from .model import (
     AgentId,
@@ -208,16 +208,18 @@ def goal_holds(inst: RoommatesInstance, goal: ControlGoal, action: str = DELETE_
     longer resolve, such as a deleted agent or a pair with a missing
     endpoint, make the goal false rather than raising.
 
-    ``esm``, ``epsm`` and ``ma`` are read off one stable partition: a
-    stable matching exists exactly when it has no odd party, and then
-    every stable matching leaves exactly its singletons unmatched.
+    Every goal but ``ms`` is a diagnosis cost of 0.  ``esm``, ``epsm`` and
+    ``ma`` ask :func:`~stablectl.classic.diagnose` whether some stable
+    matching matches every agent that the goal needs matched (none, all,
+    or the target agent), and ``mp`` asks
+    :func:`~stablectl.classic.pair_fixing_cost` whether no deletion is
+    needed to put the pair into one.
     """
     if goal.kind in ("esm", "epsm", "ma"):
         if goal.kind == "ma" and goal.agent not in inst.agents:
             return False
-        needed = {"esm": (), "epsm": inst.agents, "ma": (goal.agent,)}[goal.kind]  # to be matched
-        partition = tan_stable_partition(inst)
-        return not partition.odd_parties and partition.singletons.isdisjoint(needed)
+        needed = {"esm": (), "epsm": inst.agents, "ma": (goal.agent,)}[goal.kind]
+        return diagnose(inst, needed).cost == 0
     if goal.kind == "mp":
         if goal.pair is None or not inst.is_acceptable_pair(goal.pair):
             return False

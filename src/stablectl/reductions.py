@@ -1,4 +1,4 @@
-"""Graph-to-control-instance constructions, with brute-force graph oracles.
+"""Graph-to-control-instance constructions.
 
 Three generators turn a graph problem into a concrete control query:
 
@@ -14,24 +14,19 @@ Whenever a preference list contains a set of agents rather than a single
 one, the set is laid out in lexicographic identifier order; the
 constructions are correct for any fixed order.  Each result carries a
 name map from gadget role to generated agent identifier so reduced
-instances stay debuggable.
-
-:func:`brute_clique` and :func:`brute_independent_set` decide the source
-problems exhaustively at small scale, for round-trip validation of the
-constructions.
+instances stay debuggable.  Every role and every agent identifier is
+named once: a graph whose vertex or edge names would make two roles, or
+two agents, share a name raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .control import ADD_AGENTS, ControlGoal, ControlQuery
-from .errors import CapExceededError, ParseError
+from .errors import ParseError
 from .model import ID_RE, SM, SR, Pair, content_lines, make_instance
-
-BRUTE_VERTEX_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -97,31 +92,6 @@ def serialize_graph(graph: UndirectedGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def brute_clique(graph: UndirectedGraph, k: int, cap: int = BRUTE_VERTEX_CAP) -> bool:
-    """Does the graph contain a complete subgraph on at least ``k`` vertices?"""
-    if len(graph.vertices) > cap:
-        raise CapExceededError(f"graph exceeds the brute-force cap of {cap} vertices")
-    if k <= 0:
-        return True
-    if k > len(graph.vertices):
-        return False
-    for combo in combinations(sorted(graph.vertices), k):
-        if all(frozenset(p) in graph.edges for p in combinations(combo, 2)):
-            return True
-    return False
-
-
-def brute_independent_set(graph: UndirectedGraph, k: int, cap: int = BRUTE_VERTEX_CAP) -> bool:
-    """Does the graph contain ``k`` pairwise non-adjacent vertices?
-
-    Exactly when the complement graph contains a ``k``-clique.
-    """
-    if len(graph.vertices) > cap:
-        raise CapExceededError(f"graph exceeds the brute-force cap of {cap} vertices")
-    non_edges = frozenset(map(frozenset, combinations(graph.vertices, 2))) - graph.edges
-    return brute_clique(UndirectedGraph(vertices=graph.vertices, edges=non_edges), k, cap)
-
-
 @dataclass(frozen=True)
 class ReductionResult:
     """A generated control query plus the gadget-role-to-agent name map."""
@@ -144,17 +114,15 @@ def _name(name_map: dict, role: str, prefix: str, keys, label=str) -> dict:
     """Name the agent ``prefix + label(key)`` for each of ``keys``, in order.
 
     Each agent is entered in ``name_map`` under the gadget role
-    ``role(label(key))``; the agents come back by key.
+    ``role(label(key))``; the agents come back by key.  A role or an
+    agent identifier that is already named raises ``ValueError``.
     """
     agents = {key: prefix + label(key) for key in keys}
+    size = len(name_map) + len(agents)
     name_map.update((f"{role}({label(key)})", agent) for key, agent in agents.items())
-    return agents
-
-
-def _freeze_names(name_map: dict) -> None:
-    ids = list(name_map.values())
-    if len(set(ids)) != len(ids):
+    if len(name_map) != size or len(set(name_map.values())) != size:
         raise ValueError("vertex names collide under the gadget naming scheme")
+    return agents
 
 
 def clique_to_csm_addag(graph: UndirectedGraph, k: int, goal_kind: str = "ma") -> ReductionResult:
@@ -182,7 +150,6 @@ def clique_to_csm_addag(graph: UndirectedGraph, k: int, goal_kind: str = "ma") -
     me_prime = _name(name_map, "m'_e", "me'_", es, _edge_token)
     selectors = tuple(_name(name_map, "s", "s_", range(1, k * (k - 1) // 2 + 1)).values())
     dummies = tuple(_name(name_map, "d", "d_", range(1, len(vs) - k + 1)).values())
-    _freeze_names(name_map)
 
     prefs: dict[str, tuple] = {}
     prefs[mstar] = (*selectors, wstar)
@@ -227,7 +194,6 @@ def is_to_csr_addag_ms(graph: UndirectedGraph, k: int) -> ReductionResult:
     name_map: dict = {}
     agent = {r: _name(name_map, r, f"{r}_", vs) for r in roles}
     copy = {r: _name(name_map, f"{r}'", f"{r}'_", vs) for r in roles}
-    _freeze_names(name_map)
 
     prefs: dict[str, tuple] = {}
     for v in vs:
@@ -275,7 +241,6 @@ def is_to_csr_addag_existssm(
     selectors = _name(name_map, "s", "s_", triples)
     ai = _name(name_map, "a", "ai_", triples)
     bi = _name(name_map, "b", "bi_", triples)
-    _freeze_names(name_map)
 
     prefs: dict[str, tuple] = {}
     for v in vs:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import random
 import signal
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +23,28 @@ from stablectl.control import (
     ControlQuery,
     action_universe,
 )
+from stablectl.errors import CapExceededError
 from stablectl.model import SM, RoommatesInstance, make_instance, make_sm, make_sr
+from stablectl.reductions import UndirectedGraph
 from stablectl.stability import check_matching
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name):
+    """``bench/<name>.py`` as a module, imported with ``bench/`` on ``sys.path``.
+
+    No bytecode is written under ``bench/``, and ``sys.path`` is restored.
+    """
+    path, bytecode = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path[:] = path
+        sys.dont_write_bytecode = bytecode
 
 
 def mutual_pair():
@@ -66,6 +90,17 @@ def all_alone(names):
 def spurious_odd_party(names):
     """The odd party a->b->c, which b refutes on :func:`top_pair_and_loner`."""
     return StablePartition({"a": "b", "b": "c", "c": "a"})
+
+
+def singletons(partition):
+    """The fixed points of ``partition``: the agents that every stable matching leaves unmatched."""
+    return frozenset(u for u, v in partition.successor.items() if u == v)
+
+
+def stars(ctx):
+    """The agents ``ctx.a`` prefers to ``ctx.b``, and those ``ctx.b`` prefers to ``ctx.a``."""
+    names = ctx.instance.core.names
+    return tuple(frozenset(names[x] for x in star) for star in ctx.stars)
 
 
 def fault_the_engine(monkeypatch, partition):
@@ -233,6 +268,34 @@ def all_small_sr_instances(names):
         orderings = [list(itertools.permutations(nbrs[u])) for u in names]
         for combo in itertools.product(*orderings):
             yield make_sr({u: list(combo[i]) for i, u in enumerate(names)})
+
+
+BRUTE_VERTEX_CAP = 12
+
+
+def brute_clique(graph: UndirectedGraph, k: int, cap: int = BRUTE_VERTEX_CAP) -> bool:
+    """Does the graph contain a complete subgraph on at least ``k`` vertices?"""
+    if len(graph.vertices) > cap:
+        raise CapExceededError(f"graph exceeds the brute-force cap of {cap} vertices")
+    if k <= 0:
+        return True
+    if k > len(graph.vertices):
+        return False
+    for combo in combinations(sorted(graph.vertices), k):
+        if all(frozenset(p) in graph.edges for p in combinations(combo, 2)):
+            return True
+    return False
+
+
+def brute_independent_set(graph: UndirectedGraph, k: int, cap: int = BRUTE_VERTEX_CAP) -> bool:
+    """Does the graph contain ``k`` pairwise non-adjacent vertices?
+
+    Exactly when the complement graph contains a ``k``-clique.
+    """
+    if len(graph.vertices) > cap:
+        raise CapExceededError(f"graph exceeds the brute-force cap of {cap} vertices")
+    non_edges = frozenset(map(frozenset, combinations(graph.vertices, 2))) - graph.edges
+    return brute_clique(UndirectedGraph(vertices=graph.vertices, edges=non_edges), k, cap)
 
 
 def pairs_of(*pairs):

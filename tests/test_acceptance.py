@@ -13,7 +13,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import covered_agents, is_perfect, partner_map, prefers
+from helpers import (
+    brute_clique,
+    brute_independent_set,
+    covered_agents,
+    is_perfect,
+    partner_map,
+    prefers,
+)
 from stablectl.classic import (
     gale_shapley,
     irving_stable_matching,
@@ -31,8 +38,6 @@ from stablectl.generators import random_sm, random_sr
 from stablectl.model import delete_pairs
 from stablectl.poly import solve_delacc_ms, solve_delag_ma, solve_delag_mp
 from stablectl.reductions import (
-    brute_clique,
-    brute_independent_set,
     clique_to_csm_addag,
     is_to_csr_addag_existssm,
     is_to_csr_addag_ms,

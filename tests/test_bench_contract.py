@@ -15,30 +15,21 @@ from __future__ import annotations
 
 import importlib
 import random
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from helpers import bench_module
 from stablectl import poly
 from stablectl.control import ControlOutcome, ControlQuery
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAYERS = ("model", "stability", "classic", "control", "poly", "exact", "reductions", "cli")
 
 
 @pytest.fixture(scope="module")
 def bench():
     """``bench/workloads.py`` as a module, imported without writing under ``bench/``."""
-    path, bytecode = list(sys.path), sys.dont_write_bytecode
-    sys.path.insert(0, str(BENCH))
-    sys.dont_write_bytecode = True
-    try:
-        return importlib.import_module("workloads")
-    finally:
-        sys.path[:] = path
-        sys.dont_write_bytecode = bytecode
+    return bench_module("workloads")
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_alone,
     all_small_sr_instances,
+    bench_module,
     count_engine_calls,
     covered_agents,
     drop_half_the_worklist,
@@ -24,6 +25,7 @@ from helpers import (
     partner_map,
     prefers,
     random_sr_instance,
+    singletons,
     skip_proposals,
     spurious_odd_party,
     three_cycle,
@@ -34,6 +36,7 @@ from helpers import (
 from stablectl import classic
 from stablectl.classic import (
     StablePartition,
+    diagnose,
     diagnose_fixed_instance,
     fixing_deletions,
     gale_shapley,
@@ -90,6 +93,27 @@ def test_gs_rejects_a_market_the_engine_rejects(proposing):
         assert info.value.violations == validate(inst)
 
 
+def test_gs_equals_textbook_deferred_acceptance():
+    # The benchmark's proposal loop shares no code with the engine.  Every
+    # side size 0-9 at every density 0.1-1.0, five seeds each, then markets
+    # of 50-200 agents a side; both sides propose on each.
+    reference = bench_module("reference")
+    rng = random.Random(20)
+    shapes = [(a, b, d / 10) for a in range(10) for b in range(10) for d in range(1, 11)] * 5
+    shapes += [
+        (rng.randint(50, 200), rng.randint(50, 200), rng.choice((0.02, 0.05, 0.1, 0.3, 1.0)))
+        for _ in range(200)
+    ]
+    two_optima = 0
+    for seed, (n_a, n_b, density) in enumerate(shapes):
+        inst = random_sm(n_a, n_b, density, seed)
+        prefs, side = dict(inst.prefs), dict(inst.side)
+        optima = [reference.deferred_acceptance(prefs, side, proposing) for proposing in "ab"]
+        assert [gale_shapley(inst, proposing) for proposing in "ab"] == optima, seed
+        two_optima += optima[0] != optima[1]
+    assert two_optima >= 200
+
+
 def test_gs_output_is_stable_and_proposer_optimal():
     from stablectl.generators import random_sm
 
@@ -127,13 +151,26 @@ def test_partition_empty_list_gives_singleton():
     inst = make_sr({"a": ["b"], "b": ["a"], "z": []})
     partition = tan_stable_partition(inst)
     assert ("z",) in partition.parties
-    assert partition.singletons == {"z"}
+    assert singletons(partition) == {"z"}
 
 
 def test_partition_of_unsolvable_four_agents():
     partition = tan_stable_partition(four_agent_unsolvable())
     assert partition.odd_parties == (("a", "b", "c"),)
-    assert partition.singletons == {"d"}
+    assert singletons(partition) == {"d"}
+
+
+def test_diagnose_reads_the_whole_market_for_its_interested_agents():
+    # a, b and c form an odd party and d is left alone.
+    inst = four_agent_unsolvable()
+    assert diagnose(inst).cost == 1
+    assert diagnose(inst, ["a", "b"]).cost == 1
+    diag = diagnose(inst, ["d", "d"])
+    assert diag.cost == 2 and diag.forbidden_singletons == {"d"}
+    assert diag.partition == tan_stable_partition(inst)
+    assert diagnose(mutual_pair(), ["a", "b"]).cost == 0
+    with pytest.raises(ValueError, match="^nobody is not an agent of the instance$"):
+        diagnose(inst, ["a", "nobody"])
 
 
 def test_partition_successor_is_a_read_only_hashable_copy():
@@ -145,7 +182,7 @@ def test_partition_successor_is_a_read_only_hashable_copy():
         partition.successor["a"] = "a"
     assert partition.successor == {"a": "b", "b": "c", "c": "a"}
     assert partition.parties == partition.odd_parties == (("a", "b", "c"),)
-    assert partition.singletons == frozenset()
+    assert singletons(partition) == frozenset()
     engine = tan_stable_partition(three_cycle())
     assert engine == partition and hash(engine) == hash(partition)
     assert len({engine, partition, StablePartition({"a": "a"})}) == 2
@@ -405,7 +442,7 @@ def test_a_rotation_that_cuts_nothing_is_an_engine_fault():
     core = make_sr({"a": ["b"], "b": ["a"]}).core
     core = core._replace(pref=((1, 1), (0,)), mirror=((0, 0), (1,)))
     with pytest.raises(InternalError, match="^eliminating the rotation at a cut nothing$"):
-        within(5, classic._Table(core).run, (1, 0))
+        within(5, classic._Table(core, (1, 0)).run)
 
 
 def test_a_faulty_proposal_round_ends_in_an_error_or_a_certified_partition(monkeypatch):
@@ -557,7 +594,7 @@ def _check_instance(inst, rng):
     assert (matching is not None) == bool(stables)
     if matching is not None:
         assert is_stable(inst, matching)
-        assert covered_agents(matching) == inst.agents - partition.singletons
+        assert covered_agents(matching) == inst.agents - singletons(partition)
     odd = sorted(sorted(p) for p in partition.odd_parties)
     order = sorted(inst.agents)
     for _ in range(2):
@@ -565,7 +602,7 @@ def _check_instance(inst, rng):
         shuffled = tan_stable_partition(inst, order=order)
         assert validate_partition(inst, shuffled) == []
         assert sorted(sorted(p) for p in shuffled.odd_parties) == odd
-        assert shuffled.singletons == partition.singletons
+        assert singletons(shuffled) == singletons(partition)
 
 
 def test_every_three_agent_instance():
@@ -620,7 +657,7 @@ def test_partition_properties_hold_on_arbitrary_instances(inst):
     assert (matching is None) == bool(partition.odd_parties)
     if matching is not None:
         assert is_stable(inst, matching)
-        assert covered_agents(matching) == inst.agents - partition.singletons
+        assert covered_agents(matching) == inst.agents - singletons(partition)
 
 
 # -- golden digest of engine outputs ----------------------------------------

@@ -425,6 +425,28 @@ def test_reduce_rejects_mismatched_source(capsys, tmp_path):
     assert code == 3 and "k" in err
 
 
+def test_reduce_refuses_a_gadget_that_names_an_agent_twice(capsys, tmp_path):
+    # Both edges read "a-b-c" as an edge token.
+    graph = tmp_path / "g.graph"
+    graph.write_text("vertices a b-c a-b c\nedge a b-c\nedge a-b c\n", encoding="utf-8")
+    out_path = tmp_path / "x.sm"
+    code, out, err = run(
+        capsys,
+        "reduce",
+        str(graph),
+        "--from",
+        "clique",
+        "--to",
+        "csm-addag-ma",
+        "--k",
+        "2",
+        "--out",
+        str(out_path),
+    )
+    assert code == 3 and out == "" and "collide" in err
+    assert not out_path.exists()
+
+
 # -- gen -----------------------------------------------------------------------
 
 

@@ -10,11 +10,13 @@ from helpers import (
     original_agents,
     pairs_of,
     random_query,
+    singletons,
     spurious_odd_party,
     three_cycle,
     top_pair_and_loner,
     two_by_two_sm,
 )
+from stablectl.classic import diagnose, partition_to_matching, tan_stable_partition
 from stablectl.control import (
     ADD_AGENTS,
     DELETE_ACCEPTABILITY,
@@ -302,3 +304,29 @@ def test_partition_goals_agree_with_enumerating_every_matching():
         for agent in sorted(inst.agents):
             assert goal_holds(inst, ControlGoal.ma(agent)) == any(agent in c for c in covered)
     assert min(shapes.values()) >= 20, shapes
+
+
+def test_existence_goals_follow_the_named_partition():
+    # esm, epsm and ma are each a diagnosis cost of 0.  The rule they must
+    # match is read off the named partition: no odd party, and no agent
+    # the goal needs matched among its fixed points.  Most markets are
+    # small, every tenth has up to 60 agents.
+    rng = random.Random(20)
+    seen = set()
+    for seed in range(2000):
+        n = rng.randint(2, 60) if seed % 10 == 0 else rng.randint(2, 20)
+        density = rng.choice((0.1, 0.3, 0.6, 1.0))
+        if seed % 2:
+            inst = random_sr(n, density, seed)
+        else:
+            inst = random_sm(n // 2, n - n // 2, density, seed)
+        partition = tan_stable_partition(inst)
+        odd, alone = bool(partition.odd_parties), singletons(partition)
+        assert goal_holds(inst, ControlGoal.esm()) == (not odd), seed
+        assert goal_holds(inst, ControlGoal.epsm()) == (not odd and not alone), seed
+        for u in sorted(inst.agents):
+            assert goal_holds(inst, ControlGoal.ma(u)) == (not odd and u not in alone), (seed, u)
+        assert diagnose(inst).witness() == partition_to_matching(inst, partition), seed
+        seen.add((inst.kind, odd, bool(alone)))
+    assert seen >= {("sm", False, False), ("sm", False, True)}
+    assert seen >= {("sr", odd, alone) for odd in (False, True) for alone in (False, True)}

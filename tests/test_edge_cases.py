@@ -2,7 +2,7 @@
 
 import random
 
-from helpers import pairs_of
+from helpers import pairs_of, singletons
 from stablectl.classic import irving_stable_matching, tan_stable_partition
 from stablectl.control import ControlGoal, ControlQuery, DELETE_AGENTS
 from stablectl.exact import solve_exact
@@ -118,6 +118,6 @@ def test_partition_on_disconnected_mixture():
     partition = tan_stable_partition(inst)
     assert ("a", "b") in partition.parties
     assert ("p", "q", "r") in partition.parties
-    assert partition.singletons == {"z"}
+    assert singletons(partition) == {"z"}
     assert irving_stable_matching(inst) is None
     assert irving_stable_matching(delete_agents(inst, {"p"})) == pairs_of(("a", "b"), ("q", "r"))

@@ -8,6 +8,10 @@
   alone: it imports no other package module.
 * Every import from outside the package, at any level, is of a standard
   library module: the core has no third-party dependency.
+* Only :mod:`stablectl.classic` reads the structure of a stable partition
+  (``parties``, ``odd_parties``, ``singletons``, ``successor``): whether
+  a stable matching exists, and whom it must leave alone, is stated there
+  once, and other modules ask it for a diagnosis cost.
 * Every ``(module, function)`` pair that the benchmark's tracer wraps
   (``TARGETS`` in ``bench/spans.py``, read with ``ast``) names a
   function of the package.
@@ -138,6 +142,18 @@ def test_package_imports_only_the_standard_library():
                 if top != "stablectl" and top not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_only_classic_reads_partition_structure():
+    structure = {"parties", "odd_parties", "singletons", "successor"}
+    reads = [
+        f"{name}.py:{node.lineno} {node.attr}"
+        for name, tree in modules().items()
+        if name != "classic"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in structure
+    ]
+    assert reads == []
 
 
 def test_benchmark_trace_targets_resolve():

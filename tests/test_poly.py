@@ -16,6 +16,8 @@ from helpers import (
     pairs_of,
     prefers,
     random_query,
+    singletons,
+    stars,
     three_cycle,
 )
 from stablectl import classic, poly
@@ -47,22 +49,21 @@ from stablectl.stability import blocking_pairs, enumerate_stable_matchings, is_s
 
 def test_fixing_mutual_top_pair_deletes_nothing():
     ctx = fixing_deletions(mutual_pair(), "a", "b")
-    assert ctx.a_star == frozenset() and ctx.b_star == frozenset()
+    assert stars(ctx) == (frozenset(), frozenset())
     assert mutual_pair().acceptable_pairs - ctx.reduced.acceptable_pairs == frozenset()
     assert ctx.reduced == mutual_pair()
 
 
 def test_fixing_three_cycle():
     ctx = fixing_deletions(three_cycle(), "a", "b")
-    assert ctx.a_star == frozenset()
-    assert ctx.b_star == {"c"}
+    assert stars(ctx) == (frozenset(), {"c"})
     assert three_cycle().acceptable_pairs - ctx.reduced.acceptable_pairs == pairs_of(("b", "c"))
 
 
 def test_fixing_with_competition_on_target_side():
     inst = make_sr({"a": ["c", "b"], "b": ["a"], "c": ["a"]})
     ctx = fixing_deletions(inst, "a", "b")
-    assert ctx.a_star == {"c"} and ctx.b_star == frozenset()
+    assert stars(ctx) == ({"c"}, frozenset())
     assert inst.acceptable_pairs - ctx.reduced.acceptable_pairs == pairs_of(("a", "c"))
 
 
@@ -82,7 +83,7 @@ def test_fixing_makes_target_mutually_top():
             assert ctx.reduced.prefs[b][0] == a
             assert target not in inst.acceptable_pairs - ctx.reduced.acceptable_pairs
             # Agents that outrank the target hold no options below it.
-            for x in ctx.a_star:
+            for x in stars(ctx)[0]:
                 for y in ctx.reduced.prefs[x]:
                     assert y != a and not prefers(inst, x, a, y)
 
@@ -111,7 +112,7 @@ def test_fixing_matches_the_pairwise_rule():
                 if y == anchor or prefers(inst, x, anchor, y)
             }
             ctx = fixing_deletions(inst, a, b)
-            assert (ctx.a_star, ctx.b_star) == (a_star, b_star)
+            assert stars(ctx) == (a_star, b_star)
             assert ctx.reduced == delete_pairs(inst, doomed)
 
 
@@ -127,7 +128,7 @@ def test_diagnosis_never_implicates_the_target_pair():
             diag = diagnose_fixed_instance(ctx)
             for party in diag.partition.odd_parties:
                 assert a not in party and b not in party
-            assert diag.forbidden_singletons <= (ctx.a_star | ctx.b_star)
+            assert diag.forbidden_singletons <= frozenset().union(*stars(ctx))
             assert not diag.forbidden_singletons & {a, b}
 
 
@@ -180,7 +181,7 @@ def test_claim_one_characterisation_via_enumeration():
         target = targets[seed % len(targets)]
         a, b = sorted(target)
         ctx = fixing_deletions(inst, a, b)
-        interested = ctx.a_star | ctx.b_star
+        interested = frozenset().union(*stars(ctx))
         others = sorted(inst.agents - target)
         for size in range(0, min(3, len(others)) + 1):
             for combo in itertools.combinations(others, size):
@@ -373,7 +374,7 @@ def test_witness_follows_the_partition_rule_and_clears_the_fixed_instance():
             assert out.verdict and out.witness == rule
             rest = classic.tan_stable_partition(delete_agents(ctx.reduced, out.witness))
             assert rest.odd_parties == ()
-            assert not rest.singletons & ((ctx.a_star | ctx.b_star) - out.witness)
+            assert not singletons(rest) & (frozenset().union(*stars(ctx)) - out.witness)
             checked += 1
     assert checked >= 200
 
@@ -402,7 +403,7 @@ def test_diagnosis_matches_the_named_partition_of_the_fixed_market():
             partition = classic.tan_stable_partition(ctx.reduced)
             dropped, matching = classic.partition_to_matching(ctx.reduced, partition)
             la, lb = inst.prefs[a], inst.prefs[b]
-            forbidden = partition.singletons & set(la[: la.index(b)] + lb[: lb.index(a)])
+            forbidden = singletons(partition) & set(la[: la.index(b)] + lb[: lb.index(a)])
             assert diag.partition == partition
             assert diag.forbidden_singletons == forbidden
             assert diag.cost == len(partition.odd_parties) + len(forbidden)

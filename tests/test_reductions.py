@@ -4,14 +4,12 @@ import random
 
 import pytest
 
-from helpers import is_perfect
+from helpers import brute_clique, brute_independent_set, is_perfect
 from stablectl.control import apply_actions
 from stablectl.errors import CapExceededError, ParseError
 from stablectl.exact import solve_exact
 from stablectl.model import pair_text, serialize_instance, serialize_matching, validate
 from stablectl.reductions import (
-    brute_clique,
-    brute_independent_set,
     clique_to_csm_addag,
     is_to_csr_addag_existssm,
     is_to_csr_addag_ms,
@@ -89,6 +87,21 @@ def test_clique_reduction_counts_for_triangle():
     assert result.query.goal.kind == "ma"
     assert result.query.goal.agent == "wstar"
     assert inst.addable == {m for m in men if m.startswith(("mv'", "me'"))}
+
+
+def test_gadgets_refuse_a_name_they_would_give_twice():
+    # Edge tokens join the endpoints with "-", so the edges {a, b-c} and
+    # {a-b, c} both read "a-b-c" and would share one edge woman and one
+    # role.  The independent-set gadgets name no edge, so they stay valid.
+    graph = make_graph(["a", "b-c", "a-b", "c"], [("a", "b-c"), ("a-b", "c")])
+    for goal_kind in ("ma", "epsm"):
+        with pytest.raises(ValueError, match="^vertex names collide under the gadget naming scheme$"):
+            clique_to_csm_addag(graph, 2, goal_kind)
+    assert validate(is_to_csr_addag_ms(graph, 2).query.instance) == []
+    assert validate(is_to_csr_addag_existssm(graph, 2).query.instance) == []
+    # A vertex named like a selector would be the same agent as it.
+    with pytest.raises(ValueError, match="collide"):
+        is_to_csr_addag_existssm(make_graph(["s_1", "v"], []), 1)
 
 
 def test_clique_reduction_k0_is_trivially_yes():
