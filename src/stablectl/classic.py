@@ -3,19 +3,18 @@
 Five entry points, all on one partition engine:
 
 * :func:`gale_shapley`: deferred acceptance for marriage instances,
-  optimal for the proposing side.  It is the engine's proposal phase on
-  its own: on a marriage market that phase leaves every agent its
-  GS-list, and the heads of the proposing side's GS-lists are the
-  proposer-optimal stable matching [Gusfield & Irving 1989, *The Stable
-  Marriage Problem*, §1.2 and ch. 4].  So it rejects every market the
-  engine rejects.
+  optimal for the proposing side [Gale & Shapley 1962, Amer. Math.
+  Monthly 69:9].  It is the engine's proposal loop run from the
+  proposing side alone, read at that side's heads, so it rejects every
+  market the engine rejects.
 * :func:`tan_stable_partition`: a stable partition for any roommates
   instance, a permutation of the agents whose cycles ("parties")
   generalise stable matchings.  One always exists; a stable matching
   exists exactly when no party has odd size three or more, and then
   every stable matching leaves exactly the singleton parties unmatched.
 * :func:`irving_stable_matching`: the stable matching that pairs up the
-  parties of that partition, or ``None`` when it has an odd party.
+  parties of that partition, or ``None`` when it has an odd party; it is
+  the witness of :func:`diagnose` with no interested agent.
 * :func:`diagnose`: the same partition read for a set of *interested*
   agents, as a :class:`PartitionDiagnosis` whose ``cost`` is 0 exactly
   when some stable matching matches all of them [Tan 1991, J. Algorithms
@@ -96,11 +95,14 @@ engine run that ends in a partition is made by one constructor,
 processing order, and gives a :class:`PartitionDiagnosis`.  That walks
 the parties, counts its ``cost`` and pairs up its witness on integers,
 names only the witness, and names ``partition`` and
-``forbidden_singletons`` when they are read.  :func:`tan_stable_partition`
-reads ``partition``, once (and :func:`irving_stable_matching` pairs up
-that partition); every other caller reads the cost or the witness.  So
-:func:`~stablectl.poly.solve_delag_ma` names one witness per call, not a
-partition per partner, and a goal evaluation names none.
+``forbidden_singletons`` when they are read.  Only
+:func:`tan_stable_partition` and ``stablectl stable --partition`` read
+``partition``, once per run; every other caller reads the cost or the
+witness, and :func:`irving_stable_matching` is the witness of a run that
+costs 0.  So :func:`~stablectl.poly.solve_delag_ma` names one witness
+per call, not a partition per partner, and neither a goal evaluation nor
+a stable matching names a partition.  :func:`partition_to_matching`
+pairs up a caller's named partition with the same :func:`_pair_up`.
 """
 
 from __future__ import annotations
@@ -125,6 +127,9 @@ class StablePartition:
     fixed points for singleton parties.  Within a party of size >= 3 each
     agent prefers its successor to its predecessor.  It is a read-only
     copy, so the cached readings cannot go stale; it also gives the hash.
+    A partition is only read: :func:`partition_to_matching` pairs up its
+    parties, and the engine's own answers are read off a
+    :class:`PartitionDiagnosis` before any partition is named.
     """
 
     successor: Mapping
@@ -152,15 +157,6 @@ class StablePartition:
     def odd_parties(self) -> tuple:
         """The parties of odd size three or more; a stable matching exists iff there are none."""
         return tuple(filter(_is_odd, self.parties))
-
-    def stable_matching(self) -> Matching | None:
-        """The stable matching the parties pair up; ``None`` when an odd party exists."""
-        return None if self.odd_parties else self._pair_up()[1]
-
-    def _pair_up(self) -> tuple[frozenset, Matching]:
-        """:func:`_pair_up` on the parties: the agents it drops and the matching."""
-        dropped, pairs = _pair_up(self.parties)
-        return frozenset(dropped), frozenset(map(frozenset, pairs))
 
 
 def _parties(succ, agents: Iterable) -> list[list]:
@@ -246,7 +242,8 @@ def partition_to_matching(
     violations = validate_partition(inst, partition)
     if violations:
         raise ValueError("invalid partition: " + "; ".join(violations))
-    return partition._pair_up()
+    dropped, pairs = _pair_up(partition.parties)
+    return frozenset(dropped), frozenset(map(frozenset, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +253,17 @@ def partition_to_matching(
 def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     """Deferred acceptance; returns the proposing-side-optimal matching.
 
-    This is phase 1 of the partition engine (:meth:`_Table.stabilize`)
-    on the whole lists of the instance's cached core.  On a marriage
-    market it leaves every agent its GS-list, the entries that both the
-    man-oriented and the woman-oriented proposal sequences keep, and the
-    head of each proposing-side agent's GS-list is its partner in the
-    proposer-optimal stable matching; an empty list leaves it unmatched
-    [Gusfield & Irving 1989, *The Stable Marriage Problem*, §1.2 and
-    ch. 4].  A market whose core cannot be built raises
+    This is the partition engine's proposal loop (:meth:`_Table.stabilize`)
+    on the whole lists of the instance's cached core, with only the
+    proposing side on the worklist.  On a marriage market a displaced
+    proposer is always of the proposing side, so no other agent ever
+    proposes, and the loop is textbook deferred acceptance: each proposer
+    ends at the head of its list, its partner in the proposer-optimal
+    stable matching, or with an empty list, unmatched [Gale & Shapley
+    1962, Amer. Math. Monthly 69:9].  The reviewers' lists are cut below
+    the proposal each holds, but are left as they are otherwise, so the
+    table is not a stable one and :meth:`_Table.run` is never called on
+    it.  A market whose core cannot be built raises
     :class:`InvalidInstanceError`.
     """
     if inst.kind != SM:
@@ -271,13 +271,12 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     if proposing not in ("a", "b"):
         raise ValueError("proposing side must be 'a' or 'b'")
     core = inst.core
-    table = _Table(core, core.whole)
+    names = core.names
+    proposers = [i for i, u in enumerate(names) if inst.side[u] == proposing]
+    table = _Table(core, core.whole, proposers)
     table.stabilize()
-    names, side, first = core.names, inst.side, table.first
     return frozenset(
-        frozenset((u, names[v]))
-        for i, u in enumerate(names)
-        if side[u] == proposing and (v := first(i)) >= 0
+        frozenset((names[i], names[v])) for i in proposers if (v := table.first(i)) >= 0
     )
 
 
@@ -299,8 +298,11 @@ class _Table:
     The core is built once per instance and never written; a table adds
     the state of one run, set up in O(n) from the tails ``start`` it is
     given (copied once, into ``tail``) and the processing ``order``, so one
-    table is one run.  :meth:`stabilize` on a fresh table is phase 1 on its
-    own, which :func:`gale_shapley` reads; :meth:`run` is the whole run.
+    table is one run.  :meth:`run` is the whole run, and needs ``order`` to
+    be a permutation of the agents.  :func:`gale_shapley` gives only the
+    proposing side of a marriage market as ``order`` and calls
+    :meth:`stabilize` alone, never :meth:`run`: that is deferred
+    acceptance, which leaves the reviewers' lists unstable.
     Every reduction deletes a tail of some list, so the tail position
     ``tail[i]`` is the only deletion state: the entry at position ``p`` of
     ``u``'s list, naming ``v``, is live exactly when ``p <= tail[u]`` and
@@ -311,13 +313,13 @@ class _Table:
     never pass the first, second and last live entry, so list access costs
     amortised O(1).  ``held[v]`` is the position on
     ``v``'s list of the proposal ``v`` holds (-1 for none).  ``work``
-    holds the agents that may have to propose again: every agent at the
-    start, the first of ``order`` on top, then each agent whose held
+    holds the agents that may have to propose again: every agent of
+    ``order`` at the start, the first on top, then each agent whose held
     proposal falls with a cut.  ``succ`` is the partition the run builds,
-    one successor index per agent; every agent starts alone.  The
-    stable-table invariant, restored by :meth:`stabilize`, is that every
-    agent with a non-empty list proposes to the head of its list and holds
-    a proposal from its tail.
+    one successor index per agent; every agent starts alone.  When
+    ``order`` holds every agent, the stable-table invariant, restored by
+    :meth:`stabilize`, is that every agent with a non-empty list proposes
+    to the head of its list and holds a proposal from its tail.
     """
 
     def __init__(self, core: MarketCore, tail: Sequence[int], order: Sequence[int] | None = None):
@@ -383,12 +385,19 @@ class _Table:
     # -- proposal rounds -------------------------------------------------
 
     def stabilize(self) -> None:
-        """Run proposals until every non-empty list is head-held and tail-holding.
+        """Run proposals until no agent on the worklist has a proposal to make.
 
         A list is cut below every proposal it accepts, so a live proposal
         never ranks below the one its target holds and is never refused.
         The deletions reached do not depend on the order in which agents
-        propose, so the worklist is processed last in, first out.
+        propose, so the worklist is processed last in, first out.  Started
+        with every agent on the worklist, it leaves every non-empty list
+        head-held and tail-holding, the stable table of phase 1 [Irving
+        1985, J. Algorithms 6:577].  Started with one side of a marriage
+        market, only that side ever proposes, since a cut releases only
+        proposals made to the cut list's owner: this is deferred
+        acceptance [Gale & Shapley 1962, Amer. Math. Monthly 69:9], which
+        :func:`gale_shapley` reads at the proposers' heads.
         """
         work, held, head, mirror = self.work, self.held, self.head, self.mirror
         while work:
@@ -669,9 +678,11 @@ def tan_stable_partition(
 def irving_stable_matching(inst: RoommatesInstance) -> Matching | None:
     """Some stable matching of ``inst``, or ``None`` when none exists.
 
-    The parties of :func:`tan_stable_partition` paired up in turn.
+    One :func:`diagnose` run with no interested agent: its ``cost`` counts
+    the odd parties, and when there are none its witness deletes nothing
+    and pairs up the parties in turn.
     """
-    return tan_stable_partition(inst).stable_matching()
+    return None if (diag := diagnose(inst)).cost else diag.witness()[1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ never reported as invalid input.  Verdicts are reported on
 stdout only, never through the exit code, so pipelines can tell "solved,
 answer no" from failure.  The environment variable ``STABLECTL_CAP``
 overrides the default enumeration and search caps; a ``--cap`` flag wins
-over both.
+over both, and a negative cap from either is invalid input.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call.
@@ -33,7 +33,7 @@ from functools import cache
 from pathlib import Path
 
 from . import exact, generators, poly, reductions
-from .classic import render_partition, tan_stable_partition
+from .classic import diagnose, render_partition
 from .control import ACTIONS, GOAL_KINDS, GOAL_TARGETS, ControlGoal, ControlOutcome, ControlQuery
 from .errors import (
     CapExceededError,
@@ -65,14 +65,17 @@ REDUCTION_TARGETS = {
 }
 
 
-def _env_cap(default: int) -> int:
-    raw = os.environ.get("STABLECTL_CAP")
-    if raw is None:
-        return default
+def _cap(flag: int | None, default: int) -> int:
+    """The size cap: ``--cap``, else ``STABLECTL_CAP``, else ``default``; never negative."""
+    raw = os.environ.get("STABLECTL_CAP", default) if flag is None else flag
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InvalidQueryError(f"STABLECTL_CAP must be an integer, got {raw!r}")
+    if cap < 0:
+        source = "--cap" if flag is not None else "STABLECTL_CAP"
+        raise InvalidQueryError(f"{source} must not be negative, got {cap}")
+    return cap
 
 
 def _read(path: str) -> str:
@@ -97,8 +100,7 @@ def cmd_validate(args) -> int:
 
 def cmd_stable(args) -> int:
     inst = parse_instance(_read(args.instance))
-    cap = args.cap if args.cap is not None else _env_cap(DEFAULT_ENUM_CAP)
-    partition = None
+    cap = _cap(args.cap, DEFAULT_ENUM_CAP)
     if args.enumerate:
         matchings = enumerate_stable_matchings(inst, cap=cap)
         print(f"stable matchings: {len(matchings)}")
@@ -106,17 +108,13 @@ def cmd_stable(args) -> int:
             print(f"matching {i}:")
             for line in serialize_matching(m).splitlines():
                 print(f"  {line}")
-    else:
-        partition = tan_stable_partition(inst)
-        matching = partition.stable_matching()
-        if matching is None:
-            print("none")
-        else:
-            print(serialize_matching(matching), end="")
+        if not args.partition:
+            return EXIT_OK
+    diag = diagnose(inst)
+    if not args.enumerate:
+        print("none\n" if diag.cost else serialize_matching(diag.witness()[1]), end="")
     if args.partition:
-        if partition is None:
-            partition = tan_stable_partition(inst)
-        print(render_partition(partition), end="")
+        print(render_partition(diag.partition), end="")
     return EXIT_OK
 
 
@@ -155,8 +153,7 @@ def cmd_solve(args) -> int:
     query = ControlQuery(
         instance=inst, action=action, goal=_build_goal(args, goal_kind), budget=args.budget
     )
-    cap = args.cap if args.cap is not None else _env_cap(exact.DEFAULT_CANDIDATE_CAP)
-    _render_outcome(poly.solve(query, args.method, cap))
+    _render_outcome(poly.solve(query, args.method, _cap(args.cap, exact.DEFAULT_CANDIDATE_CAP)))
     return EXIT_OK
 
 

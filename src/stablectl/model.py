@@ -36,7 +36,8 @@ ignored::
     pref c: a
 
 Every declared agent needs exactly one ``pref`` line.  ``side=`` labels are
-mandatory for ``sm`` instances and rejected for ``sr``.  Matching files hold
+mandatory for ``sm`` instances and rejected for ``sr``; an ``agent`` line
+gives each attribute at most once.  Matching files hold
 one ``match <id> <id>`` line per pair, with the same comment rules.
 
 Identifiers are opaque case-sensitive tokens without whitespace or the
@@ -410,10 +411,14 @@ def parse_instance(text: str) -> RoommatesInstance:
                 raise ParseError(f"duplicate agent {name}", lineno)
             for tok in tokens[2:]:
                 if tok == "addable":
+                    if name in addable:
+                        raise ParseError(f"agent {name} repeats 'addable'", lineno)
                     addable.add(name)
                 elif tok in ("side=a", "side=b"):
                     if kind == SR:
                         raise ParseError("side labels are only allowed for sm", lineno)
+                    if name in side:
+                        raise ParseError(f"agent {name} has more than one side label", lineno)
                     side[name] = tok[-1]
                 else:
                     raise ParseError(f"unknown agent attribute {tok!r}", lineno)

@@ -222,6 +222,19 @@ def count_engine_calls(monkeypatch) -> dict:
     return counts
 
 
+def count_named_partitions(monkeypatch) -> list:
+    """Record every ``StablePartition`` constructed, at its ``__post_init__``."""
+    named = []
+    post_init = classic.StablePartition.__post_init__
+
+    def counted(partition):
+        named.append(partition)
+        post_init(partition)
+
+    monkeypatch.setattr(classic.StablePartition, "__post_init__", counted)
+    return named
+
+
 def four_agent_unsolvable():
     return make_sr(
         {

@@ -13,6 +13,7 @@ from helpers import (
     all_small_sr_instances,
     bench_module,
     count_engine_calls,
+    count_named_partitions,
     covered_agents,
     drop_half_the_worklist,
     drop_one_proposer,
@@ -112,6 +113,25 @@ def test_gs_equals_textbook_deferred_acceptance():
         assert [gale_shapley(inst, proposing) for proposing in "ab"] == optima, seed
         two_optima += optima[0] != optima[1]
     assert two_optima >= 200
+
+
+def test_gs_proposes_from_the_proposing_side_only(monkeypatch):
+    # Deferred acceptance: no reviewing-side agent ever proposes, so no
+    # reviewer's head is ever read.
+    read = []
+    first = classic._Table.first
+
+    def recorded(table, u):
+        read.append(table.names[u])
+        return first(table, u)
+
+    monkeypatch.setattr(classic._Table, "first", recorded)
+    for seed in range(200):
+        inst = random_sm(seed % 7 + 1, seed % 5 + 1, (seed % 10 + 1) / 10, seed)
+        for proposing in "ab":
+            read.clear()
+            gale_shapley(inst, proposing)
+            assert read and {inst.side[u] for u in read} == {proposing}, (seed, proposing)
 
 
 def test_gs_output_is_stable_and_proposer_optimal():
@@ -306,6 +326,20 @@ def test_irving_interns_the_market_once(monkeypatch):
         counts.update(tables=0, runs=0)
         irving_stable_matching(inst)
         assert counts == {"tables": 1, "runs": 1}
+
+
+def test_irving_reads_the_diagnosis_and_names_no_partition(monkeypatch):
+    markets = [mutual_pair(), three_cycle(), four_agent_unsolvable(), two_by_two_sm()]
+    markets += [random_sr(30, 0.3, seed) for seed in range(10)]
+    named = count_named_partitions(monkeypatch)
+    matchings = [irving_stable_matching(inst) for inst in markets]
+    assert named == []
+    # The same answers as pairing up the named partition.
+    for inst, matching in zip(markets, matchings):
+        partition = tan_stable_partition(inst)
+        expected = None if partition.odd_parties else partition_to_matching(inst, partition)[1]
+        assert matching == expected
+    assert any(m is None for m in matchings) and any(matchings)
 
 
 def test_one_core_serves_every_engine_run_and_pair_answer_on_an_instance(monkeypatch):
@@ -534,7 +568,7 @@ def _matched(inst):
     partition = tan_stable_partition(inst)
     assert partition.odd_parties == ()
     matching = irving_stable_matching(inst)
-    assert matching == partition.stable_matching() and is_stable(inst, matching)
+    assert matching == partition_to_matching(inst, partition)[1] and is_stable(inst, matching)
     for target in sorted(matching, key=sorted):
         out = solve_delag_mp(inst, target, 0)
         assert (out.verdict, out.optimum, out.witness) == (True, 0, frozenset())

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     all_alone,
     count_engine_calls,
+    count_named_partitions,
     delete_a_matched_agent,
     delete_an_unknown_agent,
     drop_a_matched_pair,
@@ -107,6 +108,13 @@ def test_undecodable_file_is_invalid_input(tmp_path, capsys):
     assert code == 3 and out == "" and err.startswith("invalid input: 'utf-8' codec")
 
 
+def test_a_repeated_agent_attribute_is_a_parse_error(instance_file, capsys):
+    for attrs in ("side=b side=a", "side=a addable addable"):
+        text = f"problem: sm\nagent a {attrs}\nagent b side=b\npref a: b\npref b: a\n"
+        code, out, err = run(capsys, "validate", instance_file(text))
+        assert (code, out) == (2, "") and err.startswith("parse error: line 2: agent a ")
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/path.sr")
     assert code == 2
@@ -141,6 +149,21 @@ def test_stable_partition_runs_the_engine_once(instance_file, capsys, monkeypatc
     assert out == "none\nparty (a b c) odd\nparty (d) odd\n"
     code, out, _ = run(capsys, "stable", instance_file(VALID), "--partition")
     assert out == "match a b\nparty (a b)\n"
+
+
+def test_stable_names_a_partition_only_when_it_prints_one(instance_file, capsys, monkeypatch):
+    # The matching is read off the engine's diagnosis; only --partition
+    # names the partition, once, from the same single engine run.
+    named = count_named_partitions(monkeypatch)
+    counts = count_engine_calls(monkeypatch)
+    for text in (FOUR_AGENTS, VALID, THREE_CYCLE, serialize_instance(random_sr(12, 0.6, 3))):
+        path = instance_file(text)
+        for flags, partitions in (([], 0), (["--partition"], 1)):
+            named.clear()
+            counts.update(tables=0, runs=0)
+            code, _, _ = run(capsys, "stable", path, *flags)
+            assert code == 0 and len(named) == partitions
+            assert counts == {"tables": 1, "runs": 1}
 
 
 def test_stable_partition_resolves_a_rotation_that_is_not_singular(instance_file, capsys):
@@ -296,6 +319,27 @@ def test_solve_cap_exceeded(capsys, instance_file, tmp_path):
         capsys, "solve", path, "--problem", "delacc-esm", "--budget", "1"
     )
     assert code == 4 and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["stable", "{path}", "--enumerate"],
+        ["solve", "{path}", "--problem", "delacc-esm", "--budget", "1"],
+    ],
+)
+def test_a_negative_cap_is_invalid_input(instance_file, capsys, monkeypatch, command):
+    argv = [a.format(path=instance_file(THREE_CYCLE)) for a in command]
+    code, out, err = run(capsys, *argv, "--cap", "-1")
+    assert (code, out, err) == (3, "", "invalid input: --cap must not be negative, got -1\n")
+    monkeypatch.setenv("STABLECTL_CAP", "-1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "invalid input: STABLECTL_CAP must not be negative, got -1\n")
+    # The flag wins over the environment, and a cap of 0 is a cap.
+    code, _, err = run(capsys, *argv, "--cap", "0")
+    assert code == 4 and "cap" in err
+    code, _, _ = run(capsys, *argv, "--cap", "3")
+    assert code == 0
 
 
 def test_a_non_integer_cap_in_the_environment_is_invalid_input(instance_file, capsys, monkeypatch):

@@ -80,6 +80,22 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("agent a side=b side=a", "agent a has more than one side label"),
+        ("agent a side=a side=a", "agent a has more than one side label"),
+        ("agent a side=a addable addable", "agent a repeats 'addable'"),
+        ("agent a addable side=a addable", "agent a repeats 'addable'"),
+    ],
+)
+def test_parse_rejects_a_repeated_agent_attribute(line, fragment):
+    text = f"problem: sm\n{line}\nagent b side=b\npref a: b\npref b: a\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert fragment in str(err.value) and err.value.line == 2
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = "# header\n\nproblem: sr  # trailing\nagent a\nagent b\npref a: b\npref b: a\n"
     assert parse_instance(text) == mutual_pair()

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     all_alone,
     count_engine_calls,
+    count_named_partitions,
     delete_a_matched_agent,
     delete_an_unknown_agent,
     drop_a_matched_pair,
@@ -273,14 +274,7 @@ def test_ma_fixes_and_partitions_each_partner_once(monkeypatch):
 
 def test_ma_names_at_most_one_partition(monkeypatch):
     # Every partner's partition is read as integers; only the answer is named.
-    named = []
-    post_init = classic.StablePartition.__post_init__
-
-    def counted(partition):
-        named.append(partition)
-        post_init(partition)
-
-    monkeypatch.setattr(classic.StablePartition, "__post_init__", counted)
+    named = count_named_partitions(monkeypatch)
     counts = count_engine_calls(monkeypatch)
     inst = random_sr(20, 1.0, 5)
     out = solve_delag_ma(inst, "u00", budget=len(inst.agents))
