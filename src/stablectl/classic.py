@@ -516,9 +516,17 @@ def _violations(core: MarketCore, succ: Sequence[int], tail: Sequence[int]) -> l
     that are not each other's successor blocks, where a pair blocks when
     each prefers the other to its predecessor (a fixed point ranks below
     every acceptable agent).  Violations come grouped in that order, and
-    within a group in the sorted order of the names.  Only the entries
-    before each agent's predecessor are scanned for blocking pairs: no
-    other entry can block.
+    within a group in the sorted order of the names.
+
+    Blocking pairs are read by :meth:`MarketCore.blocking`, with each
+    agent's predecessor as its bound, so only the entries before it are
+    scanned: no other entry can block.  Once every successor is
+    acceptable, that scan meets no pair of an agent ``u`` and its
+    successor ``s``, from whichever end it reads the pair.  From ``s``:
+    ``u`` is the predecessor of ``s``, so ``bound[s]`` is the position of
+    ``u``, and the slice of ``s``'s list ends before ``u``.  From ``u``:
+    ``s`` has ``u`` at its bound, and the test is a strict ``<``.  So the
+    scan needs no test that two agents are not each other's successor.
     """
     names, pref, mirror = core.names, core.pref, core.mirror
     n = len(names)
@@ -551,13 +559,8 @@ def _violations(core: MarketCore, succ: Sequence[int], tail: Sequence[int]) -> l
         for u, s in enumerate(succ)
         if s != u and s != pred[u] and not at[u] < bound[u]
     ]
-    blocking = [
-        (u, v)
-        for u in range(n)
-        for p, v in enumerate(pref[u][: bound[u]])
-        if v > u and mirror[u][p] < bound[v] and v != succ[u] and succ[v] != u
-    ]
-    return out + [f"pair {names[u]},{names[v]} blocks the partition" for u, v in sorted(blocking)]
+    blocking = sorted(core.blocking(bound))  # the scan yields them in list order
+    return out + [f"pair {names[u]},{names[v]} blocks the partition" for u, v in blocking]
 
 
 # ---------------------------------------------------------------------------

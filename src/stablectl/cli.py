@@ -87,6 +87,13 @@ def _read(path: str) -> str:
         raise InvalidQueryError(str(exc))
 
 
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidQueryError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def cmd_validate(args) -> int:
     try:
         parse_instance(_read(args.instance))
@@ -120,6 +127,9 @@ def cmd_stable(args) -> int:
 
 def _build_goal(args, kind: str) -> ControlGoal:
     field = GOAL_TARGETS[kind]
+    for other in filter(None, GOAL_TARGETS.values()):
+        if other != field and getattr(args, f"target_{other}") is not None:
+            raise InvalidQueryError(f"goal {kind} takes no --target-{other}")
     if field is None:
         return ControlGoal(kind=kind)
     target = getattr(args, f"target_{field}")
@@ -168,7 +178,7 @@ def cmd_reduce(args) -> int:
         raise InvalidQueryError(str(exc))
     query = result.query
     out = Path(args.out)
-    out.write_text(serialize_instance(query.instance), encoding="utf-8")
+    _write(out, serialize_instance(query.instance))
     sidecar_lines = [
         f"# reduced from {args.source} via {args.to}",
         *(f"# name {role} = {agent}" for role, agent in sorted(result.name_map.items())),
@@ -179,10 +189,10 @@ def cmd_reduce(args) -> int:
         sidecar_lines.append(f"target-agent: {query.goal.agent}")
     if query.goal.matching is not None:
         matching_path = out.with_name(out.name + ".matching")
-        matching_path.write_text(serialize_matching(query.goal.matching), encoding="utf-8")
+        _write(matching_path, serialize_matching(query.goal.matching))
         sidecar_lines.append(f"target-matching: {matching_path.name}")
     sidecar = out.with_name(out.name + ".query")
-    sidecar.write_text("\n".join(sidecar_lines) + "\n", encoding="utf-8")
+    _write(sidecar, "\n".join(sidecar_lines) + "\n")
     print(f"instance: {out}")
     print(f"query: {sidecar}")
     return EXIT_OK
@@ -202,7 +212,7 @@ def cmd_gen(args) -> int:
         raise InvalidQueryError(str(exc))
     text = serialize_instance(inst)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         print(text, end="")
     return EXIT_OK

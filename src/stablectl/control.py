@@ -227,14 +227,12 @@ def goal_holds(inst: RoommatesInstance, goal: ControlGoal, action: str = DELETE_
     if goal.kind == "ms":
         if goal.matching is None:
             return False
-        if action == DELETE_ACCEPTABILITY:
-            # The target matching must be intact and stable as it stands.
-            if not all(inst.is_acceptable_pair(p) for p in goal.matching):
-                return False
-            return is_stable(inst, goal.matching)
         # A stable matching inside the target keeps every target pair that
         # survives in ``inst``: a dropped one leaves both its agents
         # unmatched and blocking.  So the surviving pairs are the only
-        # candidate.
-        return is_stable(inst, frozenset(p for p in goal.matching if inst.is_acceptable_pair(p)))
+        # candidate; under acceptability deletion they must be all of it.
+        kept = frozenset(filter(inst.is_acceptable_pair, goal.matching))
+        if action == DELETE_ACCEPTABILITY and kept != goal.matching:
+            return False
+        return is_stable(inst, kept)
     raise InvalidQueryError(f"unknown goal {goal.kind!r}")

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import filterfalse
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InternalError, InvalidInstanceError, ParseError
 
@@ -91,6 +91,11 @@ class MarketCore(NamedTuple):
     tuple, except that ``mirror`` rows are ``bytes`` when no list is
     longer than 256, so that every position fits a byte; ``index`` is a
     read-only view.  So the core of an immutable instance is immutable.
+
+    :meth:`blocking` is the integer statement of the blocking rule: it
+    reads the blocking pairs of a matching for
+    :func:`~stablectl.stability.blocking_pairs`, and those of every
+    partition the engine returns for the axiom check that certifies it.
     """
 
     names: tuple
@@ -98,6 +103,25 @@ class MarketCore(NamedTuple):
     pref: tuple
     mirror: tuple
     whole: tuple
+
+    def blocking(self, bound: Sequence[int]) -> Iterator[tuple[int, int]]:
+        """The pairs ``(u, v)``, ``u < v``, that block at ``bound``, in list order.
+
+        Agent ``u`` prefers exactly the entries before position
+        ``bound[u]`` on its list, and a pair blocks when each member
+        prefers the other.  The bound is the position of the agent that
+        ``u`` compares every other against (its partner, or its
+        predecessor in a partition), and one past the last entry ``u``
+        may take when there is none.  Only the entries before each bound
+        are read, in O(n + m) at most.
+        """
+        pref, mirror = self.pref, self.mirror
+        return (
+            (u, v)
+            for u in range(len(pref))
+            for p, v in enumerate(pref[u][: bound[u]])
+            if v > u and mirror[u][p] < bound[v]
+        )
 
 
 @dataclass(frozen=True)

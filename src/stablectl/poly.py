@@ -35,9 +35,11 @@ instance the query was asked on (:func:`~stablectl.stability.is_stable`
 with the deletions as arguments), through its cached rank map, the one
 fact it shares with the engine, whose core mirrors that map.  So no
 certified answer builds a controlled instance or a set of the pairs that
-block its witness matching.  The acceptability witness is enumerated by
-:func:`~stablectl.stability.blocking_pairs` and certified by that other
-scan, so the two checks are derived separately.
+block its witness matching.  The acceptability witness is an integer
+answer: :func:`~stablectl.stability.blocking_pairs` reads it off the
+instance's core with :meth:`~stablectl.model.MarketCore.blocking`, the
+scan that also checks every engine partition.  Its certificate is the
+names-side scan, which shares none of that code.
 """
 
 from __future__ import annotations

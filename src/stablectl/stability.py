@@ -6,15 +6,20 @@ agent.  It returns the matching's partner map, which both scans below
 read, and the query checks of :mod:`stablectl.control` call it on a
 target matching.
 
-Both scans read the instance's cached rank map
-(``RoommatesInstance.ranks``) and visit only the entries an agent prefers
-to its partner, in O(n + m) for ``n`` agents and ``m`` acceptable pairs.
-:func:`blocking_pairs` enumerates: it returns every blocking pair, and
-the acceptability-deletion solver reads its witness off it.
-:func:`is_stable` decides: it returns at the first blocking pair and
-builds no set of them.  It also answers for the market left once some
-agents and some pairs are deleted, on the instance itself, so a
-certificate builds no smaller market to check a witness.
+The blocking rule is stated once per representation, and each scan
+visits only the entries an agent prefers to its partner, in O(n + m) for
+``n`` agents and ``m`` acceptable pairs.  :func:`blocking_pairs`
+enumerates: it reads every blocking pair off the instance's integer core
+(:meth:`~stablectl.model.MarketCore.blocking`, the scan that also
+certifies every partition of the engine), and the acceptability-deletion
+solver reads its witness off it.  :func:`is_stable` is the one check on
+names, through the instance's cached rank map
+(``RoommatesInstance.ranks``): it decides, returns at the first blocking
+pair and builds no set of them.  It also answers for the market left once
+some agents and some pairs are deleted, on the instance itself, so a
+certificate builds no smaller market to check a witness.  A witness read
+off the integers is thus certified by a scan that shares none of its
+code.
 
 The enumeration here lists every stable matching for ``stablectl stable
 --enumerate`` and serves as the test-suite oracle.  It is deliberately
@@ -61,23 +66,21 @@ def blocking_pairs(inst: RoommatesInstance, matching: Matching) -> frozenset:
     """All acceptable pairs whose members would both rather be together.
 
     A pair blocks when each member is unmatched or strictly prefers the
-    other to its current partner.  Raises :class:`InvalidInstanceError`
-    on a list that names an agent twice, since a position on it is then
-    ambiguous.
+    other to its current partner.  The pairs are read off the instance's
+    integer core (:meth:`~stablectl.model.MarketCore.blocking`), with
+    each matched agent's bound at its partner and each unmatched agent's
+    past its last entry, and named at the end.  Raises ``ValueError``
+    from :func:`check_matching` when ``matching`` is not a matching of
+    ``inst``, and then :class:`InvalidInstanceError` with
+    :func:`validate`'s violations on a market whose core cannot be built:
+    one whose lists name an unknown agent, their owner or one agent
+    twice, or an agent that does not list the owner back.
     """
-    ranks, absent = inst.ranks, float("inf")
-    # Lists run best first, so each matched agent prefers exactly the
-    # entries before position ``bound[u]``, its partner's; an unmatched
-    # agent prefers every entry.
-    bound = {u: ranks[u][v] for u, v in check_matching(inst, matching).items()}
-    out = []
-    for u, lst in inst.prefs.items():
-        if len(ranks[u]) != len(lst):
-            raise InvalidInstanceError(validate(inst))
-        for v in lst[: bound.get(u)]:
-            if u < v and ranks.get(v, _NO_RANKS).get(u, absent) < bound.get(v, absent):
-                out.append(frozenset((u, v)))
-    return frozenset(out)
+    partners = check_matching(inst, matching)
+    core, ranks = inst.core, inst.ranks
+    names = core.names
+    bound = [ranks[u][partners[u]] if u in partners else w + 1 for u, w in zip(names, core.whole)]
+    return frozenset(frozenset((names[u], names[v])) for u, v in core.blocking(bound))
 
 
 def is_stable(

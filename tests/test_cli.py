@@ -354,6 +354,20 @@ def test_solve_names_the_missing_target_flag(instance_file, capsys, problem, fla
     assert code == 3 and out == "" and flag in err
 
 
+def test_solve_rejects_a_target_flag_that_the_goal_does_not_take(instance_file, capsys):
+    path = instance_file(THREE_CYCLE)
+    matching = instance_file("match a b\n", "target.matching")
+    cases = [
+        ("delag-esm", [], ["--target-agent", "zz"], "esm takes no --target-agent"),
+        ("delag-ma", ["--target-agent", "a"], ["--target-pair", "b,c"], "ma takes no --target-pair"),
+        ("delacc-ms", ["--target-matching", matching], ["--target-agent", "a"], "ms takes no --target-agent"),
+    ]
+    for problem, own, stray, message in cases:
+        argv = ["solve", path, "--problem", problem, "--budget", "1", *own]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, *argv, *stray) == (3, "", f"invalid input: goal {message}\n")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -502,6 +516,26 @@ def test_gen_writes_parseable_instance(capsys, tmp_path):
     assert code == 0
     inst = parse_instance(out_path.read_text(encoding="utf-8"))
     assert len(inst.agents) == 6
+
+
+def test_an_unwritable_out_path_is_invalid_input(capsys, tmp_path):
+    missing = tmp_path / "missing" / "x.sr"
+    code, out, err = run(
+        capsys, "gen", "--n", "3", "--density", "0.5", "--seed", "1", "--out", str(missing)
+    )
+    assert (code, out) == (3, "") and err.startswith(f"invalid input: cannot write {missing}: ")
+    # ``reduce`` writes the instance, then the target matching, then the query.
+    graph = tmp_path / "v.graph"
+    graph.write_text("vertices v\n", encoding="utf-8")
+    argv = ["reduce", str(graph), "--from", "is", "--to", "csr-addag-ms", "--k", "1", "--out"]
+    code, out, err = run(capsys, *argv, str(missing))
+    assert (code, out) == (3, "") and err.startswith(f"invalid input: cannot write {missing}: ")
+    for blocked in ("v.sr.matching", "v.sr.query"):
+        (tmp_path / blocked).mkdir()  # a directory cannot be written as a file
+        code, out, err = run(capsys, *argv, str(tmp_path / "v.sr"))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"invalid input: cannot write {tmp_path / blocked}: ")
+        (tmp_path / blocked).rmdir()
 
 
 def test_gen_bipartite_to_stdout(capsys):

@@ -33,7 +33,15 @@ from stablectl.control import (
 from stablectl.errors import InternalError, InvalidInstanceError, InvalidQueryError
 from stablectl.exact import solve_exact
 from stablectl.generators import random_sm, random_sr
-from stablectl.model import delete_agents, delete_pairs, make_instance, make_sr, pair, validate
+from stablectl.model import (
+    MarketCore,
+    delete_agents,
+    delete_pairs,
+    make_instance,
+    make_sr,
+    pair,
+    validate,
+)
 from stablectl.poly import (
     POLY_PROBLEMS,
     POLY_SOLVERS,
@@ -460,6 +468,23 @@ def test_delacc_ms_certificate_catches_a_missing_blocker(monkeypatch):
     assert len(blockers) >= 2
     kept = min(blockers, key=sorted)
     monkeypatch.setattr(poly, "blocking_pairs", lambda i, m: blocking_pairs(i, m) - {kept})
+    with pytest.raises(InternalError, match="did not stabilise$"):
+        solve_delacc_ms(inst, matching, len(blockers))
+
+
+def test_delacc_ms_certificate_does_not_read_the_integer_scan(monkeypatch):
+    # The witness is read off ``MarketCore.blocking`` and the certificate
+    # decides on names: a scan that drops one pair must fail the certificate.
+    inst = random_sr(12, 0.6, 5)
+    matching = frozenset()
+    blockers = blocking_pairs(inst, matching)
+    assert len(blockers) >= 2
+    dropped = tuple(inst.core.index[u] for u in sorted(min(blockers, key=sorted)))
+    scan = MarketCore.blocking
+    monkeypatch.setattr(
+        MarketCore, "blocking", lambda core, bound: [p for p in scan(core, bound) if p != dropped]
+    )
+    assert len(blocking_pairs(inst, matching)) == len(blockers) - 1
     with pytest.raises(InternalError, match="did not stabilise$"):
         solve_delacc_ms(inst, matching, len(blockers))
 

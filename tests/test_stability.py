@@ -186,6 +186,34 @@ def test_blocking_pairs_reject_a_list_that_names_an_agent_twice():
         assert info.value.violations == validate(inst) == ["agent a has duplicate preference entries"]
 
 
+@pytest.mark.parametrize(
+    "prefs",
+    [
+        {"a": ["b", "c"], "b": ["a"], "c": []},  # a lists c, c does not list a back
+        {"a": ["b"], "b": ["a"], "d": ["z"]},  # an unknown agent
+        {"a": ["b"], "b": ["a"], "d": ["d"]},  # a self-listing
+        {"a": ["b", "d"], "b": ["a"], "d": ["a", "a"]},  # a repeat
+    ],
+    ids=["not-listed-back", "unknown-agent", "self-listed", "repeat"],
+)
+def test_blocking_pairs_reject_every_market_the_engine_rejects(prefs):
+    inst = make_sr(prefs)
+    for matching in (frozenset(), pairs_of(("a", "b"))):
+        with pytest.raises(InvalidInstanceError) as info:
+            blocking_pairs(inst, matching)
+        assert info.value.violations == validate(inst)
+    # A matching that is none of the market's is refused before its lists are read.
+    with pytest.raises(ValueError, match="not acceptable"):
+        blocking_pairs(inst, pairs_of(("a", "zz")))
+
+
+def test_blocking_pairs_name_the_asymmetric_entry_they_used_to_ignore():
+    inst = make_sr({"a": ["b", "c"], "b": ["a"], "c": []})
+    with pytest.raises(InvalidInstanceError) as info:
+        blocking_pairs(inst, frozenset())
+    assert info.value.violations == ["asymmetric acceptability between a and c"]
+
+
 def test_is_stable_rejects_a_repeated_entry_that_the_scan_never_reaches():
     # {a,b} blocks the empty matching before the scan meets c's list.
     inst = make_sr({"a": ["b"], "b": ["a"], "c": ["d", "d"], "d": ["c"]})
@@ -252,3 +280,24 @@ def test_stability_without_deleted_pairs_agrees_with_the_smaller_market():
         shapes[shape] += 1
     assert min(verdicts.values()) >= 400
     assert min(shapes.values()) == 600
+
+
+def test_the_integer_and_the_names_statements_of_the_blocking_rule_agree():
+    # ``blocking_pairs`` reads the integer core and ``is_stable`` the names:
+    # deleting every blocking pair stabilises the matching, and keeping any
+    # one of them does not.
+    rng = random.Random(22)
+    found = 0
+    for seed in range(1000):
+        n = rng.randint(2, 14)
+        if seed % 2:
+            inst = random_sr(n, rng.choice([0.3, 0.6, 1.0]), seed)
+        else:
+            inst = random_sm(n // 2, n - n // 2, rng.choice([0.4, 0.8]), seed)
+        matching = random_matching(rng, inst)
+        blockers = blocking_pairs(inst, matching)
+        assert is_stable(inst, matching, deleted_pairs=blockers)
+        for p in blockers:
+            assert not is_stable(inst, matching, deleted_pairs=blockers - {p})
+        found += len(blockers)
+    assert found > 3000
