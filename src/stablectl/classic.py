@@ -112,8 +112,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InternalError, InvalidInstanceError
-from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance, validate
+from .errors import InternalError
+from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance
 
 # ---------------------------------------------------------------------------
 # Stable partitions
@@ -215,12 +215,12 @@ def validate_partition(inst: RoommatesInstance, partition: StablePartition) -> l
 
     The caller's names are mapped onto the cached integer core of
     ``inst``, whose lists are whole, and the axioms are checked there; see
-    :func:`_violations`.  A market that :func:`validate` rejects raises
-    :class:`InvalidInstanceError`.
+    :func:`_violations`.  So this accepts exactly the markets that every
+    engine entry accepts: a market whose core cannot be built, one that
+    breaks a list rule, raises :class:`InvalidInstanceError` with
+    :func:`~stablectl.model.validate`'s violations, and no other rule is
+    checked.
     """
-    problems = validate(inst)
-    if problems:
-        raise InvalidInstanceError(problems)
     core = inst.core
     given, index = partition.successor, core.index
     if given.keys() != index.keys():
@@ -774,8 +774,13 @@ def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingC
     """The market fixed for ``agent`` and each of its partners in turn.
 
     Partners come in sorted order, and every context cuts the one cached
-    integer core of ``inst``.
+    integer core of ``inst``.  That core is built before the first
+    partner, so a market whose core cannot be built raises
+    :class:`InvalidInstanceError` even for an agent with no partner, and
+    an agent outside ``inst`` raises ``ValueError``, as in :func:`diagnose`.
     """
+    if agent not in inst.core.index:
+        raise ValueError(f"{agent} is not an agent of the instance")
     for partner in sorted(inst.prefs[agent]):
         yield fixing_deletions(inst, *sorted((agent, partner)))
 

@@ -18,7 +18,11 @@ never reported as invalid input.  Verdicts are reported on
 stdout only, never through the exit code, so pipelines can tell "solved,
 answer no" from failure.  The environment variable ``STABLECTL_CAP``
 overrides the default enumeration and search caps; a ``--cap`` flag wins
-over both, and a negative cap from either is invalid input.
+over both, and a negative cap from either is invalid input.  ``stable``
+reads the cap only under ``--enumerate``, the one mode that uses it.
+``solve`` reads it before it dispatches, whatever the method: only
+:func:`stablectl.poly.solve` knows whether the search runs, so the
+``auto`` rule is not stated here a second time.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused by every later call.
@@ -107,9 +111,8 @@ def cmd_validate(args) -> int:
 
 def cmd_stable(args) -> int:
     inst = parse_instance(_read(args.instance))
-    cap = _cap(args.cap, DEFAULT_ENUM_CAP)
     if args.enumerate:
-        matchings = enumerate_stable_matchings(inst, cap=cap)
+        matchings = enumerate_stable_matchings(inst, cap=_cap(args.cap, DEFAULT_ENUM_CAP))
         print(f"stable matchings: {len(matchings)}")
         for i, m in enumerate(matchings):
             print(f"matching {i}:")
@@ -178,7 +181,7 @@ def cmd_reduce(args) -> int:
         raise InvalidQueryError(str(exc))
     query = result.query
     out = Path(args.out)
-    _write(out, serialize_instance(query.instance))
+    texts = {out: serialize_instance(query.instance)}
     sidecar_lines = [
         f"# reduced from {args.source} via {args.to}",
         *(f"# name {role} = {agent}" for role, agent in sorted(result.name_map.items())),
@@ -189,10 +192,19 @@ def cmd_reduce(args) -> int:
         sidecar_lines.append(f"target-agent: {query.goal.agent}")
     if query.goal.matching is not None:
         matching_path = out.with_name(out.name + ".matching")
-        _write(matching_path, serialize_matching(query.goal.matching))
+        texts[matching_path] = serialize_matching(query.goal.matching)
         sidecar_lines.append(f"target-matching: {matching_path.name}")
     sidecar = out.with_name(out.name + ".query")
-    _write(sidecar, "\n".join(sidecar_lines) + "\n")
+    texts[sidecar] = "\n".join(sidecar_lines) + "\n"
+    # Every text is composed before the first write; a failed write removes
+    # the files this call already wrote, so no partial output is left.
+    for i, (path, text) in enumerate(texts.items()):
+        try:
+            _write(path, text)
+        except InvalidQueryError:
+            for written in list(texts)[:i]:
+                written.unlink(missing_ok=True)
+            raise
     print(f"instance: {out}")
     print(f"query: {sidecar}")
     return EXIT_OK

@@ -10,8 +10,9 @@ taken.  Goals:
 ``mp``
     a chosen pair is contained in some stable matching,
 ``ms``
-    a chosen matching (restricted to the surviving market) contains a
-    stable matching, or, for acceptability deletion, is itself stable,
+    the pairs of a chosen matching that survive form a stable matching;
+    under acceptability deletion every pair of it survives, since no
+    action may delete one, so the matching itself must become stable,
 ``esm`` / ``epsm``
     a stable (resp. perfect and stable) matching exists.
 
@@ -166,22 +167,21 @@ def validate_query(query: ControlQuery) -> list[str]:
 def action_universe(query: ControlQuery):
     """The set of individual actions the controller may pick from.
 
-    Deleting a goal-target agent (or an endpoint of a goal pair, or the
-    goal pair itself) can never help, so those are excluded.
+    Deleting a goal's target can never help, so its parts are protected:
+    the target agent, or the endpoints of the target pair, under agent
+    deletion; the target pair, or every pair of the target matching,
+    under acceptability deletion.  A goal matching must itself be stable
+    after acceptability deletion, so no answer deletes one of its pairs,
+    and no search or witness ever reaches a market that lacks one.
     """
-    inst = query.instance
-    goal = query.goal
+    inst, goal = query.instance, query.goal
     if query.action == ADD_AGENTS:
         return frozenset(inst.addable)
+    # A goal carries only its own kind's target (:func:`validate_query`), so
+    # the one that is set is the one to protect; ``{None}`` protects nothing.
     if query.action == DELETE_AGENTS:
-        protected: set[AgentId] = set()
-        if goal.kind == "ma" and goal.agent is not None:
-            protected.add(goal.agent)
-        if goal.kind == "mp" and goal.pair is not None:
-            protected |= goal.pair
-        return frozenset(inst.agents - protected)
-    protected_pairs = {goal.pair} if goal.kind == "mp" and goal.pair is not None else set()
-    return frozenset(inst.acceptable_pairs - protected_pairs)
+        return inst.agents - (goal.pair or {goal.agent})
+    return inst.acceptable_pairs - (goal.matching or {goal.pair})
 
 
 def apply_actions(query: ControlQuery, actions) -> RoommatesInstance:
@@ -197,16 +197,18 @@ def apply_actions(query: ControlQuery, actions) -> RoommatesInstance:
     return delete_pairs(query.instance, chosen)
 
 
-def goal_holds(inst: RoommatesInstance, goal: ControlGoal, action: str = DELETE_AGENTS) -> bool:
+def goal_holds(inst: RoommatesInstance, goal: ControlGoal) -> bool:
     """Evaluate a goal on a concrete (already controlled) instance.
 
-    ``action`` records which control action produced ``inst``; it only
-    matters for the ``ms`` goal, whose convention differs: under
-    acceptability deletion the target matching itself must survive and be
-    stable, under agent addition/deletion it suffices that some stable
-    matching sits inside the target's surviving pairs.  Targets that no
-    longer resolve, such as a deleted agent or a pair with a missing
-    endpoint, make the goal false rather than raising.
+    The ``ms`` goal has one meaning under every action: the target's
+    pairs that survive in ``inst`` form a stable matching.  That is the
+    same as some stable matching lying inside the target, since such a
+    matching keeps every surviving target pair (a dropped one would leave
+    both its agents unmatched and blocking).  Under acceptability
+    deletion :func:`action_universe` protects every target pair, so the
+    whole target survives and the goal asks that it be stable itself.
+    Targets that no longer resolve, such as a deleted agent or a pair
+    with a missing endpoint, make the goal false rather than raising.
 
     Every goal but ``ms`` is a diagnosis cost of 0.  ``esm``, ``epsm`` and
     ``ma`` ask :func:`~stablectl.classic.diagnose` whether some stable
@@ -227,12 +229,5 @@ def goal_holds(inst: RoommatesInstance, goal: ControlGoal, action: str = DELETE_
     if goal.kind == "ms":
         if goal.matching is None:
             return False
-        # A stable matching inside the target keeps every target pair that
-        # survives in ``inst``: a dropped one leaves both its agents
-        # unmatched and blocking.  So the surviving pairs are the only
-        # candidate; under acceptability deletion they must be all of it.
-        kept = frozenset(filter(inst.is_acceptable_pair, goal.matching))
-        if action == DELETE_ACCEPTABILITY and kept != goal.matching:
-            return False
-        return is_stable(inst, kept)
+        return is_stable(inst, frozenset(filter(inst.is_acceptable_pair, goal.matching)))
     raise InvalidQueryError(f"unknown goal {goal.kind!r}")

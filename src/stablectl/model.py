@@ -431,7 +431,7 @@ def parse_instance(text: str) -> RoommatesInstance:
             if len(tokens) < 2:
                 raise ParseError("agent line needs an identifier", lineno)
             name = _check_id(tokens[1], lineno)
-            if name in prefs or name in agents:
+            if name in agents:
                 raise ParseError(f"duplicate agent {name}", lineno)
             for tok in tokens[2:]:
                 if tok == "addable":

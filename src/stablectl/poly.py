@@ -105,10 +105,9 @@ def solve_delag_ma(inst: RoommatesInstance, target: AgentId, budget: int) -> Con
     Tries every acceptable partner of ``target`` and keeps the cheapest;
     ties break on the smaller partner identifier.  With no acceptable
     partner the goal is unreachable and the optimum unknown.
+    :func:`~stablectl.classic.partner_fixings` vets the market and the
+    agent before it yields a partner.
     """
-    if target not in inst.agents:
-        raise ValueError(f"unknown agent {target!r}")
-    inst.core  # a rejected market raises here, even where ``target`` has no partner
     best: tuple[FixingContext, PartitionDiagnosis] | None = None
     for ctx in partner_fixings(inst, target):
         diag = diagnose_fixed_instance(ctx)

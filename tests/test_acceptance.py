@@ -302,7 +302,7 @@ def test_criterion_10_monotonicity_and_witness_validity():
                 continue
             assert outcome.witness is not None and len(outcome.witness) <= query.budget
             controlled = apply_actions(query, outcome.witness)
-            assert goal_holds(controlled, query.goal, action=query.action)
+            assert goal_holds(controlled, query.goal)
             # A fresh equal instance, so the re-solve searches again
             # instead of reading the first solve's memo.
             bumped = ControlQuery(

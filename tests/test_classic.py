@@ -460,6 +460,37 @@ def test_engine_entry_points_reject_a_malformed_market(prefs):
         assert info.value.violations == validate(inst)
 
 
+def test_validate_partition_checks_only_the_list_rules_that_the_core_proves():
+    # A same-side entry breaks a rule outside the four list rules: the core
+    # builds, so the partition is checked as on any other market.
+    inst = make_sm(
+        {"m1": ["w1", "m2"], "m2": ["m1"], "w1": ["m1"]}, {"m1": "a", "m2": "a", "w1": "b"}
+    )
+    assert validate(inst) and all("same-side" in v for v in validate(inst))
+    partition = tan_stable_partition(inst)
+    assert validate_partition(inst, partition) == []
+    assert partition_to_matching(inst, partition) == (frozenset(), pairs_of(("m1", "w1")))
+    for prefs in MALFORMED.values():
+        bad = make_sr(prefs)
+        with pytest.raises(InvalidInstanceError) as info:
+            validate_partition(bad, StablePartition({u: u for u in bad.agents}))
+        assert info.value.violations == validate(bad)
+
+
+def test_partner_fixings_vet_the_market_and_the_agent():
+    # The core is proved before the first partner, even for a partnerless agent.
+    inst = make_sr({"a": ["b"], "b": [], "c": []})
+    with pytest.raises(InvalidInstanceError) as info:
+        next(partner_fixings(inst, "c"), None)
+    assert info.value.violations == validate(inst)
+    with pytest.raises(ValueError, match="^zz is not an agent of the instance$"):
+        next(partner_fixings(mutual_pair(), "zz"), None)
+    with pytest.raises(ValueError, match="^zz is not an agent of the instance$"):
+        solve_delag_ma(mutual_pair(), "zz", 1)
+    with pytest.raises(InvalidInstanceError):
+        solve_delag_ma(inst, "c", 1)
+
+
 def test_the_fixed_instance_rejects_an_entry_not_listed_back():
     # c lists a, who does not list c back; fixing {a, b} reads no such
     # entry, but the market's core cannot mirror it.

@@ -348,6 +348,16 @@ def test_a_non_integer_cap_in_the_environment_is_invalid_input(instance_file, ca
     assert code == 3 and out == "" and "STABLECTL_CAP" in err
 
 
+def test_stable_reads_the_cap_only_when_it_enumerates(instance_file, capsys, monkeypatch):
+    path = instance_file(FOUR_AGENTS)
+    plain = {flags: run(capsys, "stable", path, *flags) for flags in ((), ("--partition",))}
+    monkeypatch.setenv("STABLECTL_CAP", "abc")
+    for flags, expected in plain.items():
+        assert expected[0] == 0 and run(capsys, "stable", path, *flags) == expected
+    code, out, err = run(capsys, "stable", path, "--enumerate")
+    assert code == 3 and out == "" and "STABLECTL_CAP" in err
+
+
 @pytest.mark.parametrize("problem,flag", [("delag-ma", "--target-agent"), ("delacc-ms", "--target-matching")])
 def test_solve_names_the_missing_target_flag(instance_file, capsys, problem, flag):
     code, out, err = run(capsys, "solve", instance_file(THREE_CYCLE), "--problem", problem, "--budget", "1")
@@ -536,6 +546,8 @@ def test_an_unwritable_out_path_is_invalid_input(capsys, tmp_path):
         assert (code, out) == (3, "")
         assert err.startswith(f"invalid input: cannot write {tmp_path / blocked}: ")
         (tmp_path / blocked).rmdir()
+        # A failed write removes what the call already wrote.
+        assert not (tmp_path / "v.sr").exists() and not (tmp_path / "v.sr.matching").exists()
 
 
 def test_gen_bipartite_to_stdout(capsys):

@@ -75,6 +75,23 @@ def test_apply_actions_rejects_actions_outside_universe():
         apply_actions(q2, {pair("a", "b")})
 
 
+def test_action_universe_protects_every_pair_of_a_delacc_ms_target():
+    inst = make_sr(
+        {"a": ["b", "c", "d"], "b": ["c", "a", "d"], "c": ["a", "b", "d"], "d": ["a", "b", "c"]}
+    )
+    target = pairs_of(("a", "b"), ("c", "d"))
+    q = ControlQuery(
+        instance=inst, action=DELETE_ACCEPTABILITY, goal=ControlGoal.ms(target), budget=2
+    )
+    assert action_universe(q) == inst.acceptable_pairs - target
+    for p in target:
+        with pytest.raises(InvalidQueryError):
+            apply_actions(q, {p})
+        with pytest.raises(InvalidQueryError):
+            apply_actions(q, {p, pair("a", "c")})
+    assert pair("a", "c") not in apply_actions(q, {pair("a", "c")}).acceptable_pairs
+
+
 def test_action_universe_protects_goal_targets():
     q = delag(three_cycle(), ControlGoal.mp(pair("a", "b")))
     assert action_universe(q) == {"c"}
@@ -140,19 +157,23 @@ def test_goal_holds_ms_subset_convention():
     inst = three_cycle()
     matching = pairs_of(("a", "b"))
     # {a,b} alone is blocked by {b,c}; dropping it leaves {a,b} blocking.
-    assert not goal_holds(inst, ControlGoal.ms(matching), action=DELETE_AGENTS)
+    assert not goal_holds(inst, ControlGoal.ms(matching))
     reduced = make_sr({"a": ["b"], "b": ["a"]})
-    assert goal_holds(reduced, ControlGoal.ms(matching), action=DELETE_AGENTS)
+    assert goal_holds(reduced, ControlGoal.ms(matching))
 
 
 def test_goal_holds_ms_delacc_requires_intact_matching():
     inst = make_sr({"a": ["b"], "b": ["a"], "c": [], "d": []})
     goal = ControlGoal.ms(pairs_of(("a", "b")))
-    assert goal_holds(inst, goal, action=DELETE_ACCEPTABILITY)
+    assert goal_holds(inst, goal)
+    # Without the target pair its surviving pairs are the empty matching,
+    # which is stable here; but no acceptability deletion reaches this market.
     gone = make_sr({"a": [], "b": [], "c": [], "d": []})
-    assert not goal_holds(gone, goal, action=DELETE_ACCEPTABILITY)
-    # Under the subset convention the empty submatching would do.
-    assert goal_holds(gone, goal, action=DELETE_AGENTS)
+    assert goal_holds(gone, goal)
+    q = ControlQuery(instance=inst, action=DELETE_ACCEPTABILITY, goal=goal, budget=1)
+    assert action_universe(q) == frozenset()
+    with pytest.raises(InvalidQueryError):
+        apply_actions(q, {pair("a", "b")})
 
 
 def test_goal_holds_ms_exhaustive_agrees_with_fast_path():
@@ -165,7 +186,7 @@ def test_goal_holds_ms_exhaustive_agrees_with_fast_path():
         agents = sorted(q.instance.agents)
         for k in range(min(3, len(agents) + 1)):
             controlled = apply_actions(q, rng.sample(agents, k))
-            fast = goal_holds(controlled, q.goal, action=DELETE_AGENTS)
+            fast = goal_holds(controlled, q.goal)
             slow = any(m <= q.goal.matching for m in enumerate_stable_matchings(controlled))
             assert fast == slow
 

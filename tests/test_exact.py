@@ -21,7 +21,8 @@ from stablectl.control import (
 from stablectl.errors import CapExceededError, InvalidQueryError
 from stablectl.exact import solve_exact
 from stablectl.generators import random_sm, random_sr
-from stablectl.model import make_sr, pair
+from stablectl.model import delete_pairs, make_sr, pair
+from stablectl.poly import solve_delacc_ms
 from stablectl.reductions import is_to_csr_addag_existssm, make_graph
 
 
@@ -107,7 +108,7 @@ def test_addag_esm_on_single_edge_gadget():
     out = solve_exact(query)
     assert out.verdict and out.optimum == 1 and out.witness == {"u"}
     controlled = apply_actions(query, out.witness)
-    assert goal_holds(controlled, query.goal, action=query.action)
+    assert goal_holds(controlled, query.goal)
 
 
 def test_no_verdict_still_reports_reachable_optimum():
@@ -148,6 +149,20 @@ def test_cap_is_enforced():
         solve_exact(q, cap=20)
 
 
+def test_delacc_ms_cap_counts_only_the_pairs_outside_the_target():
+    answered = 0
+    for seed in range(6):
+        q = random_query(random_sr(5, 1.0, seed), DELETE_ACCEPTABILITY, "ms", seed)
+        if not q.goal.matching:
+            continue  # the cap would count every pair
+        out = solve_exact(q, cap=len(q.instance.acceptable_pairs - q.goal.matching))
+        fast = solve_delacc_ms(q.instance, q.goal.matching, q.budget)
+        assert (out.verdict, out.optimum) == (fast.verdict, fast.optimum)
+        assert out.witness == (fast.witness if fast.verdict else None)
+        answered += 1
+    assert answered >= 3
+
+
 def test_invalid_query_is_rejected():
     q = ControlQuery(
         instance=three_cycle(), action=DELETE_AGENTS, goal=ControlGoal.ma("zz"), budget=0
@@ -173,7 +188,7 @@ def test_witnesses_are_valid_and_deterministic():
         if out.verdict:
             assert len(out.witness) == out.optimum <= q.budget
             controlled = apply_actions(q, out.witness)
-            assert goal_holds(controlled, q.goal, action=q.action)
+            assert goal_holds(controlled, q.goal)
 
 
 def test_later_budgets_reuse_the_search(monkeypatch):
@@ -227,11 +242,15 @@ def test_memo_hit_still_checks_the_cap():
 
 
 def test_delacc_ms_search_matches_a_plain_subset_loop():
+    # The loop searches every acceptable pair, target pairs included, in
+    # the search's order; a set that deletes a target pair fails the goal.
     def plain(q):
-        candidates = candidate_actions(q)
+        candidates = sorted(q.instance.acceptable_pairs, key=lambda p: tuple(sorted(p)))
         for size in range(len(candidates) + 1):
             for combo in combinations(candidates, size):
-                if goal_holds(apply_actions(q, combo), q.goal, action=q.action):
+                if q.goal.matching.isdisjoint(combo) and goal_holds(
+                    delete_pairs(q.instance, combo), q.goal
+                ):
                     return size, frozenset(combo)
         return None
 

@@ -12,6 +12,13 @@
   (``parties``, ``odd_parties``, ``singletons``, ``successor``): whether
   a stable matching exists, and whom it must leave alone, is stated there
   once, and other modules ask it for a diagnosis cost.
+* Each control rule lives in the module that owns it.
+  :mod:`stablectl.exact` names no goal kind (a string of
+  :data:`~stablectl.control.GOAL_KINDS`) and imports no action constant:
+  :func:`~stablectl.control.action_universe` says which actions a goal
+  protects.  Neither :mod:`stablectl.exact` nor :mod:`stablectl.poly`
+  reads a ``core`` or calls ``validate``: the engine's module vets every
+  market and agent it is handed.
 * Every ``(module, function)`` pair that the benchmark's tracer wraps
   (``TARGETS`` in ``bench/spans.py``, read with ``ast``) names a
   function of the package.
@@ -154,6 +161,35 @@ def test_only_classic_reads_partition_structure():
         if isinstance(node, ast.Attribute) and node.attr in structure
     ]
     assert reads == []
+
+
+def test_solvers_state_no_goal_action_or_market_rule():
+    control = importlib.import_module("stablectl.control")
+    actions = {"ACTIONS"} | {
+        name
+        for name, value in vars(control).items()
+        if isinstance(value, str) and value in control.ACTIONS
+    }
+    trees = modules()
+    stated = [
+        f"exact.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(trees["exact"])
+        if isinstance(node, ast.Constant) and node.value in control.GOAL_KINDS
+    ]
+    stated += [
+        f"exact.py:{node.lineno} {a.name}"
+        for node, _ in package_imports(trees["exact"])
+        for a in node.names
+        if a.name in actions
+    ]
+    for name in ("exact", "poly"):
+        for node in ast.walk(trees[name]):
+            called = node.func if isinstance(node, ast.Call) else None
+            if isinstance(node, ast.Attribute) and node.attr == "core":
+                stated.append(f"{name}.py:{node.lineno} core")
+            elif getattr(called, "id", getattr(called, "attr", None)) == "validate":
+                stated.append(f"{name}.py:{node.lineno} validate()")
+    assert stated == []
 
 
 def test_benchmark_trace_targets_resolve():
