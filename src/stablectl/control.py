@@ -18,7 +18,11 @@ taken.  Goals:
 
 :data:`GOAL_TARGETS` says which target field each goal kind takes, and
 :data:`GOAL_KINDS` is read off it; :func:`validate_query` and the CLI
-check a goal against that one table.
+check a goal against that one table.  :func:`goal_holds` evaluates a goal
+on a controlled instance.  Under acceptability deletion a goal is also
+the set of matchings of the queried market that it asks to be stable
+(:func:`goal_matchings`, :func:`matching_meets_goal`), which the exact
+search reads instead of testing controlled instances.
 
 Queries and outcomes are immutable; evaluation is purely functional.
 """
@@ -26,6 +30,7 @@ Queries and outcomes are immutable; evaluation is purely functional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .classic import diagnose, pair_fixing_cost
 from .errors import InvalidQueryError
@@ -39,7 +44,7 @@ from .model import (
     induce_with_added,
     pair_text,
 )
-from .stability import check_matching, is_stable
+from .stability import check_matching, enumerate_matchings, is_stable
 
 ADD_AGENTS = "addag"
 DELETE_AGENTS = "delag"
@@ -185,16 +190,74 @@ def action_universe(query: ControlQuery):
 
 
 def apply_actions(query: ControlQuery, actions) -> RoommatesInstance:
-    """The controlled instance after exercising the given action set."""
+    """The controlled instance after exercising the given action set.
+
+    Raises :class:`InvalidQueryError` when an action lies outside
+    :func:`action_universe`.
+    """
     chosen = frozenset(actions)
-    universe = action_universe(query)
-    if not chosen <= universe:
+    if not chosen <= action_universe(query):
         raise InvalidQueryError("action outside the candidate universe")
+    return exercise(query, chosen)
+
+
+def exercise(query: ControlQuery, chosen: frozenset) -> RoommatesInstance:
+    """The controlled instance after ``chosen``, a subset of :func:`action_universe`.
+
+    Unlike :func:`apply_actions` it does not check ``chosen`` against the
+    universe, so a search that draws every subset from that universe
+    derives each one without building the universe again.
+    """
     if query.action == ADD_AGENTS:
         return induce_with_added(query.instance, chosen)
     if query.action == DELETE_AGENTS:
         return delete_agents(query.instance, chosen)
     return delete_pairs(query.instance, chosen)
+
+
+def goal_matchings(query: ControlQuery) -> Iterator[Matching] | None:
+    """The matchings of the queried market that an acceptability-deletion goal asks for.
+
+    Under acceptability deletion a goal holds exactly when one of these
+    matchings becomes stable (:mod:`stablectl.exact` gives the argument):
+    any matching for ``esm``, a perfect one for ``epsm``, one covering the
+    target agent for ``ma``, one containing the target pair for ``mp``, and
+    the target matching itself for ``ms``.  Each is a matching of
+    ``query.instance``, yielded once, in the order of
+    :func:`~stablectl.stability.enumerate_matchings`, whose own cap never
+    refuses here: the search's candidate cap has bounded the query.  That
+    enumerator raises :class:`~stablectl.errors.InvalidInstanceError` on
+    a market the engine rejects before it yields a matching, and
+    :func:`validate_query` has already built the core of an ``ms``
+    query's market.  ``None`` for the agent actions, whose goals are not
+    read off the matchings of the queried market.
+    """
+    if query.action != DELETE_ACCEPTABILITY:
+        return None
+    inst, goal = query.instance, query.goal
+    if goal.kind == "ms":
+        return iter((goal.matching,))
+    everything = enumerate_matchings(inst, cap=len(inst.acceptable_pairs))
+    return (m for m in everything if matching_meets_goal(inst, goal, m))
+
+
+def matching_meets_goal(inst: RoommatesInstance, goal: ControlGoal, matching: Matching) -> bool:
+    """Whether ``matching``, a matching of ``inst``, is one that ``goal`` asks to be stable.
+
+    See :func:`goal_matchings`.  A perfect matching has a pair for every
+    two agents, since no two of its pairs share an agent.
+    """
+    if goal.kind == "esm":
+        return True
+    if goal.kind == "epsm":
+        return 2 * len(matching) == len(inst.agents)
+    if goal.kind == "ma":
+        return any(goal.agent in p for p in matching)
+    if goal.kind == "mp":
+        return goal.pair in matching
+    if goal.kind == "ms":
+        return matching == goal.matching
+    raise InvalidQueryError(f"unknown goal {goal.kind!r}")
 
 
 def goal_holds(inst: RoommatesInstance, goal: ControlGoal) -> bool:

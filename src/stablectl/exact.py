@@ -1,11 +1,39 @@
 """Exhaustive ground-truth solver for every action/goal combination.
 
-Candidate action sets are enumerated by increasing cardinality, and
-lexicographically within one cardinality, so the reported optimum is the
-true minimum and the witness is the smallest successful set in that
-order.  The search refuses instances whose candidate count exceeds the
-cap instead of truncating: answers are exact or absent, never
-approximate.
+Agent addition and agent deletion search candidate action sets by
+increasing cardinality, and lexicographically within one cardinality, so
+the reported optimum is the true minimum and the witness is the smallest
+successful set in that order.
+
+Acceptability deletion searches matchings instead of pair sets, and
+reaches the same optimum and witness.  A pair set ``D`` makes a matching
+``M`` stable in the market without ``D`` exactly when ``D`` avoids ``M``
+and holds every pair that blocks ``M`` in the whole market.  Deleting
+pairs keeps the order of every surviving list, and a pair of ``M`` never
+blocks ``M``, so a surviving pair blocks ``M`` in the market without
+``D`` exactly when it blocks ``M`` in the whole market.  So ``D`` meets a
+goal exactly when some matching ``M`` that meets it
+(:func:`~stablectl.control.goal_matchings`) avoids ``D`` and has its
+blocking set ``B(M)`` inside ``D``.  ``B(M)`` never holds a pair of
+``M``, so it never holds a protected target pair and lies in
+:func:`~stablectl.control.action_universe`; it works on its own.  Every
+working set of the optimal size ``k`` is therefore some ``B(M)`` with
+``|B(M)| = k``, and the witness is the first such set in the order above:
+fewest pairs first, then the lexicographic order of the sorted candidate
+positions, the order in which ``combinations`` reaches them.  This is
+the minimum-blocking-pairs view of almost-stable matchings [Abraham, Biró
+& Manlove 2006; Biró, Manlove & Mittal 2010].  Each blocking set is read
+off the market's integer core (:func:`~stablectl.stability.blocking_pairs`),
+and the answer is certified with none of that code, as a ``delacc-ms``
+answer is: its matching meets the goal, and
+:func:`~stablectl.stability.is_stable` finds it stable once the witness
+is deleted.  A failed check raises :class:`InternalError`.
+
+The search refuses instances whose candidate count exceeds the cap
+instead of truncating: answers are exact or absent, never approximate.
+The cap counts candidate actions under every action, pairs under
+acceptability deletion, and is the only refusal: the matching
+enumerator's own cap does not apply here.
 
 The search result does not depend on the budget, so it runs once per
 action and goal on an instance and is kept in that instance's
@@ -25,11 +53,14 @@ from .control import (
     ControlOutcome,
     ControlQuery,
     action_universe,
-    apply_actions,
+    exercise,
     goal_holds,
+    goal_matchings,
+    matching_meets_goal,
     validate_query,
 )
-from .errors import CapExceededError, InvalidQueryError
+from .errors import CapExceededError, InternalError, InvalidQueryError
+from .stability import blocking_pairs, is_stable
 
 DEFAULT_CANDIDATE_CAP = 20
 
@@ -43,10 +74,37 @@ def _sort_key(item):
 def _first_success(query: ControlQuery, candidates: list, max_size: int):
     for size in range(0, max_size + 1):
         for combo in combinations(candidates, size):
-            controlled = apply_actions(query, combo)
-            if goal_holds(controlled, query.goal):
-                return size, frozenset(combo)
+            chosen = frozenset(combo)
+            if goal_holds(exercise(query, chosen), query.goal):
+                return size, chosen
     return None
+
+
+def _fewest_blockers(query: ControlQuery, candidates: list, matchings):
+    """The smallest blocking set of ``matchings`` in candidate order, as ``(size, witness)``.
+
+    A pair outside the candidates sorts last, and the certificate rejects it.
+    """
+    inst = query.instance
+    position = {p: i for i, p in enumerate(candidates)}
+    outside = len(candidates)
+    best = None
+    for matching in matchings:
+        blockers = blocking_pairs(inst, matching)
+        if best is None or len(blockers) <= best[0][0]:
+            key = (len(blockers), sorted(position.get(p, outside) for p in blockers))
+            if best is None or key < best[0]:
+                best = key, matching, blockers
+    if best is None:
+        return None
+    _, matching, witness = best
+    if not (
+        position.keys() >= witness
+        and matching_meets_goal(inst, query.goal, matching)
+        and is_stable(inst, matching, deleted_pairs=witness)
+    ):
+        raise InternalError("deleting the blocking pairs did not stabilise the goal matching")
+    return len(witness), witness
 
 
 def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> ControlOutcome:
@@ -55,7 +113,10 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
     A positive verdict carries the minimum action count and its first
     witness.  A negative verdict still reports the minimum count at which
     the goal becomes reachable, when one exists at any budget, as a
-    diagnostic.
+    diagnostic.  Agent actions search action sets; acceptability deletion
+    reads the fewest blocking pairs of a matching that meets the goal, and
+    the module docstring gives the argument that both reach the same
+    optimum and witness.  Either way the cap counts candidate actions.
     """
     problems = validate_query(query)
     if problems:
@@ -69,7 +130,11 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
     key = (query.action, query.goal)
     if key not in memo:
         candidates = sorted(universe, key=_sort_key)
-        memo[key] = _first_success(query, candidates, len(candidates))
+        matchings = goal_matchings(query)
+        if matchings is None:
+            memo[key] = _first_success(query, candidates, len(candidates))
+        else:
+            memo[key] = _fewest_blockers(query, candidates, matchings)
     hit = memo[key]
     if hit is None:
         return ControlOutcome(verdict=False, optimum=None, witness=None)
@@ -77,4 +142,3 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
     if size <= query.budget:
         return ControlOutcome(verdict=True, optimum=size, witness=witness)
     return ControlOutcome(verdict=False, optimum=size, witness=None)
-

@@ -20,8 +20,11 @@ from stablectl.control import (
     ADD_AGENTS,
     DELETE_AGENTS,
     ControlGoal,
+    ControlOutcome,
     ControlQuery,
     action_universe,
+    apply_actions,
+    goal_holds,
 )
 from stablectl.errors import CapExceededError
 from stablectl.model import SM, RoommatesInstance, make_instance, make_sm, make_sr
@@ -341,6 +344,32 @@ def candidate_actions(query):
         action_universe(query),
         key=lambda a: tuple(sorted(a)) if isinstance(a, frozenset) else (a,),
     )
+
+
+def subset_search(query):
+    """The exact search over action sets, as the oracle of every search of ``solve_exact``.
+
+    ``(size, witness)`` for the first candidate set that meets the goal,
+    by size and then in ``combinations`` order over
+    :func:`candidate_actions`, each applied with ``apply_actions`` and
+    tested with ``goal_holds``; ``None`` when no set does.
+    """
+    candidates = candidate_actions(query)
+    for size in range(len(candidates) + 1):
+        for combo in combinations(candidates, size):
+            if goal_holds(apply_actions(query, combo), query.goal):
+                return size, frozenset(combo)
+    return None
+
+
+def outcome_at(found, budget):
+    """The outcome that ``solve_exact`` reports at ``budget`` for a search result ``found``."""
+    if found is None:
+        return ControlOutcome(verdict=False, optimum=None, witness=None)
+    size, witness = found
+    if size <= budget:
+        return ControlOutcome(verdict=True, optimum=size, witness=witness)
+    return ControlOutcome(verdict=False, optimum=size, witness=None)
 
 
 def original_agents(query):

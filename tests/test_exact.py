@@ -4,8 +4,16 @@ from itertools import combinations
 
 import pytest
 
-from helpers import candidate_actions, mutual_pair, random_query, three_cycle
-from stablectl import exact
+from helpers import (
+    candidate_actions,
+    count_engine_calls,
+    mutual_pair,
+    outcome_at,
+    random_query,
+    subset_search,
+    three_cycle,
+)
+from stablectl import control, exact
 from stablectl.classic import tan_stable_partition
 from stablectl.control import (
     ACTIONS,
@@ -18,12 +26,13 @@ from stablectl.control import (
     apply_actions,
     goal_holds,
 )
-from stablectl.errors import CapExceededError, InvalidQueryError
+from stablectl.errors import CapExceededError, InternalError, InvalidQueryError
 from stablectl.exact import solve_exact
 from stablectl.generators import random_sm, random_sr
-from stablectl.model import delete_pairs, make_sr, pair
+from stablectl.model import MarketCore, delete_pairs, make_sr, pair
 from stablectl.poly import solve_delacc_ms
 from stablectl.reductions import is_to_csr_addag_existssm, make_graph
+from stablectl.stability import DEFAULT_ENUM_CAP, blocking_pairs
 
 
 def fresh(query):
@@ -261,3 +270,133 @@ def test_delacc_ms_search_matches_a_plain_subset_loop():
         q = dataclasses.replace(q, budget=len(candidate_actions(q)))
         out = solve_exact(q)
         assert ((out.optimum, out.witness) if out.verdict else None) == plain(q)
+
+
+def small_delacc_markets():
+    """Seeded SR markets of 3-6 agents and SM markets of 2-4 per side, each of at most 7 pairs."""
+    seed = 0
+    while True:
+        rng = random.Random(seed)
+        if seed % 2:
+            inst = random_sm(rng.randint(2, 4), rng.randint(2, 4), rng.choice([0.5, 0.8]), seed)
+        else:
+            inst = random_sr(rng.randint(3, 6), rng.choice([0.4, 0.6, 0.8]), seed)
+        if len(inst.acceptable_pairs) <= 7:
+            yield seed, inst
+        seed += 1
+
+
+def test_delacc_search_matches_the_subset_search():
+    # Verdict, optimum and witness of the matching search equal those of
+    # the search over pair sets, for every goal, at budgets 0-3.
+    checked, optima = 0, set()
+    for seed, inst in small_delacc_markets():
+        for kind in GOAL_KINDS:
+            try:
+                q = random_query(inst, DELETE_ACCEPTABILITY, kind, seed)
+            except ValueError:
+                continue
+            found = subset_search(q)
+            for budget in range(4):
+                assert solve_exact(dataclasses.replace(q, budget=budget)) == outcome_at(found, budget)
+            optima.add((kind, inst.kind, found and found[0]))
+            checked += 1
+        if checked >= 5000:
+            break
+    # Every goal at optima 0 and 1 and in both kinds of market; larger and unreachable optima too.
+    reached = {(kind, optimum) for kind, _, optimum in optima}
+    assert all((kind, o) in reached for kind in GOAL_KINDS for o in (0, 1))
+    assert {o for _, o in reached} >= {None, 2, 3, 4}
+    assert {(kind, m) for kind, m, _ in optima} == {(k, m) for k in GOAL_KINDS for m in ("sr", "sm")}
+
+
+# Seeded (market seed, goal) queries on which two matchings share the
+# fewest blocking pairs, and the set that ``combinations`` reaches first is
+# not the one whose largest candidate position is smallest.
+TIED_WITNESSES = [
+    (365, "mp"), (1462, "mp"), (1544, "mp"), (3951, "ma"),
+    (5405, "ma"), (6948, "mp"), (7397, "ma"), (8148, "ma"),
+]
+
+
+@pytest.mark.parametrize("seed,kind", TIED_WITNESSES)
+def test_delacc_witness_is_the_first_fewest_blocking_set_in_candidate_order(seed, kind):
+    rng = random.Random(seed)
+    if seed % 2:
+        inst = random_sm(rng.randint(3, 4), rng.randint(3, 4), 0.6, seed)
+    else:
+        inst = random_sr(rng.randint(5, 8), rng.choice([0.4, 0.6]), seed)
+    q = random_query(inst, DELETE_ACCEPTABILITY, kind, seed)
+    q = dataclasses.replace(q, budget=len(candidate_actions(q)))
+    found = subset_search(q)
+    blocking_sets = {blocking_pairs(inst, m) for m in control.goal_matchings(q)}
+    assert found[0] >= 2 and sum(len(b) == found[0] for b in blocking_sets) >= 2
+    assert solve_exact(q) == outcome_at(found, q.budget)
+
+
+def test_delacc_search_runs_no_engine_and_tests_no_controlled_market(monkeypatch):
+    counts = count_engine_calls(monkeypatch)
+    goals = []
+    monkeypatch.setattr(exact, "goal_holds", lambda *args: goals.append(args))
+    inst = random_sr(6, 0.6, 261)
+    for kind in GOAL_KINDS:
+        solve_exact(random_query(inst, DELETE_ACCEPTABILITY, kind, 0))
+    assert counts["runs"] == 0 and counts["tables"] == 1 and goals == []
+
+
+def test_subset_search_builds_the_universe_once(monkeypatch):
+    calls = []
+    real = control.action_universe
+
+    def counting(query):
+        calls.append(query)
+        return real(query)
+
+    monkeypatch.setattr(control, "action_universe", counting)
+    monkeypatch.setattr(exact, "action_universe", counting)
+    inst = make_sr({"a": ["b"], "b": ["a"], "x": ["y"], "y": ["x"], "z": []})
+    q = ControlQuery(instance=inst, action=DELETE_AGENTS, goal=ControlGoal.ma("z"), budget=0)
+    assert solve_exact(q).optimum is None  # after all 2 ** 4 subsets
+    assert len(calls) == 1
+    with pytest.raises(InvalidQueryError):
+        apply_actions(q, {"z"})  # every other caller still has its actions checked
+
+
+@pytest.mark.parametrize("kind", ["esm", "ma", "mp", "epsm"])
+def test_delacc_certificate_does_not_read_the_integer_scan(kind, monkeypatch):
+    # Every blocking set is read off ``MarketCore.blocking`` and the answer
+    # is certified on names: a scan that drops a pair of the witness makes
+    # some matching look cheaper than the optimum, and the certificate of
+    # that matching must fail.
+    for seed in range(40):
+        q = random_query(random_sr(6, 0.8, seed), DELETE_ACCEPTABILITY, kind, seed)
+        out = solve_exact(q)
+        if out.optimum:
+            break
+    assert out.optimum
+    index = q.instance.core.index
+    dropped = tuple(index[u] for u in sorted(min(subset_search(q)[1], key=sorted)))
+    scan = MarketCore.blocking
+    monkeypatch.setattr(
+        MarketCore, "blocking", lambda core, bound: [p for p in scan(core, bound) if p != dropped]
+    )
+    with pytest.raises(InternalError, match="did not stabilise"):
+        solve_exact(fresh(q))
+
+
+def test_delacc_search_answers_up_to_the_solver_cap():
+    # 28-30 candidate pairs, past the matching enumerator's own cap: the
+    # solver's cap is the only refusal.
+    queries = [
+        random_query(random_sr(9, 0.8, 2), DELETE_ACCEPTABILITY, kind, 2)
+        for kind in ("esm", "ma", "mp")
+    ]
+    queries.append(random_query(random_sr(8, 1.0, 19), DELETE_ACCEPTABILITY, "epsm", 19))
+    for q in queries:
+        q = dataclasses.replace(q, budget=2)
+        assert DEFAULT_ENUM_CAP < len(candidate_actions(q)) <= 30
+        found = subset_search(q)
+        assert found is not None and 1 <= found[0] <= 2
+        assert solve_exact(q, cap=30) == outcome_at(found, 2)
+        with pytest.raises(CapExceededError):
+            solve_exact(fresh(q), cap=len(candidate_actions(q)) - 1)

@@ -205,6 +205,10 @@ def test_blocking_pairs_reject_every_market_the_engine_rejects(prefs):
     # A matching that is none of the market's is refused before its lists are read.
     with pytest.raises(ValueError, match="not acceptable"):
         blocking_pairs(inst, pairs_of(("a", "zz")))
+    # The enumerator refuses before it yields the empty matching.
+    with pytest.raises(InvalidInstanceError) as info:
+        next(enumerate_matchings(inst))
+    assert info.value.violations == validate(inst)
 
 
 def test_blocking_pairs_name_the_asymmetric_entry_they_used_to_ignore():
