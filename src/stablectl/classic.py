@@ -19,7 +19,9 @@ Five entry points, all on one partition engine:
   agents, as a :class:`PartitionDiagnosis` whose ``cost`` is 0 exactly
   when some stable matching matches all of them [Tan 1991, J. Algorithms
   12:154].  The existence goals of :mod:`stablectl.control` are this
-  cost.
+  cost.  It and the pair fixing below take a set of ``deleted`` agents,
+  masked on the core as tails of -1, so that an agent-action search reads
+  every subset it tries off the queried market's one core.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
   pair into some stable matching, read off the stable partition of the
   market *fixed* for that pair (:func:`fixing_deletions`, the one
@@ -110,10 +112,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalError
-from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance
+from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance, delete_agents
 
 # ---------------------------------------------------------------------------
 # Stable partitions
@@ -640,20 +642,49 @@ def _diagnosis(
     return PartitionDiagnosis(names=core.names, succ=tuple(succ), forbidden=forbidden)
 
 
-def diagnose(inst: RoommatesInstance, interested: Iterable[AgentId] = ()) -> PartitionDiagnosis:
-    """The stable partition of the whole market ``inst``, read for the ``interested`` agents.
+def _indices(core: MarketCore, agents: Iterable[AgentId]) -> list[int]:
+    """The core's indices of ``agents``; an agent outside the market raises ``ValueError``."""
+    try:
+        return [core.index[u] for u in agents]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is not an agent of the instance") from None
+
+
+def _masked(core: MarketCore, deleted: Collection[int]) -> Sequence[int]:
+    """The whole lists of ``core`` with the ``deleted`` agents (indices) at tail -1.
+
+    A deleted agent's own list is then empty, and the live rule kills every
+    entry that names it, so the engine sees the market without it.
+    """
+    if not deleted:
+        return core.whole
+    tail = list(core.whole)
+    for u in deleted:
+        tail[u] = -1
+    return tail
+
+
+def diagnose(
+    inst: RoommatesInstance,
+    interested: Iterable[AgentId] = (),
+    deleted: Iterable[AgentId] = (),
+) -> PartitionDiagnosis:
+    """The stable partition of ``inst`` without ``deleted``, read for the ``interested`` agents.
 
     Its ``cost`` is 0 exactly when some stable matching matches every
     interested agent: when the partition has no odd party and leaves none
-    of them alone [Tan 1991, J. Algorithms 12:154].  An agent outside
-    ``inst`` raises ``ValueError``.
+    of them alone [Tan 1991, J. Algorithms 12:154].  The ``deleted``
+    agents are masked on the cached core of ``inst`` (:func:`_masked`), so
+    the run is the one on the market that ``model.delete_agents`` would
+    build, with each deleted agent added as a singleton: the survivors
+    keep their relative order, and an agent with an empty list never
+    proposes or starts a rotation, so the engine makes the same steps.  A
+    deleted agent is therefore never worth being interested in.  An agent
+    outside ``inst`` raises ``ValueError``.
     """
     core = inst.core
-    try:
-        indices = [core.index[u] for u in interested]
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]} is not an agent of the instance") from None
-    return _diagnosis(core, core.whole, indices)
+    indices = _indices(core, interested)
+    return _diagnosis(core, _masked(core, _indices(core, deleted)), indices)
 
 
 def tan_stable_partition(
@@ -714,7 +745,9 @@ class FixingContext:
     rule of the engine kills the mirror entry on the list of every agent
     it cut off.  ``stars`` holds those two sets of agents as the index
     runs of ``a``'s and ``b``'s lists above the other endpoint: the agents
-    the diagnosis is interested in.  The context holds no run state,
+    the diagnosis is interested in.  The ``deleted`` agents are masked
+    out of the market before it is fixed (:func:`fixing_deletions`): their
+    tails are -1, and no star names one.  The context holds no run state,
     so any number of contexts on one instance share its core.
     ``reduced`` builds the fixed market as an instance.
     """
@@ -724,10 +757,14 @@ class FixingContext:
     b: AgentId
     tail: tuple = field(repr=False, compare=False)
     stars: tuple = field(repr=False, compare=False)
+    deleted: frozenset = frozenset()
 
     @cached_property
     def reduced(self) -> RoommatesInstance:
-        """The fixed market as an instance: each list keeps its live entries."""
+        """The fixed market as an instance: each list keeps its live entries.
+
+        The deleted agents are not in it.
+        """
         inst, tail = self.instance, self.tail
         core = inst.core
         names = core.names
@@ -735,11 +772,14 @@ class FixingContext:
             names[u]: tuple(names[v] for p, v in enumerate(lst) if _live(core, tail, u, p))
             for u, lst in enumerate(core.pref)
         }
-        return RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
+        fixed = RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
+        return delete_agents(fixed, self.deleted) if self.deleted else fixed
 
 
-def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
-    """Delete every pair that competes with ``{a, b}``.
+def fixing_deletions(
+    inst: RoommatesInstance, a: AgentId, b: AgentId, deleted: Iterable[AgentId] = ()
+) -> FixingContext:
+    """Delete every pair that competes with ``{a, b}`` in ``inst`` without ``deleted``.
 
     Removed are the pairs ``{x, y}`` where ``x`` prefers ``a`` to ``y``
     (or ``y`` is ``a`` itself) for some ``x`` that ``a`` prefers to ``b``,
@@ -747,17 +787,29 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
     of its list above the endpoint, and leaves the list of every ``y`` in
     the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
     first choices.  The deletions are tail cuts on the cached integer core
-    of ``inst``; nothing is copied until ``reduced`` is read.  Raises
-    ``ValueError`` when ``{a, b}`` is not an acceptable pair of ``inst``,
+    of ``inst``, made from the tails that mask the ``deleted`` agents (see
+    :func:`diagnose`); nothing is copied until ``reduced`` is read.  A
+    deleted agent is no star: it is not in the market to be matched.
+    Raises ``ValueError`` when ``{a, b}`` is not an acceptable pair of
+    ``inst`` without ``deleted``, or a deleted agent is not in ``inst``,
     and :class:`InvalidInstanceError` when the core cannot be built.
     """
     core = inst.core
     index, pref, mirror = core.index, core.pref, core.mirror
+    gone = frozenset(deleted)
     i, j = index.get(a), index.get(b)
-    if i is None or j is None or b not in inst.ranks[a]:
+    if i is None or j is None or a in gone or b in gone or not inst.acceptable(a, b):
         raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    tops = {i: inst.ranks[a][b], j: inst.ranks[b][a]}
-    tail = list(core.whole)
+    masked = frozenset(_indices(core, gone))
+    # The endpoints' positions, read as ``acceptable`` reads them: off the
+    # rank map once it is built, as the core of a market with a list longer
+    # than ``model.SCAN_LIST_MAX`` builds it, and else off the short lists.
+    ranks = inst.__dict__.get("ranks")
+    if ranks is None:
+        tops = {i: pref[i].index(j), j: pref[j].index(i)}
+    else:
+        tops = {i: ranks[a][b], j: ranks[b][a]}
+    tail = list(_masked(core, masked))
     # Each agent an endpoint outranks keeps only the entries above that endpoint.
     for u, top in tops.items():
         for x, q in zip(pref[u][:top], mirror[u]):
@@ -767,7 +819,9 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
         if not _live(core, tail, u, top) or any(_live(core, tail, u, p) for p in range(top)):
             raise InternalError("fixing deletions did not make the target mutually top-ranked")
     stars = (pref[i][: tops[i]], pref[j][: tops[j]])
-    return FixingContext(instance=inst, a=a, b=b, tail=tuple(tail), stars=stars)
+    if masked:
+        stars = tuple(tuple(x for x in star if x not in masked) for star in stars)
+    return FixingContext(instance=inst, a=a, b=b, tail=tuple(tail), stars=stars, deleted=gone)
 
 
 def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingContext]:
@@ -793,7 +847,11 @@ def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
     return _diagnosis(ctx.instance.core, ctx.tail, (x for star in ctx.stars for x in star))
 
 
-def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:
-    """Minimum number of agent deletions putting ``target`` into a stable matching."""
+def pair_fixing_cost(inst: RoommatesInstance, target: Pair, deleted: Iterable[AgentId] = ()) -> int:
+    """Minimum number of agent deletions putting ``target`` into a stable matching.
+
+    The market is ``inst`` without ``deleted``, masked as in
+    :func:`fixing_deletions`.
+    """
     a, b = sorted(target)
-    return diagnose_fixed_instance(fixing_deletions(inst, a, b)).cost
+    return diagnose_fixed_instance(fixing_deletions(inst, a, b, deleted)).cost

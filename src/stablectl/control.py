@@ -19,7 +19,11 @@ taken.  Goals:
 :data:`GOAL_TARGETS` says which target field each goal kind takes, and
 :data:`GOAL_KINDS` is read off it; :func:`validate_query` and the CLI
 check a goal against that one table.  :func:`goal_holds` evaluates a goal
-on a controlled instance.  Under acceptability deletion a goal is also
+on a controlled instance, or on an instance with some agents masked
+(``deleted``): an agent-action set masks the agents that
+:func:`masked_agents` names, so a search tests each set on the queried
+market itself, with no controlled market built.  Under acceptability
+deletion a goal is also
 the set of matchings of the queried market that it asks to be stable
 (:func:`goal_matchings`, :func:`matching_meets_goal`), which the exact
 search reads instead of testing controlled instances.
@@ -56,7 +60,7 @@ GOAL_TARGETS = {"ma": "agent", "mp": "pair", "ms": "matching", "esm": None, "eps
 GOAL_KINDS = tuple(GOAL_TARGETS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlGoal:
     """A goal kind plus its target, if the kind takes one (:data:`GOAL_TARGETS`)."""
 
@@ -86,7 +90,7 @@ class ControlGoal:
         return cls(kind="epsm")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlQuery:
     instance: RoommatesInstance
     action: str
@@ -94,7 +98,7 @@ class ControlQuery:
     budget: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlOutcome:
     """Verdict plus, when known, the minimum action count and a witness."""
 
@@ -215,6 +219,26 @@ def exercise(query: ControlQuery, chosen: frozenset) -> RoommatesInstance:
     return delete_pairs(query.instance, chosen)
 
 
+def masked_agents(query: ControlQuery, chosen: frozenset) -> frozenset:
+    """The agents that an agent-action set ``chosen`` takes out of the queried market.
+
+    Under agent deletion they are the chosen agents, and under agent
+    addition the agents of the pool left unchosen, so that
+    ``goal_holds(query.instance, goal, masked_agents(query, chosen))`` is
+    ``goal_holds(exercise(query, chosen), goal)``: :func:`exercise` removes
+    exactly these agents and their entries, and the order of every list
+    that survives is kept.  A pool member that is no agent of the market
+    has nothing to remove, so it is masked by no set.  ``None`` under
+    acceptability deletion, which removes pairs, not agents.
+    """
+    if query.action == ADD_AGENTS:
+        inst = query.instance
+        return (inst.addable - chosen) & inst.agents
+    if query.action == DELETE_AGENTS:
+        return chosen
+    return None
+
+
 def goal_matchings(query: ControlQuery) -> Iterator[Matching] | None:
     """The matchings of the queried market that an acceptability-deletion goal asks for.
 
@@ -260,11 +284,19 @@ def matching_meets_goal(inst: RoommatesInstance, goal: ControlGoal, matching: Ma
     raise InvalidQueryError(f"unknown goal {goal.kind!r}")
 
 
-def goal_holds(inst: RoommatesInstance, goal: ControlGoal) -> bool:
-    """Evaluate a goal on a concrete (already controlled) instance.
+def goal_holds(inst: RoommatesInstance, goal: ControlGoal, deleted: frozenset = frozenset()) -> bool:
+    """Evaluate a goal on a concrete instance ``inst`` without the ``deleted`` agents.
+
+    ``goal_holds(inst, goal, deleted)`` is ``goal_holds(delete_agents(inst,
+    deleted), goal)``, read off ``inst`` itself: the engine masks the
+    deleted agents on the cached core of ``inst`` (see
+    :func:`~stablectl.classic.diagnose`), and the ``ms`` scan skips them
+    on its warm rank map (:func:`~stablectl.stability.is_stable`).  So an
+    agent-action search tests each chosen set on the queried market
+    (:func:`masked_agents`) and builds no market per set.
 
     The ``ms`` goal has one meaning under every action: the target's
-    pairs that survive in ``inst`` form a stable matching.  That is the
+    pairs that survive in the market form a stable matching.  That is the
     same as some stable matching lying inside the target, since such a
     matching keeps every surviving target pair (a dropped one would leave
     both its agents unmatched and blocking).  Under acceptability
@@ -275,22 +307,26 @@ def goal_holds(inst: RoommatesInstance, goal: ControlGoal) -> bool:
 
     Every goal but ``ms`` is a diagnosis cost of 0.  ``esm``, ``epsm`` and
     ``ma`` ask :func:`~stablectl.classic.diagnose` whether some stable
-    matching matches every agent that the goal needs matched (none, all,
-    or the target agent), and ``mp`` asks
+    matching matches every agent that the goal needs matched (none, every
+    agent left, or the target agent), and ``mp`` asks
     :func:`~stablectl.classic.pair_fixing_cost` whether no deletion is
     needed to put the pair into one.
     """
     if goal.kind in ("esm", "epsm", "ma"):
-        if goal.kind == "ma" and goal.agent not in inst.agents:
+        if goal.kind == "ma" and (goal.agent not in inst.agents or goal.agent in deleted):
             return False
-        needed = {"esm": (), "epsm": inst.agents, "ma": (goal.agent,)}[goal.kind]
-        return diagnose(inst, needed).cost == 0
+        needed = {"esm": (), "epsm": inst.agents - deleted, "ma": (goal.agent,)}[goal.kind]
+        return diagnose(inst, needed, deleted).cost == 0
     if goal.kind == "mp":
-        if goal.pair is None or not inst.is_acceptable_pair(goal.pair):
+        target = goal.pair
+        if target is None or not inst.is_acceptable_pair(target) or not target.isdisjoint(deleted):
             return False
-        return pair_fixing_cost(inst, goal.pair) == 0
+        return pair_fixing_cost(inst, target, deleted) == 0
     if goal.kind == "ms":
         if goal.matching is None:
             return False
-        return is_stable(inst, frozenset(filter(inst.is_acceptable_pair, goal.matching)))
+        kept = frozenset(
+            p for p in goal.matching if p.isdisjoint(deleted) and inst.is_acceptable_pair(p)
+        )
+        return is_stable(inst, kept, deleted_agents=deleted)
     raise InvalidQueryError(f"unknown goal {goal.kind!r}")

@@ -5,6 +5,27 @@ increasing cardinality, and lexicographically within one cardinality, so
 the reported optimum is the true minimum and the witness is the smallest
 successful set in that order.
 
+Each set is tested as a mask on the queried market, and no market is
+built for it: :func:`~stablectl.control.masked_agents` names the agents
+the set takes out (the chosen agents under deletion, the unchosen pool
+under addition), and :func:`~stablectl.control.goal_holds` evaluates the
+goal on the market's one cached core without them.  The engine starts
+each masked agent at tail -1, so its own list is empty and its live rule
+kills every entry that names it.  The live entries are then exactly
+those of the market that exercising the set builds, the survivors keep
+their relative order, and a masked agent never proposes or starts a
+rotation, so the run makes the same steps and reaches the same
+partition, with each masked agent alone.  Nothing that decides a goal
+depends on that anyway: the odd parties and the singletons are the same
+in every stable partition, whatever the processing order [Tan 1991,
+J. Algorithms 12:154; Irving 1985, J. Algorithms 6:577].  So a masked
+agent is never one the goal needs matched, and a pair fixing cuts from
+the masked tails.  An ``ms`` goal is read on the market's warm rank map
+with the masked agents skipped
+(:func:`~stablectl.stability.is_stable`).  The witness found is
+certified once on a real market: the one that exercising it builds,
+where the goal must hold too, or :class:`InternalError` is raised.
+
 Acceptability deletion searches matchings instead of pair sets, and
 reaches the same optimum and witness.  A pair set ``D`` makes a matching
 ``M`` stable in the market without ``D`` exactly when ``D`` avoids ``M``
@@ -56,6 +77,7 @@ from .control import (
     exercise,
     goal_holds,
     goal_matchings,
+    masked_agents,
     matching_meets_goal,
     validate_query,
 )
@@ -72,10 +94,18 @@ def _sort_key(item):
 
 
 def _first_success(query: ControlQuery, candidates: list, max_size: int):
+    """The first agent-action set that meets the goal, as ``(size, witness)``, or ``None``.
+
+    Each set is tested as a mask on the queried market, and the witness is
+    certified once on the market that exercising it builds.
+    """
+    inst, goal = query.instance, query.goal
     for size in range(0, max_size + 1):
         for combo in combinations(candidates, size):
             chosen = frozenset(combo)
-            if goal_holds(exercise(query, chosen), query.goal):
+            if goal_holds(inst, goal, masked_agents(query, chosen)):
+                if not goal_holds(exercise(query, chosen), goal):
+                    raise InternalError("the witness meets the goal as a mask but not when exercised")
                 return size, chosen
     return None
 

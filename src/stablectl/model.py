@@ -11,14 +11,19 @@ file valid without it, and calls it only to word a rejection.
 
 Instances are immutable, hashable values: ``prefs`` and ``side`` are
 read-only mappings copied once at construction, so values derived from an
-instance and cached on it (``ranks``, ``core``, ``acceptable_pairs``,
-``search_memo``) cannot go stale.  ``ranks`` is the public rank map: built
-once per instance on first use and shared by every reader, it maps each
-agent to a read-only view of the position of each entry on its list.
+instance and cached on it (``agents``, ``ranks``, ``core``,
+``acceptable_pairs``, ``search_memo``) cannot go stale.  ``ranks`` is the
+public rank map: built once per instance on first use and shared by every
+reader, it maps each agent to a read-only view of the position of each
+entry on its list.
 ``core`` is the market interned as integers for the partition engine
-(:class:`MarketCore`), built once from ``ranks`` and shared by every
-engine run, pair answer and ``gale_shapley`` call on the instance; a
-parsed instance arrives with it built.  All mutating operations
+(:class:`MarketCore`), built once and shared by every engine run, pair
+answer and ``gale_shapley`` call on the instance; a parsed instance
+arrives with it built.  On a market of short lists (at most
+:data:`SCAN_LIST_MAX` entries each) the core and ``acceptable`` find
+positions by scanning a list, which costs about as much there as a
+rank map, so such a market builds ``ranks`` only for a reader that asks
+for it, such as a stability check.  All mutating operations
 (agent deletion, acceptability deletion, induction on a chosen addable
 subset) return fresh instances and never touch their input.
 
@@ -66,6 +71,15 @@ SM = "sm"
 
 # What the file formats accept as an agent or vertex identifier.
 ID_RE = re.compile(r"^[^\s:,>#]+$")
+
+# The longest lists that ``RoommatesInstance.core`` and ``acceptable`` scan
+# for an entry instead of reading the rank map.  Up to this length a core
+# built by scanning takes within 3 % of the time of one built from a new
+# rank map (the two cross between 10 and 12 entries), and past it longer,
+# 11 % at 14 and 36 % at 20 (``BENCH_25.json``, ``scan_crossover``).  A
+# market that only the engine reads then keeps no rank map, at 26-59 bytes
+# per list entry the largest of the caches a small market keeps.
+SCAN_LIST_MAX = 12
 
 
 def pair(a: AgentId, b: AgentId) -> Pair:
@@ -130,15 +144,14 @@ class RoommatesInstance:
 
     ``prefs`` maps every agent to its preference tuple, most preferred
     first.  The agent set is the keys of ``prefs``: ``agents`` is derived
-    from them, never passed.  ``side`` maps agents to ``"a"`` or ``"b"``
-    and is non-empty exactly for marriage instances.  ``addable`` marks the
-    pool of agents an agent-addition controller may bring into the market;
-    it is empty for ordinary instances.  Both mappings are stored as
-    read-only copies of the ones passed in.
+    from them on first read, never passed.  ``side`` maps agents to
+    ``"a"`` or ``"b"`` and is non-empty exactly for marriage instances.
+    ``addable`` marks the pool of agents an agent-addition controller may
+    bring into the market; it is empty for ordinary instances.  Both
+    mappings are stored as read-only copies of the ones passed in.
     """
 
     kind: str
-    agents: frozenset = field(init=False, compare=False)
     prefs: Mapping
     side: Mapping = field(default_factory=dict)
     addable: frozenset = frozenset()
@@ -146,7 +159,6 @@ class RoommatesInstance:
     def __post_init__(self) -> None:
         prefs = {u: tuple(lst) for u, lst in self.prefs.items()}
         object.__setattr__(self, "prefs", MappingProxyType(prefs))
-        object.__setattr__(self, "agents", frozenset(prefs))
         object.__setattr__(self, "side", MappingProxyType(dict(self.side)))
 
     def __reduce__(self):
@@ -157,6 +169,17 @@ class RoommatesInstance:
     def __hash__(self) -> int:
         prefs, side = frozenset(self.prefs.items()), frozenset(self.side.items())
         return hash((self.kind, prefs, side, self.addable))
+
+    @cached_property
+    def agents(self) -> frozenset:
+        """The agents: the keys of ``prefs``, as a set built once, when first read.
+
+        Not built at construction, so an instance that no caller asks for its
+        agents keeps no set of them; being no dataclass field, it is left
+        out of ``repr`` and ``dataclasses.fields``, as the other cached
+        values are.
+        """
+        return frozenset(self.prefs)
 
     @cached_property
     def search_memo(self) -> dict:
@@ -183,7 +206,7 @@ class RoommatesInstance:
 
     @cached_property
     def core(self) -> MarketCore:
-        """The market interned as integers, built once from ``ranks`` and cached.
+        """The market interned as integers, built once and cached.
 
         The build proves the four list rules: a list that names an unknown
         agent, its owner, one agent twice, or an agent that does not list
@@ -194,26 +217,37 @@ class RoommatesInstance:
         kind, side labels and the addable pool, and the parse checks that
         ``sm`` lists name only the other side.  Building it costs
         O(n + m) for ``n`` agents and ``m`` list entries.
+
+        Each ``mirror`` entry is read from ``ranks``, unless no list is
+        longer than :data:`SCAN_LIST_MAX`: then it is found by scanning the
+        short list it lies on, which costs about as much as building a rank
+        map, so a small market that only the engine reads keeps none.
         """
-        prefs, ranks = self.prefs, self.ranks
+        prefs = self.prefs
+        longest = max(map(len, prefs.values()), default=0)
+        ranks = self.ranks if longest > SCAN_LIST_MAX else None
         names = tuple(sorted(prefs))
         index = {u: i for i, u in enumerate(names)}
         # A byte per position takes an eighth of the room of a tuple entry.
-        row = bytes if max(map(len, prefs.values()), default=0) <= 256 else tuple
+        row = bytes if longest <= 256 else tuple
         pref, mirror = [], []
         try:
             for u in names:
-                lst, mine = prefs[u], ranks[u]
+                lst = prefs[u]
+                mine = set(lst) if ranks is None else ranks[u]
                 if u in mine or len(mine) != len(lst):
                     break
                 # Sized once from a list: a tuple grown from an iterator is
                 # reallocated as it grows, which fragments the heap.
                 pref.append(tuple([index[v] for v in lst]))
-                mirror.append(row([ranks[v][u] for v in lst]))
+                if ranks is None:
+                    mirror.append(row([prefs[v].index(u) for v in lst]))
+                else:
+                    mirror.append(row([ranks[v][u] for v in lst]))
             else:
                 whole = tuple([len(lst) - 1 for lst in pref])
                 return MarketCore(names, MappingProxyType(index), tuple(pref), tuple(mirror), whole)
-        except KeyError:  # an unknown agent, or one that does not list ``u`` back
+        except (KeyError, ValueError):  # an unknown agent, or one that does not list ``u`` back
             pass
         raise _rejection(self)
 
@@ -228,7 +262,20 @@ class RoommatesInstance:
         )
 
     def acceptable(self, u: AgentId, v: AgentId) -> bool:
-        ranks = self.ranks
+        """Whether ``u`` and ``v`` are agents of the instance that list each other.
+
+        Read through ``ranks`` once it is built.  Before that, two short
+        lists (see ``core``) are scanned, so a small market builds no rank
+        map for this; a longer one builds it.
+        """
+        ranks = self.__dict__.get("ranks")
+        if ranks is None:
+            mine, theirs = self.prefs.get(u), self.prefs.get(v)
+            if mine is None or theirs is None:  # an agent outside the instance
+                return False
+            if len(mine) <= SCAN_LIST_MAX and len(theirs) <= SCAN_LIST_MAX:
+                return v in mine and u in theirs
+            ranks = self.ranks
         try:
             return v in ranks[u] and u in ranks[v]
         except KeyError:  # an agent outside the instance

@@ -158,21 +158,27 @@ def enumerate_matchings(inst: RoommatesInstance, cap: int = DEFAULT_ENUM_CAP) ->
         raise CapExceededError(
             f"{len(pairs)} acceptable pairs exceed the enumeration cap of {cap}"
         )
+    yield from _extensions(pairs, 0, [], set())
 
-    def rec(i: int, chosen: list, used: set) -> Iterator[Matching]:
-        if i == len(pairs):
-            yield frozenset(chosen)
-            return
-        yield from rec(i + 1, chosen, used)
-        p = pairs[i]
-        if not (p & used):
-            chosen.append(p)
-            used |= p
-            yield from rec(i + 1, chosen, used)
-            chosen.pop()
-            used -= p
 
-    yield from rec(0, [], set())
+def _extensions(pairs: list, i: int, chosen: list, used: set) -> Iterator[Matching]:
+    """Every matching that extends ``chosen`` (whose agents are ``used``) by pairs from ``pairs[i:]``.
+
+    A module-level function, not a closure that calls itself through a
+    cell: that would make each enumeration a reference cycle, kept alive
+    until the cyclic collector runs.
+    """
+    if i == len(pairs):
+        yield frozenset(chosen)
+        return
+    yield from _extensions(pairs, i + 1, chosen, used)
+    p = pairs[i]
+    if not (p & used):
+        chosen.append(p)
+        used |= p
+        yield from _extensions(pairs, i + 1, chosen, used)
+        chosen.pop()
+        used -= p
 
 
 def enumerate_stable_matchings(inst: RoommatesInstance, cap: int = DEFAULT_ENUM_CAP) -> list:

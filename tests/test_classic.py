@@ -29,6 +29,7 @@ from helpers import (
     singletons,
     skip_proposals,
     spurious_odd_party,
+    stars,
     three_cycle,
     top_pair_and_loner,
     two_by_two_sm,
@@ -52,7 +53,7 @@ from stablectl.classic import (
 from stablectl.control import ControlGoal, ControlQuery
 from stablectl.errors import InternalError, InvalidInstanceError
 from stablectl.generators import random_sm, random_sr
-from stablectl.model import make_sm, make_sr, pair, validate
+from stablectl.model import delete_agents, make_sm, make_sr, pair, validate
 from stablectl.poly import solve, solve_delag_ma, solve_delag_mp
 from stablectl.stability import enumerate_stable_matchings, is_stable
 
@@ -772,3 +773,42 @@ def test_partitions_and_mp_witnesses_match_golden_digest():
             witness = " ".join(sorted(out.witness or ()))
             digest.update(f"{label} mp {a},{b} {out.verdict} {out.optimum} {witness}\n".encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_a_masked_run_is_the_run_on_the_market_without_the_deleted_agents():
+    # Deleted agents start at tail -1: the engine makes the same steps as on
+    # the market without them, so the partition is that one with each deleted
+    # agent alone, and every reading of it, fixed for a pair or not, agrees.
+    rng = random.Random(2025)
+    fixed = 0
+    for seed in range(160):
+        if seed % 2:
+            inst = random_sm(rng.randint(1, 4), rng.randint(1, 4), rng.choice([0.5, 0.9]), seed)
+        else:
+            inst = random_sr(rng.randint(1, 9), rng.choice([0.4, 0.8]), seed)
+        agents = sorted(inst.agents)
+        deleted = frozenset(rng.sample(agents, rng.randint(0, len(agents))))
+        smaller = delete_agents(inst, deleted)
+        interested = [u for u in agents if u not in deleted and rng.random() < 0.5]
+        masked, plain = diagnose(inst, interested, deleted), diagnose(smaller, interested)
+        assert masked.cost == plain.cost
+        alone = {u: u for u in deleted}
+        assert dict(masked.partition.successor) == {**plain.partition.successor, **alone}
+        assert masked.witness() == plain.witness()
+        for p in sorted(smaller.acceptable_pairs, key=sorted):
+            a, b = sorted(p)
+            ctx, bare = fixing_deletions(inst, a, b, deleted), fixing_deletions(smaller, a, b)
+            assert stars(ctx) == stars(bare) and ctx.reduced == bare.reduced
+            assert pair_fixing_cost(inst, p, deleted) == pair_fixing_cost(smaller, p)
+            fixed += 1
+    assert fixed >= 300
+
+
+def test_masking_an_endpoint_or_an_unknown_agent_is_rejected():
+    inst = three_cycle()
+    with pytest.raises(ValueError, match="not acceptable"):
+        fixing_deletions(inst, "a", "b", {"b"})
+    with pytest.raises(ValueError, match="not an agent"):
+        fixing_deletions(inst, "a", "b", {"zz"})
+    with pytest.raises(ValueError, match="not an agent"):
+        diagnose(inst, (), {"zz"})

@@ -25,12 +25,14 @@ from stablectl.control import (
     ControlQuery,
     action_universe,
     apply_actions,
+    exercise,
     goal_holds,
+    masked_agents,
     validate_query,
 )
 from stablectl.errors import InternalError, InvalidQueryError
 from stablectl.generators import random_sm, random_sr
-from stablectl.model import make_sr, pair
+from stablectl.model import delete_agents, make_sr, pair
 from stablectl.stability import enumerate_stable_matchings
 
 
@@ -351,3 +353,30 @@ def test_existence_goals_follow_the_named_partition():
         seen.add((inst.kind, odd, bool(alone)))
     assert seen >= {("sm", False, False), ("sm", False, True)}
     assert seen >= {("sr", odd, alone) for odd in (False, True) for alone in (False, True)}
+
+
+def test_a_goal_on_a_mask_is_the_goal_on_the_market_without_the_masked_agents():
+    # For every goal: goal_holds(inst, goal, deleted) is goal_holds on the
+    # market that delete_agents builds, and an agent-action set masks exactly
+    # the agents that exercising it removes.
+    rng = random.Random(31)
+    held = set()
+    for seed in range(200):
+        inst = random_sr(rng.randint(2, 7), 0.7, seed) if seed % 2 else random_sm(3, 3, 0.7, seed)
+        for action in (ADD_AGENTS, DELETE_AGENTS):
+            for kind in ("esm", "epsm", "ma", "mp", "ms"):
+                try:
+                    q = random_query(inst, action, kind, seed)
+                except ValueError:
+                    continue
+                universe = sorted(action_universe(q))
+                chosen = frozenset(rng.sample(universe, rng.randint(0, len(universe))))
+                masked = masked_agents(q, chosen)
+                exercised = exercise(q, chosen)
+                assert exercised.prefs == delete_agents(q.instance, masked).prefs
+                on_mask = goal_holds(q.instance, q.goal, masked)
+                assert on_mask == goal_holds(exercised, q.goal)
+                held.add((kind, on_mask))
+    assert held == {(k, v) for k in ("esm", "epsm", "ma", "mp", "ms") for v in (True, False)}
+    q = ControlQuery(instance=three_cycle(), action=DELETE_ACCEPTABILITY, goal=ControlGoal.esm(), budget=0)
+    assert masked_agents(q, frozenset()) is None

@@ -31,7 +31,12 @@ from stablectl.exact import solve_exact
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import MarketCore, delete_pairs, make_sr, pair
 from stablectl.poly import solve_delacc_ms
-from stablectl.reductions import is_to_csr_addag_existssm, make_graph
+from stablectl.reductions import (
+    clique_to_csm_addag,
+    is_to_csr_addag_existssm,
+    is_to_csr_addag_ms,
+    make_graph,
+)
 from stablectl.stability import DEFAULT_ENUM_CAP, blocking_pairs
 
 
@@ -214,6 +219,9 @@ def test_later_budgets_reuse_the_search(monkeypatch):
     first = solve_exact(q)
     searched = len(calls)
     assert first.optimum is None and searched == 2 ** 4
+    # Each subset is evaluated as a mask on the query's own market.
+    masks = {frozenset(m) for size in range(5) for m in combinations("abxy", size)}
+    assert all(market is inst for market, _, _ in calls) and {m for *_, m in calls} == masks
     for budget in (1, 2, 3):
         assert solve_exact(dataclasses.replace(q, budget=budget)) == first
     assert len(calls) == searched
@@ -400,3 +408,99 @@ def test_delacc_search_answers_up_to_the_solver_cap():
         assert solve_exact(q, cap=30) == outcome_at(found, 2)
         with pytest.raises(CapExceededError):
             solve_exact(fresh(q), cap=len(candidate_actions(q)) - 1)
+
+
+# The gadget queries of the benchmark's exact-desk workload: (reduction,
+# goal, edges over v1-v4, k).
+DESK_GADGETS = [
+    ("clique", "ma", [(1, 2), (2, 3), (1, 3), (3, 4)], 3),  # paw: yes
+    ("clique", "epsm", [(1, 2), (2, 3), (3, 4), (4, 1)], 3),  # 4-cycle: no
+    ("is-ms", "ms", [(1, 2), (2, 3), (3, 4)], 2),  # path: yes
+    ("is-exist", "esm", [(1, 2), (1, 3), (1, 4)], 3),  # star: yes
+    ("is-exist", "epsm", [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)], 3),  # diamond: no
+]
+
+
+def desk_gadget(kind, goal, edges, k):
+    graph = make_graph([f"v{i}" for i in range(1, 5)], [(f"v{a}", f"v{b}") for a, b in edges])
+    if kind == "clique":
+        return clique_to_csm_addag(graph, k, goal).query
+    if kind == "is-ms":
+        return is_to_csr_addag_ms(graph, k).query
+    return is_to_csr_addag_existssm(graph, k, goal).query
+
+
+def test_agent_search_matches_the_subset_search():
+    # The mask search equals the oracle that builds and tests a market per
+    # subset, in verdict, optimum and witness: every agent-action goal, in
+    # both kinds of market, at budgets 0-3, and on the desk gadgets.  Every
+    # third seed's pools also name two outsiders, tried first and last: an
+    # outsider adds nothing when it is chosen and takes nothing out when
+    # it is not.
+    checked, seen, seed = 0, set(), 0
+    while checked < 5000:
+        rng = random.Random(seed)
+        if seed % 2:
+            inst = random_sm(rng.randint(2, 3), rng.randint(2, 3), rng.choice([0.6, 0.9]), seed)
+        else:
+            inst = random_sr(rng.randint(3, 6), rng.choice([0.5, 0.8]), seed)
+        for action in (ADD_AGENTS, DELETE_AGENTS):
+            for q in (q for kind in GOAL_KINDS for q in seeded_queries(inst, action, kind, [seed])):
+                if action == ADD_AGENTS and seed % 3 == 0:
+                    pool = q.instance.addable | {"0", "~"}
+                    q = dataclasses.replace(q, instance=dataclasses.replace(q.instance, addable=pool))
+                found = subset_search(q)
+                for budget in range(4):
+                    assert solve_exact(dataclasses.replace(q, budget=budget)) == outcome_at(found, budget)
+                seen.add((action, q.goal.kind, inst.kind, found and found[0]))
+                checked += 1
+        seed += 1
+    assert {s[:3] for s in seen} == {
+        (a, k, m) for a in (ADD_AGENTS, DELETE_AGENTS) for k in GOAL_KINDS for m in ("sr", "sm")
+    }
+    assert {s[3] for s in seen} >= {None, 0, 1, 2, 3}
+    for gadget in DESK_GADGETS:
+        q = desk_gadget(*gadget)
+        found = subset_search(q)
+        for budget in (q.budget, q.budget + 1):
+            assert solve_exact(dataclasses.replace(q, budget=budget)) == outcome_at(found, budget)
+
+
+def test_agent_search_builds_no_core_per_subset(monkeypatch):
+    # One core for the query's market and one for the market the witness
+    # certificate builds; one engine run per subset tested and one for the
+    # certificate.  An ``ms`` goal is decided on the rank map, by no engine.
+    counts = count_engine_calls(monkeypatch)
+    masks = []
+    real = exact.goal_holds
+    monkeypatch.setattr(exact, "goal_holds", lambda *args: masks.append(args[2:]) or real(*args))
+    searched = set()
+    for seed in range(200):
+        inst = random_sr(6, 0.7, seed) if seed % 2 else random_sm(3, 3, 0.8, seed)
+        for action in (ADD_AGENTS, DELETE_AGENTS):
+            for q in (q for kind in GOAL_KINDS for q in seeded_queries(inst, action, kind, [seed])):
+                if (action, q.goal.kind) in searched:
+                    continue
+                counts.update(tables=0, runs=0)
+                masks.clear()
+                out = solve_exact(fresh(q))
+                if not out.optimum:
+                    continue
+                subsets = sum(1 for m in masks if m)
+                assert len(masks) == subsets + 1 > 2  # every subset, then the witness
+                if q.goal.kind == "ms":
+                    assert (counts["tables"], counts["runs"]) == (1, 0)
+                else:
+                    assert (counts["tables"], counts["runs"]) == (2, subsets + 1)
+                searched.add((action, q.goal.kind))
+    assert len(searched) == 10
+
+
+def test_a_witness_that_holds_only_as_a_mask_is_an_internal_error(monkeypatch):
+    # Masks that leave the chosen agents in and take every other one out:
+    # the empty market meets the goal at once, and the certificate on the
+    # market that exercising the empty set builds, the three-cycle, refutes it.
+    monkeypatch.setattr(exact, "masked_agents", lambda query, chosen: query.instance.agents - chosen)
+    q = ControlQuery(instance=three_cycle(), action=DELETE_AGENTS, goal=ControlGoal.esm(), budget=1)
+    with pytest.raises(InternalError, match="as a mask"):
+        solve_exact(q)

@@ -655,3 +655,27 @@ def test_instances_and_queries_hash_by_value():
     assert hash(delete_agents(sm, ["m00"])) == hash(delete_agents(sm, ["m00"]))
     query = ControlQuery(instance=inst, action=DELETE_AGENTS, goal=ControlGoal.esm(), budget=1)
     assert hash(query) == hash(dataclasses.replace(query, instance=twin))
+
+
+def test_a_market_of_short_lists_is_read_without_a_rank_map():
+    # Lists of at most SCAN_LIST_MAX entries are scanned: the core's mirror
+    # holds each owner's position on the list of each agent it lists, the
+    # acceptable pairs are those listed both ways, and no rank map is left.
+    # The markets that break a list rule are those the parse test rejects.
+    rng = random.Random(25)
+    built = 0
+    for inst in (corrupted_instance(rng) for _ in range(600)):
+        prefs = inst.prefs
+        assert max(map(len, prefs.values()), default=0) <= model.SCAN_LIST_MAX
+        try:
+            core = inst.core
+        except InvalidInstanceError:
+            continue
+        names = core.names
+        for u, lst, back in zip(names, core.pref, core.mirror):
+            assert [names[v] for v in lst] == list(prefs[u])
+            assert list(back) == [prefs[names[v]].index(u) for v in lst]
+        assert inst.acceptable_pairs == {frozenset((u, v)) for u in prefs for v in prefs[u] if u in prefs[v]}
+        assert "ranks" not in vars(inst)
+        built += 1
+    assert built >= 100

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -305,3 +306,19 @@ def test_the_integer_and_the_names_statements_of_the_blocking_rule_agree():
             assert not is_stable(inst, matching, deleted_pairs=blockers - {p})
         found += len(blockers)
     assert found > 3000
+
+
+def test_enumerating_matchings_leaves_no_reference_cycle():
+    # Reference counting frees an enumeration, whole or abandoned part way:
+    # the cyclic collector, which a caller may have turned off, finds nothing.
+    inst = random_sr(6, 0.8, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(enumerate_matchings(inst))) > 10
+        partial = enumerate_matchings(inst)
+        next(partial), next(partial)
+        del partial
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
