@@ -20,8 +20,10 @@ Five entry points, all on one partition engine:
   when some stable matching matches all of them [Tan 1991, J. Algorithms
   12:154].  The existence goals of :mod:`stablectl.control` are this
   cost.  It and the pair fixing below take a set of ``deleted`` agents,
-  masked on the core as tails of -1, so that an agent-action search reads
-  every subset it tries off the queried market's one core.
+  masked on the core as tails of -1.  :func:`diagnose_masked` and
+  :func:`diagnose_fixed_instance` take such a mask as core indices, so
+  that an agent-action search reads every subset it tries off the queried
+  market's one core, with one pair fixing for the whole search.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
   pair into some stable matching, read off the stable partition of the
   market *fixed* for that pair (:func:`fixing_deletions`, the one
@@ -602,6 +604,15 @@ class PartitionDiagnosis:
         """One agent deletion per odd party and per interested agent left alone."""
         return sum(map(_is_odd, self.parties)) + len(self.forbidden)
 
+    @property
+    def matches_interested(self) -> bool:
+        """Whether some stable matching matches every interested agent: ``cost == 0``.
+
+        An interested agent left alone decides it without a walk over the
+        parties.
+        """
+        return not self.forbidden and self.cost == 0
+
     @cached_property
     def partition(self) -> StablePartition:
         """The partition, named."""
@@ -650,6 +661,14 @@ def _indices(core: MarketCore, agents: Iterable[AgentId]) -> list[int]:
         raise ValueError(f"{exc.args[0]} is not an agent of the instance") from None
 
 
+def index_mask(core: MarketCore, agents: Iterable[AgentId]) -> frozenset:
+    """The mask of ``agents``: their indices on ``core``, as a frozenset.
+
+    An agent outside the market raises ``ValueError``.
+    """
+    return frozenset(_indices(core, agents))
+
+
 def _masked(core: MarketCore, deleted: Collection[int]) -> Sequence[int]:
     """The whole lists of ``core`` with the ``deleted`` agents (indices) at tail -1.
 
@@ -673,18 +692,29 @@ def diagnose(
 
     Its ``cost`` is 0 exactly when some stable matching matches every
     interested agent: when the partition has no odd party and leaves none
-    of them alone [Tan 1991, J. Algorithms 12:154].  The ``deleted``
-    agents are masked on the cached core of ``inst`` (:func:`_masked`), so
-    the run is the one on the market that ``model.delete_agents`` would
-    build, with each deleted agent added as a singleton: the survivors
-    keep their relative order, and an agent with an empty list never
-    proposes or starts a rotation, so the engine makes the same steps.  A
-    deleted agent is therefore never worth being interested in.  An agent
-    outside ``inst`` raises ``ValueError``.
+    of them alone [Tan 1991, J. Algorithms 12:154].  The agents are named
+    here and run on the cached core of ``inst`` by :func:`diagnose_masked`.
+    An agent outside ``inst`` raises ``ValueError``.
     """
     core = inst.core
     indices = _indices(core, interested)
-    return _diagnosis(core, _masked(core, _indices(core, deleted)), indices)
+    return diagnose_masked(core, indices, _indices(core, deleted))
+
+
+def diagnose_masked(
+    core: MarketCore, interested: Iterable[int], mask: Collection[int]
+) -> PartitionDiagnosis:
+    """The stable partition of ``core``'s market without ``mask``, read for ``interested``.
+
+    Both are core indices.  The agents of ``mask`` are masked as tails of
+    -1 (:func:`_masked`), so the run is the one on the market that
+    ``model.delete_agents`` would build, with each masked agent added as a
+    singleton: the survivors keep their relative order, and an agent with
+    an empty list never proposes or starts a rotation, so the engine makes
+    the same steps.  A masked agent is therefore never worth being
+    interested in.
+    """
+    return _diagnosis(core, _masked(core, mask), interested)
 
 
 def tan_stable_partition(
@@ -746,8 +776,8 @@ class FixingContext:
     it cut off.  ``stars`` holds those two sets of agents as the index
     runs of ``a``'s and ``b``'s lists above the other endpoint: the agents
     the diagnosis is interested in.  The ``deleted`` agents are masked
-    out of the market before it is fixed (:func:`fixing_deletions`): their
-    tails are -1, and no star names one.  The context holds no run state,
+    out of the fixed market (:func:`_mask_fixing`): their tails are -1,
+    and no star names one.  The context holds no run state,
     so any number of contexts on one instance share its core.
     ``reduced`` builds the fixed market as an instance.
     """
@@ -787,9 +817,9 @@ def fixing_deletions(
     of its list above the endpoint, and leaves the list of every ``y`` in
     the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
     first choices.  The deletions are tail cuts on the cached integer core
-    of ``inst``, made from the tails that mask the ``deleted`` agents (see
-    :func:`diagnose`); nothing is copied until ``reduced`` is read.  A
-    deleted agent is no star: it is not in the market to be matched.
+    of ``inst``, and the ``deleted`` agents are then masked as in
+    :func:`diagnose` (:func:`_mask_fixing`, which gives the same tails as
+    fixing the masked market); nothing is copied until ``reduced`` is read.
     Raises ``ValueError`` when ``{a, b}`` is not an acceptable pair of
     ``inst`` without ``deleted``, or a deleted agent is not in ``inst``,
     and :class:`InvalidInstanceError` when the core cannot be built.
@@ -800,7 +830,7 @@ def fixing_deletions(
     i, j = index.get(a), index.get(b)
     if i is None or j is None or a in gone or b in gone or not inst.acceptable(a, b):
         raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    masked = frozenset(_indices(core, gone))
+    mask = index_mask(core, gone)
     # The endpoints' positions, read as ``acceptable`` reads them: off the
     # rank map once it is built, as the core of a market with a list longer
     # than ``model.SCAN_LIST_MAX`` builds it, and else off the short lists.
@@ -809,7 +839,7 @@ def fixing_deletions(
         tops = {i: pref[i].index(j), j: pref[j].index(i)}
     else:
         tops = {i: ranks[a][b], j: ranks[b][a]}
-    tail = list(_masked(core, masked))
+    tail = list(core.whole)
     # Each agent an endpoint outranks keeps only the entries above that endpoint.
     for u, top in tops.items():
         for x, q in zip(pref[u][:top], mirror[u]):
@@ -818,10 +848,29 @@ def fixing_deletions(
     for u, top in tops.items():
         if not _live(core, tail, u, top) or any(_live(core, tail, u, p) for p in range(top)):
             raise InternalError("fixing deletions did not make the target mutually top-ranked")
-    stars = (pref[i][: tops[i]], pref[j][: tops[j]])
-    if masked:
-        stars = tuple(tuple(x for x in star if x not in masked) for star in stars)
+    tail, stars = _mask_fixing(tail, (pref[i][: tops[i]], pref[j][: tops[j]]), mask)
     return FixingContext(instance=inst, a=a, b=b, tail=tuple(tail), stars=stars, deleted=gone)
+
+
+def _mask_fixing(tail: Sequence[int], stars: tuple, mask: Collection[int]) -> tuple:
+    """A fixing's ``tail`` and ``stars`` with the agents of ``mask`` taken out.
+
+    Each masked agent's tail becomes -1 and it leaves its star.  This is
+    exactly the fixing made from the masked tails: a masked agent's tail
+    is -1 there already, so no cut of fixing moves it, and every other
+    agent's cuts are read off the endpoints' whole lists either way, since
+    no cut raises a tail.  A masked agent is no star, as it is not in the
+    market to be matched.  Masking only kills entries, so once the
+    endpoints are mutually top-ranked on the whole market they stay so
+    under every mask that spares them: the check that fixing makes once
+    covers every such mask.
+    """
+    if not mask:
+        return tail, stars
+    tail = list(tail)
+    for u in mask:
+        tail[u] = -1
+    return tail, tuple(tuple(x for x in star if x not in mask) for star in stars)
 
 
 def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingContext]:
@@ -839,12 +888,16 @@ def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingC
         yield fixing_deletions(inst, *sorted((agent, partner)))
 
 
-def diagnose_fixed_instance(ctx: FixingContext) -> PartitionDiagnosis:
+def diagnose_fixed_instance(ctx: FixingContext, mask: Collection[int] = ()) -> PartitionDiagnosis:
     """Run the engine on the fixed market, from the tails that fixing cut.
 
-    The interested agents are those of the fixing's ``stars``.
+    The interested agents are those of the fixing's ``stars``.  The agents
+    of ``mask`` (core indices, none of them an endpoint) are then taken
+    out too (:func:`_mask_fixing`): the run is the one on the market fixed
+    from the masked tails, with no second fixing.
     """
-    return _diagnosis(ctx.instance.core, ctx.tail, (x for star in ctx.stars for x in star))
+    tail, stars = _mask_fixing(ctx.tail, ctx.stars, mask)
+    return _diagnosis(ctx.instance.core, tail, (x for star in stars for x in star))
 
 
 def pair_fixing_cost(inst: RoommatesInstance, target: Pair, deleted: Iterable[AgentId] = ()) -> int:

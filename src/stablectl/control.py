@@ -18,13 +18,15 @@ taken.  Goals:
 
 :data:`GOAL_TARGETS` says which target field each goal kind takes, and
 :data:`GOAL_KINDS` is read off it; :func:`validate_query` and the CLI
-check a goal against that one table.  :func:`goal_holds` evaluates a goal
-on a controlled instance, or on an instance with some agents masked
-(``deleted``): an agent-action set masks the agents that
-:func:`masked_agents` names, so a search tests each set on the queried
-market itself, with no controlled market built.  Under acceptability
-deletion a goal is also
-the set of matchings of the queried market that it asks to be stable
+check a goal against that one table.  :func:`goal_test` states each goal
+rule once, compiled on the integer core of an instance as a test of
+masks, sets of core indices of agents taken out of the market.  A search
+compiles it once and tests on it the mask of every agent-action set it
+tries (:func:`masked_agents`), with no controlled market built and no
+name converted per set; :func:`goal_holds` evaluates a goal on a
+controlled instance, or on an instance without some ``deleted`` agents,
+by the same test.  Under acceptability deletion a goal is also the set
+of matchings of the queried market that it asks to be stable
 (:func:`goal_matchings`, :func:`matching_meets_goal`), which the exact
 search reads instead of testing controlled instances.
 
@@ -34,21 +36,22 @@ Queries and outcomes are immutable; evaluation is purely functional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
-from .classic import diagnose, pair_fixing_cost
+from .classic import diagnose_fixed_instance, diagnose_masked, fixing_deletions, index_mask
 from .errors import InvalidQueryError
 from .model import (
     AgentId,
     Matching,
     Pair,
     RoommatesInstance,
+    addable_violations,
     delete_agents,
     delete_pairs,
     induce_with_added,
     pair_text,
 )
-from .stability import check_matching, enumerate_matchings, is_stable
+from .stability import check_matching, enumerate_matchings
 
 ADD_AGENTS = "addag"
 DELETE_AGENTS = "delag"
@@ -113,7 +116,9 @@ def validate_query(query: ControlQuery) -> list[str]:
     The goal carries exactly the target :data:`GOAL_TARGETS` names for its
     kind: an original agent, an acceptable pair of original agents, or a
     matching (:func:`check_matching`), perfect under agent addition or
-    deletion.  A malformed target is reported, never raised.  A market
+    deletion.  Every member of an addable pool is an agent of the market,
+    as :func:`~stablectl.model.validate` words it.  A malformed target is
+    reported, never raised.  A market
     that breaks a list rule raises
     :class:`~stablectl.errors.InvalidInstanceError` when its ``core`` is
     built: here for agent addition, whose search starts from the market
@@ -137,6 +142,7 @@ def validate_query(query: ControlQuery) -> list[str]:
         inst.core
         if not inst.addable:
             out.append("agent addition needs a non-empty addable pool")
+        out += addable_violations(inst)
     elif inst.addable:
         out.append("only agent-addition queries may carry addable agents")
     field = GOAL_TARGETS[goal.kind]
@@ -182,6 +188,8 @@ def action_universe(query: ControlQuery):
     under acceptability deletion.  A goal matching must itself be stable
     after acceptability deletion, so no answer deletes one of its pairs,
     and no search or witness ever reaches a market that lacks one.
+    The addable pool of a valid query holds only agents of the market
+    (:func:`validate_query`).
     """
     inst, goal = query.instance, query.goal
     if query.action == ADD_AGENTS:
@@ -219,24 +227,29 @@ def exercise(query: ControlQuery, chosen: frozenset) -> RoommatesInstance:
     return delete_pairs(query.instance, chosen)
 
 
-def masked_agents(query: ControlQuery, chosen: frozenset) -> frozenset:
-    """The agents that an agent-action set ``chosen`` takes out of the queried market.
+def masked_agents(
+    query: ControlQuery, candidates: Sequence[AgentId]
+) -> Callable[[Sequence[int]], frozenset] | None:
+    """The mask of each agent-action set that a search draws from ``candidates``.
 
-    Under agent deletion they are the chosen agents, and under agent
-    addition the agents of the pool left unchosen, so that
-    ``goal_holds(query.instance, goal, masked_agents(query, chosen))`` is
-    ``goal_holds(exercise(query, chosen), goal)``: :func:`exercise` removes
-    exactly these agents and their entries, and the order of every list
-    that survives is kept.  A pool member that is no agent of the market
-    has nothing to remove, so it is masked by no set.  ``None`` under
+    A set comes as its members' positions in ``candidates`` (agents of
+    :func:`action_universe`), and its mask holds the core indices of the
+    agents it takes out: the chosen agents under deletion, the unchosen
+    pool under addition.  :func:`exercise` removes exactly these agents and
+    keeps the order of every list left, so ``goal_test(query.instance,
+    goal)(mask(positions))`` is ``goal_holds(exercise(query, chosen),
+    goal)``.  Names are converted once, here.  ``None`` under
     acceptability deletion, which removes pairs, not agents.
     """
-    if query.action == ADD_AGENTS:
-        inst = query.instance
-        return (inst.addable - chosen) & inst.agents
+    if query.action == DELETE_ACCEPTABILITY:
+        return None
+    inst = query.instance
+    core = inst.core
+    ids = [core.index[u] for u in candidates]
     if query.action == DELETE_AGENTS:
-        return chosen
-    return None
+        return lambda positions: frozenset(map(ids.__getitem__, positions))
+    pool = index_mask(core, inst.addable)
+    return lambda positions: pool.difference(map(ids.__getitem__, positions))
 
 
 def goal_matchings(query: ControlQuery) -> Iterator[Matching] | None:
@@ -288,45 +301,90 @@ def goal_holds(inst: RoommatesInstance, goal: ControlGoal, deleted: frozenset = 
     """Evaluate a goal on a concrete instance ``inst`` without the ``deleted`` agents.
 
     ``goal_holds(inst, goal, deleted)`` is ``goal_holds(delete_agents(inst,
-    deleted), goal)``, read off ``inst`` itself: the engine masks the
-    deleted agents on the cached core of ``inst`` (see
-    :func:`~stablectl.classic.diagnose`), and the ``ms`` scan skips them
-    on its warm rank map (:func:`~stablectl.stability.is_stable`).  So an
-    agent-action search tests each chosen set on the queried market
-    (:func:`masked_agents`) and builds no market per set.
-
-    The ``ms`` goal has one meaning under every action: the target's
-    pairs that survive in the market form a stable matching.  That is the
-    same as some stable matching lying inside the target, since such a
-    matching keeps every surviving target pair (a dropped one would leave
-    both its agents unmatched and blocking).  Under acceptability
-    deletion :func:`action_universe` protects every target pair, so the
-    whole target survives and the goal asks that it be stable itself.
-    Targets that no longer resolve, such as a deleted agent or a pair
-    with a missing endpoint, make the goal false rather than raising.
-
-    Every goal but ``ms`` is a diagnosis cost of 0.  ``esm``, ``epsm`` and
-    ``ma`` ask :func:`~stablectl.classic.diagnose` whether some stable
-    matching matches every agent that the goal needs matched (none, every
-    agent left, or the target agent), and ``mp`` asks
-    :func:`~stablectl.classic.pair_fixing_cost` whether no deletion is
-    needed to put the pair into one.
+    deleted), goal)``, read off ``inst`` itself: it is :func:`goal_test`
+    of ``inst`` and ``goal``, asked about the mask of ``deleted``, so every
+    goal rule is stated there once.  A deleted agent outside ``inst``
+    raises ``ValueError``, and so does an ``ms`` target whose acceptable
+    pairs are no matching (:func:`check_matching`).
     """
-    if goal.kind in ("esm", "epsm", "ma"):
-        if goal.kind == "ma" and (goal.agent not in inst.agents or goal.agent in deleted):
-            return False
-        needed = {"esm": (), "epsm": inst.agents - deleted, "ma": (goal.agent,)}[goal.kind]
-        return diagnose(inst, needed, deleted).cost == 0
+    return goal_test(inst, goal)(index_mask(inst.core, deleted))
+
+
+def _never(mask: frozenset) -> bool:
+    """The test of a goal whose target does not resolve in the market."""
+    return False
+
+
+def goal_test(inst: RoommatesInstance, goal: ControlGoal) -> Callable[[frozenset], bool]:
+    """``goal`` compiled once on the cached core of ``inst``, as a test of masks.
+
+    A mask is a frozenset of core indices, and ``goal_test(inst,
+    goal)(mask)`` is ``goal_holds(delete_agents(inst, masked agents),
+    goal)``.  What is fixed for a search is derived here, once: the
+    interested indices, the pair fixing, the target's partner positions.
+    A target that does not resolve (an agent outside the market, a pair
+    that is not acceptable) makes the goal false under every mask, and a
+    masked target agent or endpoint makes it false under that mask.
+
+    ``esm``, ``epsm`` and ``ma`` ask whether some stable matching of the
+    masked market (:func:`~stablectl.classic.diagnose_masked`) matches no
+    agent, every agent left, or the target agent
+    (:attr:`~stablectl.classic.PartitionDiagnosis.matches_interested`).
+    ``mp`` asks it for the agents the endpoints outrank, on the pair's
+    fixing made once and masked per call
+    (:func:`~stablectl.classic.diagnose_fixed_instance`).
+
+    ``ms`` asks that the target's pairs that survive form a stable
+    matching: the same as some stable matching lying inside the target,
+    since a dropped surviving pair would leave both its agents unmatched
+    and blocking.  Under acceptability deletion :func:`action_universe`
+    protects every target pair, so the target itself must become stable.
+    Each member of an acceptable target pair is bounded at its partner's
+    position, a masked agent at 0 (it prefers no one) and an agent whose
+    partner is masked past its last entry, and
+    :meth:`~stablectl.model.MarketCore.blocking` decides.
+    """
+    core = inst.core
+    if goal.kind == "esm":
+        return lambda mask: diagnose_masked(core, (), mask).matches_interested
+    if goal.kind == "epsm":
+        everyone = frozenset(range(len(core.names)))
+        return lambda mask: diagnose_masked(core, everyone - mask, mask).matches_interested
+    if goal.kind == "ma":
+        target = core.index.get(goal.agent)
+        if target is None:
+            return _never
+        interested = (target,)
+        return lambda mask: (
+            target not in mask and diagnose_masked(core, interested, mask).matches_interested
+        )
     if goal.kind == "mp":
-        target = goal.pair
-        if target is None or not inst.is_acceptable_pair(target) or not target.isdisjoint(deleted):
-            return False
-        return pair_fixing_cost(inst, target, deleted) == 0
+        if goal.pair is None or not inst.is_acceptable_pair(goal.pair):
+            return _never
+        fixing = fixing_deletions(inst, *sorted(goal.pair))
+        ends = index_mask(core, goal.pair)
+        return lambda mask: (
+            ends.isdisjoint(mask) and diagnose_fixed_instance(fixing, mask).matches_interested
+        )
     if goal.kind == "ms":
         if goal.matching is None:
-            return False
-        kept = frozenset(
-            p for p in goal.matching if p.isdisjoint(deleted) and inst.is_acceptable_pair(p)
-        )
-        return is_stable(inst, kept, deleted_agents=deleted)
+            return _never
+        partners = check_matching(inst, [p for p in goal.matching if inst.is_acceptable_pair(p)])
+        index, pref, whole = core.index, core.pref, core.whole
+        mate = [-1] * len(whole)
+        base = [w + 1 for w in whole]
+        for u, v in partners.items():
+            i, j = index[u], index[v]
+            mate[i], base[i] = j, pref[i].index(j)
+
+        def holds(mask: frozenset) -> bool:
+            bound = base.copy()
+            for u in mask:
+                if (v := mate[u]) >= 0:
+                    bound[v] = whole[v] + 1
+            for u in mask:
+                bound[u] = 0
+            return next(core.blocking(bound), None) is None
+
+        return holds
     raise InvalidQueryError(f"unknown goal {goal.kind!r}")

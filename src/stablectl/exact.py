@@ -6,23 +6,24 @@ the reported optimum is the true minimum and the witness is the smallest
 successful set in that order.
 
 Each set is tested as a mask on the queried market, and no market is
-built for it: :func:`~stablectl.control.masked_agents` names the agents
-the set takes out (the chosen agents under deletion, the unchosen pool
-under addition), and :func:`~stablectl.control.goal_holds` evaluates the
-goal on the market's one cached core without them.  The engine starts
-each masked agent at tail -1, so its own list is empty and its live rule
-kills every entry that names it.  The live entries are then exactly
-those of the market that exercising the set builds, the survivors keep
-their relative order, and a masked agent never proposes or starts a
-rotation, so the run makes the same steps and reaches the same
-partition, with each masked agent alone.  Nothing that decides a goal
-depends on that anyway: the odd parties and the singletons are the same
-in every stable partition, whatever the processing order [Tan 1991,
+built for it.  The goal is compiled once per search on the market's one
+cached core (:func:`~stablectl.control.goal_test`), and
+:func:`~stablectl.control.masked_agents` gives each set's mask as core
+indices: the agents the set takes out (the chosen agents under deletion,
+the unchosen pool under addition), so no set converts a name.  The
+engine starts each masked agent at tail -1, so its own list is empty and
+its live rule kills every entry that names it.  The live entries are then
+exactly those of the market that exercising the set builds, the
+survivors keep their relative order, and a masked agent never proposes
+or starts a rotation, so the run makes the same steps and reaches the
+same partition, with each masked agent alone.  Nothing that decides a
+goal depends on that anyway: the odd parties and the singletons are the
+same in every stable partition, whatever the processing order [Tan 1991,
 J. Algorithms 12:154; Irving 1985, J. Algorithms 6:577].  So a masked
-agent is never one the goal needs matched, and a pair fixing cuts from
-the masked tails.  An ``ms`` goal is read on the market's warm rank map
-with the masked agents skipped
-(:func:`~stablectl.stability.is_stable`).  The witness found is
+agent is never one the goal needs matched, and a pair fixing made once on
+the whole market is the fixing of every masked market once the masked
+tails are set to -1.  An ``ms`` goal is read by the core's blocking scan
+with each masked agent preferring no one.  The witness found is
 certified once on a real market: the one that exercising it builds,
 where the goal must hold too, or :class:`InternalError` is raised.
 
@@ -77,6 +78,7 @@ from .control import (
     exercise,
     goal_holds,
     goal_matchings,
+    goal_test,
     masked_agents,
     matching_meets_goal,
     validate_query,
@@ -96,15 +98,16 @@ def _sort_key(item):
 def _first_success(query: ControlQuery, candidates: list, max_size: int):
     """The first agent-action set that meets the goal, as ``(size, witness)``, or ``None``.
 
-    Each set is tested as a mask on the queried market, and the witness is
+    The goal is compiled once on the queried market and each set, given
+    by its candidate positions, is tested as a mask on it; the witness is
     certified once on the market that exercising it builds.
     """
-    inst, goal = query.instance, query.goal
+    holds, mask = goal_test(query.instance, query.goal), masked_agents(query, candidates)
     for size in range(0, max_size + 1):
-        for combo in combinations(candidates, size):
-            chosen = frozenset(combo)
-            if goal_holds(inst, goal, masked_agents(query, chosen)):
-                if not goal_holds(exercise(query, chosen), goal):
+        for combo in combinations(range(len(candidates)), size):
+            if holds(mask(combo)):
+                chosen = frozenset(candidates[i] for i in combo)
+                if not goal_holds(exercise(query, chosen), query.goal):
                     raise InternalError("the witness meets the goal as a mask but not when exercised")
                 return size, chosen
     return None
@@ -158,14 +161,16 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
         )
     memo = query.instance.search_memo
     key = (query.action, query.goal)
-    if key not in memo:
+    try:
+        hit = memo[key]  # a hit hashes the goal once
+    except KeyError:
         candidates = sorted(universe, key=_sort_key)
         matchings = goal_matchings(query)
         if matchings is None:
-            memo[key] = _first_success(query, candidates, len(candidates))
+            hit = _first_success(query, candidates, len(candidates))
         else:
-            memo[key] = _fewest_blockers(query, candidates, matchings)
-    hit = memo[key]
+            hit = _fewest_blockers(query, candidates, matchings)
+        memo[key] = hit
     if hit is None:
         return ControlOutcome(verdict=False, optimum=None, witness=None)
     size, witness = hit

@@ -346,9 +346,15 @@ def validate(inst: RoommatesInstance) -> list[str]:
     out += ids + entries + asymmetric + labels + same_side
     if side and not sm:
         out.append("side labels are only allowed on sm instances")
-    for u in sorted(inst.addable - inst.agents):
-        out.append(f"addable agent {u} is not part of the instance")
-    return out
+    return out + addable_violations(inst)
+
+
+def addable_violations(inst: RoommatesInstance) -> list[str]:
+    """One violation per member of the addable pool that is no agent of ``inst``, sorted."""
+    if inst.addable <= inst.agents:  # the usual case, decided without building a set
+        return []
+    outside = sorted(inst.addable - inst.agents)
+    return [f"addable agent {u} is not part of the instance" for u in outside]
 
 
 def _rejection(inst: RoommatesInstance) -> Exception:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from stablectl import classic, model
+from stablectl import classic, control, model, poly
 from stablectl.classic import StablePartition
 from stablectl.control import (
     ACTIONS,
@@ -222,6 +222,31 @@ def count_engine_calls(monkeypatch) -> dict:
     core.__set_name__(model.RoommatesInstance, "core")
     monkeypatch.setattr(model.RoommatesInstance, "core", core)
     monkeypatch.setattr(classic._Table, "run", counted_run)
+    return counts
+
+
+def count_fixings_and_conversions(monkeypatch) -> dict:
+    """Count pair fixings (``classic.fixing_deletions``) and name-to-index conversions.
+
+    A conversion is a call of ``classic._indices``, the one place that turns
+    agent names into core indices.  ``fixing_deletions`` is counted in
+    every package module that binds it.
+    """
+    counts = {"fixings": 0, "conversions": 0}
+    fixing, indices = classic.fixing_deletions, classic._indices
+
+    def counted_fixing(*args, **kwargs):
+        counts["fixings"] += 1
+        return fixing(*args, **kwargs)
+
+    def counted_indices(*args, **kwargs):
+        counts["conversions"] += 1
+        return indices(*args, **kwargs)
+
+    for module in (classic, control, poly):
+        if getattr(module, "fixing_deletions", None) is fixing:
+            monkeypatch.setattr(module, "fixing_deletions", counted_fixing)
+    monkeypatch.setattr(classic, "_indices", counted_indices)
     return counts
 
 

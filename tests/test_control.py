@@ -21,19 +21,21 @@ from stablectl.control import (
     ADD_AGENTS,
     DELETE_ACCEPTABILITY,
     DELETE_AGENTS,
+    GOAL_KINDS,
     ControlGoal,
     ControlQuery,
     action_universe,
     apply_actions,
     exercise,
     goal_holds,
+    goal_test,
     masked_agents,
     validate_query,
 )
 from stablectl.errors import InternalError, InvalidQueryError
 from stablectl.generators import random_sm, random_sr
 from stablectl.model import delete_agents, make_sr, pair
-from stablectl.stability import enumerate_stable_matchings
+from stablectl.stability import enumerate_stable_matchings, is_stable
 
 
 def delag(inst, goal, budget=0):
@@ -370,8 +372,10 @@ def test_a_goal_on_a_mask_is_the_goal_on_the_market_without_the_masked_agents():
                 except ValueError:
                     continue
                 universe = sorted(action_universe(q))
-                chosen = frozenset(rng.sample(universe, rng.randint(0, len(universe))))
-                masked = masked_agents(q, chosen)
+                positions = sorted(rng.sample(range(len(universe)), rng.randint(0, len(universe))))
+                chosen = frozenset(universe[i] for i in positions)
+                names = q.instance.core.names
+                masked = frozenset(names[u] for u in masked_agents(q, universe)(positions))
                 exercised = exercise(q, chosen)
                 assert exercised.prefs == delete_agents(q.instance, masked).prefs
                 on_mask = goal_holds(q.instance, q.goal, masked)
@@ -379,4 +383,91 @@ def test_a_goal_on_a_mask_is_the_goal_on_the_market_without_the_masked_agents():
                 held.add((kind, on_mask))
     assert held == {(k, v) for k in ("esm", "epsm", "ma", "mp", "ms") for v in (True, False)}
     q = ControlQuery(instance=three_cycle(), action=DELETE_ACCEPTABILITY, goal=ControlGoal.esm(), budget=0)
-    assert masked_agents(q, frozenset()) is None
+    assert masked_agents(q, []) is None
+
+
+def stable_oracle(market, goal):
+    """``goal`` on ``market``, read off its enumerated stable matchings, or ``is_stable`` for ms."""
+    if goal.kind == "ms":
+        kept = frozenset(p for p in goal.matching if market.is_acceptable_pair(p))
+        return is_stable(market, kept)
+    stables = enumerate_stable_matchings(market)
+    if goal.kind == "esm":
+        return bool(stables)
+    if goal.kind == "epsm":
+        return any(2 * len(m) == len(market.agents) for m in stables)
+    if goal.kind == "ma":
+        return any(goal.agent in p for m in stables for p in m)
+    return any(goal.pair in m for m in stables)
+
+
+def test_a_compiled_goal_is_the_goal_on_the_market_without_the_masked_agents():
+    # goal_test compiles a goal once on the market's core and is asked about
+    # many masks of core indices.  Each answer equals goal_holds on the
+    # market that delete_agents builds, and the enumeration oracle there.
+    # Besides random masks, an mp goal is asked with each endpoint and each
+    # agent an endpoint prefers to the other masked, and an ms goal with
+    # each target partner masked.
+    rng = random.Random(47)
+    held = set()
+    for seed in range(150):
+        if seed % 2:
+            inst = random_sr(rng.randint(3, 7), rng.choice([0.6, 0.9]), seed)
+        else:
+            inst = random_sm(rng.randint(2, 3), rng.randint(2, 3), 0.8, seed)
+        for kind in GOAL_KINDS:
+            try:
+                q = random_query(inst, DELETE_AGENTS, kind, seed)
+            except ValueError:
+                continue
+            market, goal = q.instance, q.goal
+            core = market.core
+            names = core.names
+            test = goal_test(market, goal)
+            n = len(names)
+            masks = [frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(4)]
+            if kind == "mp":
+                a, b = sorted(goal.pair)
+                la, lb = market.prefs[a], market.prefs[b]
+                stars = la[: la.index(b)] + lb[: lb.index(a)]
+                masks += [frozenset({core.index[u]}) for u in (a, b, *stars)]
+                masks.append(frozenset(core.index[u] for u in stars))
+            if kind == "ms":
+                masks += [frozenset({core.index[u]}) for p in goal.matching for u in p]
+            for mask in masks:
+                without = delete_agents(market, {names[u] for u in mask})
+                answer = test(mask)
+                assert answer == goal_holds(without, goal), (seed, kind)
+                assert answer == stable_oracle(without, goal), (seed, kind)
+                held.add((kind, answer))
+    assert held == {(k, v) for k in GOAL_KINDS for v in (True, False)}
+
+
+def test_a_compiled_goal_raises_as_goal_holds_does():
+    # An agent outside the market raises the engine's ValueError under every
+    # goal, and so does a target matching with an agent in two of its pairs,
+    # from goal_test and from goal_holds alike.
+    inst = three_cycle()
+    goals = [
+        ControlGoal.esm(),
+        ControlGoal.epsm(),
+        ControlGoal.ma("a"),
+        ControlGoal.mp(pair("a", "b")),
+        ControlGoal.ms(frozenset({pair("a", "b")})),
+    ]
+    for goal in goals:
+        with pytest.raises(ValueError, match="^zz is not an agent of the instance$"):
+            goal_holds(inst, goal, frozenset({"zz"}))
+    clash = ControlGoal.ms(frozenset({pair("a", "b"), pair("a", "c")}))
+    for evaluate in (lambda: goal_test(inst, clash), lambda: goal_holds(inst, clash)):
+        with pytest.raises(ValueError, match="^agent a is matched twice$"):
+            evaluate()
+
+
+def test_an_addag_pool_outside_the_market_is_an_invalid_query():
+    inst = make_sr({"a": ["b", "x"], "b": ["a"], "x": ["a"]}, addable=["x", "y", "0"])
+    q = ControlQuery(instance=inst, action=ADD_AGENTS, goal=ControlGoal.esm(), budget=1)
+    assert validate_query(q) == [
+        "addable agent 0 is not part of the instance",
+        "addable agent y is not part of the instance",
+    ]

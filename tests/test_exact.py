@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     candidate_actions,
     count_engine_calls,
+    count_fixings_and_conversions,
     mutual_pair,
     outcome_at,
     random_query,
@@ -207,20 +208,22 @@ def test_witnesses_are_valid_and_deterministic():
 
 def test_later_budgets_reuse_the_search(monkeypatch):
     calls = []
-    real = exact.goal_holds
+    real = exact.goal_test
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(market, goal):
+        test = real(market, goal)
+        return lambda mask: calls.append((market, goal, mask)) or test(mask)
 
-    monkeypatch.setattr(exact, "goal_holds", counting)
+    monkeypatch.setattr(exact, "goal_test", counting)
     inst = make_sr({"a": ["b"], "b": ["a"], "x": ["y"], "y": ["x"], "z": []})
     q = ControlQuery(instance=inst, action=DELETE_AGENTS, goal=ControlGoal.ma("z"), budget=0)
     first = solve_exact(q)
     searched = len(calls)
     assert first.optimum is None and searched == 2 ** 4
-    # Each subset is evaluated as a mask on the query's own market.
-    masks = {frozenset(m) for size in range(5) for m in combinations("abxy", size)}
+    # Each subset is evaluated as a mask of core indices on the query's own market.
+    index = inst.core.index
+    subsets = [m for size in range(5) for m in combinations("abxy", size)]
+    masks = {frozenset(index[u] for u in m) for m in subsets}
     assert all(market is inst for market, _, _ in calls) and {m for *_, m in calls} == masks
     for budget in (1, 2, 3):
         assert solve_exact(dataclasses.replace(q, budget=budget)) == first
@@ -434,9 +437,8 @@ def test_agent_search_matches_the_subset_search():
     # The mask search equals the oracle that builds and tests a market per
     # subset, in verdict, optimum and witness: every agent-action goal, in
     # both kinds of market, at budgets 0-3, and on the desk gadgets.  Every
-    # third seed's pools also name two outsiders, tried first and last: an
-    # outsider adds nothing when it is chosen and takes nothing out when
-    # it is not.
+    # third seed's pools are also asked with two outsiders, names that sort
+    # first and last: such a query is invalid, as the model's rule words it.
     checked, seen, seed = 0, set(), 0
     while checked < 5000:
         rng = random.Random(seed)
@@ -448,7 +450,14 @@ def test_agent_search_matches_the_subset_search():
             for q in (q for kind in GOAL_KINDS for q in seeded_queries(inst, action, kind, [seed])):
                 if action == ADD_AGENTS and seed % 3 == 0:
                     pool = q.instance.addable | {"0", "~"}
-                    q = dataclasses.replace(q, instance=dataclasses.replace(q.instance, addable=pool))
+                    market = dataclasses.replace(q.instance, addable=pool)
+                    outsiders = dataclasses.replace(q, instance=market)
+                    with pytest.raises(InvalidQueryError) as raised:
+                        solve_exact(outsiders)
+                    assert str(raised.value) == (
+                        "addable agent 0 is not part of the instance; "
+                        "addable agent ~ is not part of the instance"
+                    )
                 found = subset_search(q)
                 for budget in range(4):
                     assert solve_exact(dataclasses.replace(q, budget=budget)) == outcome_at(found, budget)
@@ -469,11 +478,21 @@ def test_agent_search_matches_the_subset_search():
 def test_agent_search_builds_no_core_per_subset(monkeypatch):
     # One core for the query's market and one for the market the witness
     # certificate builds; one engine run per subset tested and one for the
-    # certificate.  An ``ms`` goal is decided on the rank map, by no engine.
+    # certificate.  An ``ms`` goal is decided by the core's blocking scan,
+    # by no engine.  A subset's mask is recorded as ``(mask,)``, the
+    # certificate as ``()``.
     counts = count_engine_calls(monkeypatch)
     masks = []
-    real = exact.goal_holds
-    monkeypatch.setattr(exact, "goal_holds", lambda *args: masks.append(args[2:]) or real(*args))
+    real_test, real_holds = exact.goal_test, exact.goal_holds
+
+    def recorded(market, goal):
+        test = real_test(market, goal)
+        return lambda mask: masks.append((mask,)) or test(mask)
+
+    monkeypatch.setattr(exact, "goal_test", recorded)
+    monkeypatch.setattr(
+        exact, "goal_holds", lambda *args: masks.append(args[2:]) or real_holds(*args)
+    )
     searched = set()
     for seed in range(200):
         inst = random_sr(6, 0.7, seed) if seed % 2 else random_sm(3, 3, 0.8, seed)
@@ -489,7 +508,7 @@ def test_agent_search_builds_no_core_per_subset(monkeypatch):
                 subsets = sum(1 for m in masks if m)
                 assert len(masks) == subsets + 1 > 2  # every subset, then the witness
                 if q.goal.kind == "ms":
-                    assert (counts["tables"], counts["runs"]) == (1, 0)
+                    assert (counts["tables"], counts["runs"]) == (2, 0)
                 else:
                     assert (counts["tables"], counts["runs"]) == (2, subsets + 1)
                 searched.add((action, q.goal.kind))
@@ -500,7 +519,59 @@ def test_a_witness_that_holds_only_as_a_mask_is_an_internal_error(monkeypatch):
     # Masks that leave the chosen agents in and take every other one out:
     # the empty market meets the goal at once, and the certificate on the
     # market that exercising the empty set builds, the three-cycle, refutes it.
-    monkeypatch.setattr(exact, "masked_agents", lambda query, chosen: query.instance.agents - chosen)
+    def everyone_else(query, candidates):
+        core = query.instance.core
+        everyone = frozenset(range(len(core.names)))
+        return lambda positions: everyone - {core.index[candidates[i]] for i in positions}
+
+    monkeypatch.setattr(exact, "masked_agents", everyone_else)
     q = ControlQuery(instance=three_cycle(), action=DELETE_AGENTS, goal=ControlGoal.esm(), budget=1)
     with pytest.raises(InternalError, match="as a mask"):
         solve_exact(q)
+
+
+def test_a_search_compiles_its_goal_once(monkeypatch):
+    # Cost gate, in counts rather than time: no subset converts a name to a
+    # core index (classic._indices) or fixes a pair, and a positive mp
+    # search fixes its pair twice, once for the search and once for the
+    # witness certificate, while it runs the engine once per subset and
+    # once for the certificate.
+    counts = count_engine_calls(monkeypatch)
+    work = count_fixings_and_conversions(monkeypatch)
+    per_subset = {"subsets": 0, "fixings": 0, "conversions": 0}
+    real_test, real_masks = exact.goal_test, exact.masked_agents
+
+    def watched(call):
+        def counted(arg):
+            before = dict(work)
+            out = call(arg)
+            for key in ("fixings", "conversions"):
+                per_subset[key] += work[key] - before[key]
+            return out
+
+        return counted
+
+    def watched_test(market, goal):
+        test = watched(real_test(market, goal))
+        return lambda mask: per_subset.update(subsets=per_subset["subsets"] + 1) or test(mask)
+
+    monkeypatch.setattr(exact, "goal_test", watched_test)
+    monkeypatch.setattr(exact, "masked_agents", lambda q, names: watched(real_masks(q, names)))
+    searched, most = set(), 0
+    for seed in range(200):
+        inst = random_sr(6, 0.7, seed) if seed % 2 else random_sm(3, 3, 0.8, seed)
+        for action in (ADD_AGENTS, DELETE_AGENTS):
+            for q in (q for kind in GOAL_KINDS for q in seeded_queries(inst, action, kind, [seed])):
+                counts.update(tables=0, runs=0)
+                work.update(fixings=0, conversions=0)
+                per_subset.update(subsets=0, fixings=0, conversions=0)
+                out = solve_exact(fresh(q))
+                assert per_subset["fixings"] == per_subset["conversions"] == 0
+                # At most two conversions to compile a goal, one for the pool,
+                # and three for the certificate: none grows with the subsets.
+                assert work["conversions"] <= 6
+                most = max(most, per_subset["subsets"])
+                if q.goal.kind == "mp" and out.optimum:
+                    assert work["fixings"] == 2 and counts["runs"] == per_subset["subsets"] + 1 > 2
+                    searched.add(action)
+    assert searched == {ADD_AGENTS, DELETE_AGENTS} and most > 6
