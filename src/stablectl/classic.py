@@ -19,11 +19,11 @@ Five entry points, all on one partition engine:
   agents, as a :class:`PartitionDiagnosis` whose ``cost`` is 0 exactly
   when some stable matching matches all of them [Tan 1991, J. Algorithms
   12:154].  The existence goals of :mod:`stablectl.control` are this
-  cost.  It and the pair fixing below take a set of ``deleted`` agents,
-  masked on the core as tails of -1.  :func:`diagnose_masked` and
-  :func:`diagnose_fixed_instance` take such a mask as core indices, so
-  that an agent-action search reads every subset it tries off the queried
-  market's one core, with one pair fixing for the whole search.
+  cost.  :func:`diagnose_masked` and :func:`diagnose_fixed_instance`
+  take a mask of agents as core indices (:func:`index_mask`), masked on
+  the core as tails of -1, so that an agent-action search reads every
+  subset it tries off the queried market's one core, with one pair
+  fixing for the whole search.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
   pair into some stable matching, read off the stable partition of the
   market *fixed* for that pair (:func:`fixing_deletions`, the one
@@ -117,7 +117,7 @@ from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalError
-from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance, delete_agents
+from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance
 
 # ---------------------------------------------------------------------------
 # Stable partitions
@@ -609,7 +609,7 @@ class PartitionDiagnosis:
         """Whether some stable matching matches every interested agent: ``cost == 0``.
 
         An interested agent left alone decides it without a walk over the
-        parties.
+        parties, as most masks of an agent-action search do.
         """
         return not self.forbidden and self.cost == 0
 
@@ -653,52 +653,39 @@ def _diagnosis(
     return PartitionDiagnosis(names=core.names, succ=tuple(succ), forbidden=forbidden)
 
 
-def _indices(core: MarketCore, agents: Iterable[AgentId]) -> list[int]:
+def index_mask(core: MarketCore, agents: Iterable[AgentId]) -> frozenset:
     """The core's indices of ``agents``; an agent outside the market raises ``ValueError``."""
     try:
-        return [core.index[u] for u in agents]
+        return frozenset([core.index[u] for u in agents])
     except KeyError as exc:
         raise ValueError(f"{exc.args[0]} is not an agent of the instance") from None
 
 
-def index_mask(core: MarketCore, agents: Iterable[AgentId]) -> frozenset:
-    """The mask of ``agents``: their indices on ``core``, as a frozenset.
+def _masked(tail: Sequence[int], mask: Collection[int]) -> Sequence[int]:
+    """``tail`` with the agents of ``mask`` (core indices) at -1.
 
-    An agent outside the market raises ``ValueError``.
-    """
-    return frozenset(_indices(core, agents))
-
-
-def _masked(core: MarketCore, deleted: Collection[int]) -> Sequence[int]:
-    """The whole lists of ``core`` with the ``deleted`` agents (indices) at tail -1.
-
-    A deleted agent's own list is then empty, and the live rule kills every
+    A masked agent's own list is then empty, and the live rule kills every
     entry that names it, so the engine sees the market without it.
     """
-    if not deleted:
-        return core.whole
-    tail = list(core.whole)
-    for u in deleted:
+    if not mask:
+        return tail
+    tail = list(tail)
+    for u in mask:
         tail[u] = -1
     return tail
 
 
-def diagnose(
-    inst: RoommatesInstance,
-    interested: Iterable[AgentId] = (),
-    deleted: Iterable[AgentId] = (),
-) -> PartitionDiagnosis:
-    """The stable partition of ``inst`` without ``deleted``, read for the ``interested`` agents.
+def diagnose(inst: RoommatesInstance, interested: Iterable[AgentId] = ()) -> PartitionDiagnosis:
+    """The stable partition of ``inst``, read for the ``interested`` agents.
 
     Its ``cost`` is 0 exactly when some stable matching matches every
     interested agent: when the partition has no odd party and leaves none
-    of them alone [Tan 1991, J. Algorithms 12:154].  The agents are named
-    here and run on the cached core of ``inst`` by :func:`diagnose_masked`.
-    An agent outside ``inst`` raises ``ValueError``.
+    of them alone [Tan 1991, J. Algorithms 12:154].  The run is on the
+    cached core of ``inst``.  An agent outside ``inst`` raises
+    ``ValueError``.
     """
     core = inst.core
-    indices = _indices(core, interested)
-    return diagnose_masked(core, indices, _indices(core, deleted))
+    return _diagnosis(core, core.whole, index_mask(core, interested))
 
 
 def diagnose_masked(
@@ -714,7 +701,7 @@ def diagnose_masked(
     the same steps.  A masked agent is therefore never worth being
     interested in.
     """
-    return _diagnosis(core, _masked(core, mask), interested)
+    return _diagnosis(core, _masked(core.whole, mask), interested)
 
 
 def tan_stable_partition(
@@ -775,11 +762,9 @@ class FixingContext:
     rule of the engine kills the mirror entry on the list of every agent
     it cut off.  ``stars`` holds those two sets of agents as the index
     runs of ``a``'s and ``b``'s lists above the other endpoint: the agents
-    the diagnosis is interested in.  The ``deleted`` agents are masked
-    out of the fixed market (:func:`_mask_fixing`): their tails are -1,
-    and no star names one.  The context holds no run state,
-    so any number of contexts on one instance share its core.
-    ``reduced`` builds the fixed market as an instance.
+    the diagnosis is interested in.  The context holds no run state, so
+    any number of contexts on one instance share its core.  ``reduced``
+    builds the fixed market as an instance.
     """
 
     instance: RoommatesInstance
@@ -787,14 +772,10 @@ class FixingContext:
     b: AgentId
     tail: tuple = field(repr=False, compare=False)
     stars: tuple = field(repr=False, compare=False)
-    deleted: frozenset = frozenset()
 
     @cached_property
     def reduced(self) -> RoommatesInstance:
-        """The fixed market as an instance: each list keeps its live entries.
-
-        The deleted agents are not in it.
-        """
+        """The fixed market as an instance: each list keeps its live entries."""
         inst, tail = self.instance, self.tail
         core = inst.core
         names = core.names
@@ -802,14 +783,11 @@ class FixingContext:
             names[u]: tuple(names[v] for p, v in enumerate(lst) if _live(core, tail, u, p))
             for u, lst in enumerate(core.pref)
         }
-        fixed = RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
-        return delete_agents(fixed, self.deleted) if self.deleted else fixed
+        return RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
 
 
-def fixing_deletions(
-    inst: RoommatesInstance, a: AgentId, b: AgentId, deleted: Iterable[AgentId] = ()
-) -> FixingContext:
-    """Delete every pair that competes with ``{a, b}`` in ``inst`` without ``deleted``.
+def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingContext:
+    """Delete every pair that competes with ``{a, b}`` in ``inst``.
 
     Removed are the pairs ``{x, y}`` where ``x`` prefers ``a`` to ``y``
     (or ``y`` is ``a`` itself) for some ``x`` that ``a`` prefers to ``b``,
@@ -817,20 +795,15 @@ def fixing_deletions(
     of its list above the endpoint, and leaves the list of every ``y`` in
     the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
     first choices.  The deletions are tail cuts on the cached integer core
-    of ``inst``, and the ``deleted`` agents are then masked as in
-    :func:`diagnose` (:func:`_mask_fixing`, which gives the same tails as
-    fixing the masked market); nothing is copied until ``reduced`` is read.
-    Raises ``ValueError`` when ``{a, b}`` is not an acceptable pair of
-    ``inst`` without ``deleted``, or a deleted agent is not in ``inst``,
+    of ``inst``; nothing is copied until ``reduced`` is read.  Raises
+    ``ValueError`` when ``{a, b}`` is not an acceptable pair of ``inst``,
     and :class:`InvalidInstanceError` when the core cannot be built.
     """
     core = inst.core
     index, pref, mirror = core.index, core.pref, core.mirror
-    gone = frozenset(deleted)
     i, j = index.get(a), index.get(b)
-    if i is None or j is None or a in gone or b in gone or not inst.acceptable(a, b):
+    if i is None or j is None or not inst.acceptable(a, b):
         raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    mask = index_mask(core, gone)
     # The endpoints' positions, read as ``acceptable`` reads them: off the
     # rank map once it is built, as the core of a market with a list longer
     # than ``model.SCAN_LIST_MAX`` builds it, and else off the short lists.
@@ -848,29 +821,8 @@ def fixing_deletions(
     for u, top in tops.items():
         if not _live(core, tail, u, top) or any(_live(core, tail, u, p) for p in range(top)):
             raise InternalError("fixing deletions did not make the target mutually top-ranked")
-    tail, stars = _mask_fixing(tail, (pref[i][: tops[i]], pref[j][: tops[j]]), mask)
-    return FixingContext(instance=inst, a=a, b=b, tail=tuple(tail), stars=stars, deleted=gone)
-
-
-def _mask_fixing(tail: Sequence[int], stars: tuple, mask: Collection[int]) -> tuple:
-    """A fixing's ``tail`` and ``stars`` with the agents of ``mask`` taken out.
-
-    Each masked agent's tail becomes -1 and it leaves its star.  This is
-    exactly the fixing made from the masked tails: a masked agent's tail
-    is -1 there already, so no cut of fixing moves it, and every other
-    agent's cuts are read off the endpoints' whole lists either way, since
-    no cut raises a tail.  A masked agent is no star, as it is not in the
-    market to be matched.  Masking only kills entries, so once the
-    endpoints are mutually top-ranked on the whole market they stay so
-    under every mask that spares them: the check that fixing makes once
-    covers every such mask.
-    """
-    if not mask:
-        return tail, stars
-    tail = list(tail)
-    for u in mask:
-        tail[u] = -1
-    return tail, tuple(tuple(x for x in star if x not in mask) for star in stars)
+    stars = (pref[i][: tops[i]], pref[j][: tops[j]])
+    return FixingContext(instance=inst, a=a, b=b, tail=tuple(tail), stars=stars)
 
 
 def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingContext]:
@@ -889,22 +841,28 @@ def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingC
 
 
 def diagnose_fixed_instance(ctx: FixingContext, mask: Collection[int] = ()) -> PartitionDiagnosis:
-    """Run the engine on the fixed market, from the tails that fixing cut.
+    """Run the engine on the fixed market without ``mask``, from the tails that fixing cut.
 
     The interested agents are those of the fixing's ``stars``.  The agents
-    of ``mask`` (core indices, none of them an endpoint) are then taken
-    out too (:func:`_mask_fixing`): the run is the one on the market fixed
-    from the masked tails, with no second fixing.
+    of ``mask`` (core indices) are taken out as in :func:`diagnose_masked`
+    (:func:`_masked`), and each leaves its star, as it is not in the market
+    to be matched.  That is exactly the fixing of the market without them: a
+    masked agent's tail is -1 there already, so no cut of fixing moves it,
+    and every other agent's cuts are read off the endpoints' whole lists
+    either way, since no cut raises a tail.  Masking only kills entries, so
+    the endpoints, mutually top-ranked on the whole fixed market, stay so
+    under every mask that spares them: the check that fixing made once
+    covers every such mask.  A mask that holds an endpoint raises
+    ``ValueError``, as fixing a pair that is not in the market does.
     """
-    tail, stars = _mask_fixing(ctx.tail, ctx.stars, mask)
-    return _diagnosis(ctx.instance.core, tail, (x for star in stars for x in star))
+    core = ctx.instance.core
+    if mask and (core.index[ctx.a] in mask or core.index[ctx.b] in mask):
+        raise ValueError(f"target pair {ctx.a},{ctx.b} is not acceptable without the mask")
+    stars = [x for star in ctx.stars for x in star if x not in mask]
+    return _diagnosis(core, _masked(ctx.tail, mask), stars)
 
 
-def pair_fixing_cost(inst: RoommatesInstance, target: Pair, deleted: Iterable[AgentId] = ()) -> int:
-    """Minimum number of agent deletions putting ``target`` into a stable matching.
-
-    The market is ``inst`` without ``deleted``, masked as in
-    :func:`fixing_deletions`.
-    """
+def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:
+    """Minimum number of agent deletions putting ``target`` into a stable matching."""
     a, b = sorted(target)
-    return diagnose_fixed_instance(fixing_deletions(inst, a, b, deleted)).cost
+    return diagnose_fixed_instance(fixing_deletions(inst, a, b)).cost

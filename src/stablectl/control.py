@@ -25,8 +25,10 @@ compiles it once and tests on it the mask of every agent-action set it
 tries (:func:`masked_agents`), with no controlled market built and no
 name converted per set; :func:`goal_holds` evaluates a goal on a
 controlled instance, or on an instance without some ``deleted`` agents,
-by the same test.  Under acceptability deletion a goal is also the set
-of matchings of the queried market that it asks to be stable
+by the same test, except that it reads an ``ms`` goal on names
+(:func:`~stablectl.stability.is_stable`), apart from the core's blocking
+scan that the search uses.  Under acceptability deletion a goal is also
+the set of matchings of the queried market that it asks to be stable
 (:func:`goal_matchings`, :func:`matching_meets_goal`), which the exact
 search reads instead of testing controlled instances.
 
@@ -51,7 +53,7 @@ from .model import (
     induce_with_added,
     pair_text,
 )
-from .stability import check_matching, enumerate_matchings
+from .stability import check_matching, enumerate_matchings, is_stable
 
 ADD_AGENTS = "addag"
 DELETE_AGENTS = "delag"
@@ -118,8 +120,7 @@ def validate_query(query: ControlQuery) -> list[str]:
     matching (:func:`check_matching`), perfect under agent addition or
     deletion.  Every member of an addable pool is an agent of the market,
     as :func:`~stablectl.model.validate` words it.  A malformed target is
-    reported, never raised.  A market
-    that breaks a list rule raises
+    reported, never raised.  A market that breaks a list rule raises
     :class:`~stablectl.errors.InvalidInstanceError` when its ``core`` is
     built: here for agent addition, whose search starts from the market
     without its pool, and for a matching goal, whose test never runs the
@@ -301,13 +302,25 @@ def goal_holds(inst: RoommatesInstance, goal: ControlGoal, deleted: frozenset = 
     """Evaluate a goal on a concrete instance ``inst`` without the ``deleted`` agents.
 
     ``goal_holds(inst, goal, deleted)`` is ``goal_holds(delete_agents(inst,
-    deleted), goal)``, read off ``inst`` itself: it is :func:`goal_test`
-    of ``inst`` and ``goal``, asked about the mask of ``deleted``, so every
-    goal rule is stated there once.  A deleted agent outside ``inst``
-    raises ``ValueError``, and so does an ``ms`` target whose acceptable
-    pairs are no matching (:func:`check_matching`).
+    deleted), goal)``, read off ``inst`` itself.  Every goal but ``ms`` is
+    :func:`goal_test` of ``inst`` and ``goal``, asked about the mask of
+    ``deleted``, so each of those rules is stated there once, and a
+    deleted agent outside ``inst`` raises ``ValueError``.  An ``ms`` goal
+    is read on names instead, with the deleted agents skipped
+    (:func:`~stablectl.stability.is_stable`): the target's acceptable pairs
+    that avoid them must form a stable matching, which raises
+    ``ValueError`` when they are no matching (:func:`check_matching`).  It
+    builds no core, so the witness certificate of an ``ms`` search checks
+    the search's blocking scan against a second implementation.
     """
-    return goal_test(inst, goal)(index_mask(inst.core, deleted))
+    if goal.kind != "ms":
+        return goal_test(inst, goal)(index_mask(inst.core, deleted))
+    if goal.matching is None:
+        return False
+    kept = frozenset(
+        p for p in goal.matching if p.isdisjoint(deleted) and inst.is_acceptable_pair(p)
+    )
+    return is_stable(inst, kept, deleted_agents=deleted)
 
 
 def _never(mask: frozenset) -> bool:

@@ -25,7 +25,9 @@ the whole market is the fixing of every masked market once the masked
 tails are set to -1.  An ``ms`` goal is read by the core's blocking scan
 with each masked agent preferring no one.  The witness found is
 certified once on a real market: the one that exercising it builds,
-where the goal must hold too, or :class:`InternalError` is raised.
+where the goal must hold too, or :class:`InternalError` is raised.  An
+``ms`` witness is certified there on names
+(:func:`~stablectl.stability.is_stable`), by code the search never runs.
 
 Acceptability deletion searches matchings instead of pair sets, and
 reaches the same optimum and witness.  A pair set ``D`` makes a matching
@@ -161,16 +163,14 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
         )
     memo = query.instance.search_memo
     key = (query.action, query.goal)
-    try:
-        hit = memo[key]  # a hit hashes the goal once
-    except KeyError:
+    if key not in memo:
         candidates = sorted(universe, key=_sort_key)
         matchings = goal_matchings(query)
         if matchings is None:
-            hit = _first_success(query, candidates, len(candidates))
+            memo[key] = _first_success(query, candidates, len(candidates))
         else:
-            hit = _fewest_blockers(query, candidates, matchings)
-        memo[key] = hit
+            memo[key] = _fewest_blockers(query, candidates, matchings)
+    hit = memo[key]
     if hit is None:
         return ControlOutcome(verdict=False, optimum=None, witness=None)
     size, witness = hit

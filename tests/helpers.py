@@ -228,25 +228,21 @@ def count_engine_calls(monkeypatch) -> dict:
 def count_fixings_and_conversions(monkeypatch) -> dict:
     """Count pair fixings (``classic.fixing_deletions``) and name-to-index conversions.
 
-    A conversion is a call of ``classic._indices``, the one place that turns
-    agent names into core indices.  ``fixing_deletions`` is counted in
-    every package module that binds it.
+    A conversion is a call of ``classic.index_mask``, the one function that
+    turns a set of agent names into core indices.  Each is counted in every
+    package module that binds it.
     """
     counts = {"fixings": 0, "conversions": 0}
-    fixing, indices = classic.fixing_deletions, classic._indices
+    for key, name in (("fixings", "fixing_deletions"), ("conversions", "index_mask")):
+        real = getattr(classic, name)
 
-    def counted_fixing(*args, **kwargs):
-        counts["fixings"] += 1
-        return fixing(*args, **kwargs)
+        def counted(*args, key=key, real=real, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
 
-    def counted_indices(*args, **kwargs):
-        counts["conversions"] += 1
-        return indices(*args, **kwargs)
-
-    for module in (classic, control, poly):
-        if getattr(module, "fixing_deletions", None) is fixing:
-            monkeypatch.setattr(module, "fixing_deletions", counted_fixing)
-    monkeypatch.setattr(classic, "_indices", counted_indices)
+        for module in (classic, control, poly):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
     return counts
 
 

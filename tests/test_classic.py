@@ -40,8 +40,10 @@ from stablectl.classic import (
     StablePartition,
     diagnose,
     diagnose_fixed_instance,
+    diagnose_masked,
     fixing_deletions,
     gale_shapley,
+    index_mask,
     irving_stable_matching,
     pair_fixing_cost,
     partition_to_matching,
@@ -778,7 +780,9 @@ def test_partitions_and_mp_witnesses_match_golden_digest():
 def test_a_masked_run_is_the_run_on_the_market_without_the_deleted_agents():
     # Deleted agents start at tail -1: the engine makes the same steps as on
     # the market without them, so the partition is that one with each deleted
-    # agent alone, and every reading of it, fixed for a pair or not, agrees.
+    # agent alone, and every reading of it agrees.  A pair fixing made on the
+    # whole market and then masked is the fixing of the market without them:
+    # the same live entries, the same stars, the same run and cost.
     rng = random.Random(2025)
     fixed = 0
     for seed in range(160):
@@ -790,25 +794,32 @@ def test_a_masked_run_is_the_run_on_the_market_without_the_deleted_agents():
         deleted = frozenset(rng.sample(agents, rng.randint(0, len(agents))))
         smaller = delete_agents(inst, deleted)
         interested = [u for u in agents if u not in deleted and rng.random() < 0.5]
-        masked, plain = diagnose(inst, interested, deleted), diagnose(smaller, interested)
+        core = inst.core
+        mask = index_mask(core, deleted)
+        masked = diagnose_masked(core, index_mask(core, interested), mask)
+        plain = diagnose(smaller, interested)
         assert masked.cost == plain.cost
         alone = {u: u for u in deleted}
         assert dict(masked.partition.successor) == {**plain.partition.successor, **alone}
         assert masked.witness() == plain.witness()
         for p in sorted(smaller.acceptable_pairs, key=sorted):
             a, b = sorted(p)
-            ctx, bare = fixing_deletions(inst, a, b, deleted), fixing_deletions(smaller, a, b)
-            assert stars(ctx) == stars(bare) and ctx.reduced == bare.reduced
-            assert pair_fixing_cost(inst, p, deleted) == pair_fixing_cost(smaller, p)
+            whole, bare = fixing_deletions(inst, a, b), fixing_deletions(smaller, a, b)
+            assert tuple(star - deleted for star in stars(whole)) == stars(bare)
+            assert delete_agents(whole.reduced, deleted) == bare.reduced
+            on_mask, unmasked = diagnose_fixed_instance(whole, mask), diagnose_fixed_instance(bare)
+            assert on_mask.forbidden_singletons == unmasked.forbidden_singletons
+            assert dict(on_mask.partition.successor) == {**unmasked.partition.successor, **alone}
+            assert on_mask.cost == pair_fixing_cost(smaller, p)
             fixed += 1
     assert fixed >= 300
 
 
 def test_masking_an_endpoint_or_an_unknown_agent_is_rejected():
     inst = three_cycle()
-    with pytest.raises(ValueError, match="not acceptable"):
-        fixing_deletions(inst, "a", "b", {"b"})
+    ctx = fixing_deletions(inst, "a", "b")
+    for endpoint in ("a", "b"):
+        with pytest.raises(ValueError, match="not acceptable"):
+            diagnose_fixed_instance(ctx, index_mask(inst.core, {endpoint, "c"}))
     with pytest.raises(ValueError, match="not an agent"):
-        fixing_deletions(inst, "a", "b", {"zz"})
-    with pytest.raises(ValueError, match="not an agent"):
-        diagnose(inst, (), {"zz"})
+        index_mask(inst.core, {"a", "zz"})

@@ -445,19 +445,21 @@ def test_a_compiled_goal_is_the_goal_on_the_market_without_the_masked_agents():
 
 def test_a_compiled_goal_raises_as_goal_holds_does():
     # An agent outside the market raises the engine's ValueError under every
-    # goal, and so does a target matching with an agent in two of its pairs,
-    # from goal_test and from goal_holds alike.
+    # goal the engine reads.  An ms goal is read on names, where such an
+    # agent takes nothing out.  A target matching with an agent in two of
+    # its pairs raises from goal_test and from goal_holds alike.
     inst = three_cycle()
     goals = [
         ControlGoal.esm(),
         ControlGoal.epsm(),
         ControlGoal.ma("a"),
         ControlGoal.mp(pair("a", "b")),
-        ControlGoal.ms(frozenset({pair("a", "b")})),
     ]
     for goal in goals:
         with pytest.raises(ValueError, match="^zz is not an agent of the instance$"):
             goal_holds(inst, goal, frozenset({"zz"}))
+    ms = ControlGoal.ms(frozenset({pair("a", "b")}))
+    assert goal_holds(inst, ms, frozenset({"zz"})) == goal_holds(inst, ms) is False
     clash = ControlGoal.ms(frozenset({pair("a", "b"), pair("a", "c")}))
     for evaluate in (lambda: goal_test(inst, clash), lambda: goal_holds(inst, clash)):
         with pytest.raises(ValueError, match="^agent a is matched twice$"):

@@ -479,8 +479,9 @@ def test_agent_search_builds_no_core_per_subset(monkeypatch):
     # One core for the query's market and one for the market the witness
     # certificate builds; one engine run per subset tested and one for the
     # certificate.  An ``ms`` goal is decided by the core's blocking scan,
-    # by no engine.  A subset's mask is recorded as ``(mask,)``, the
-    # certificate as ``()``.
+    # by no engine, and its witness is certified on names with no core
+    # built (stability.is_stable).  A subset's mask is recorded as
+    # ``(mask,)``, the certificate as ``()``.
     counts = count_engine_calls(monkeypatch)
     masks = []
     real_test, real_holds = exact.goal_test, exact.goal_holds
@@ -508,7 +509,7 @@ def test_agent_search_builds_no_core_per_subset(monkeypatch):
                 subsets = sum(1 for m in masks if m)
                 assert len(masks) == subsets + 1 > 2  # every subset, then the witness
                 if q.goal.kind == "ms":
-                    assert (counts["tables"], counts["runs"]) == (2, 0)
+                    assert (counts["tables"], counts["runs"]) == (1, 0)
                 else:
                     assert (counts["tables"], counts["runs"]) == (2, subsets + 1)
                 searched.add((action, q.goal.kind))
@@ -532,7 +533,7 @@ def test_a_witness_that_holds_only_as_a_mask_is_an_internal_error(monkeypatch):
 
 def test_a_search_compiles_its_goal_once(monkeypatch):
     # Cost gate, in counts rather than time: no subset converts a name to a
-    # core index (classic._indices) or fixes a pair, and a positive mp
+    # core index (classic.index_mask) or fixes a pair, and a positive mp
     # search fixes its pair twice, once for the search and once for the
     # witness certificate, while it runs the engine once per subset and
     # once for the certificate.
@@ -567,9 +568,10 @@ def test_a_search_compiles_its_goal_once(monkeypatch):
                 per_subset.update(subsets=0, fixings=0, conversions=0)
                 out = solve_exact(fresh(q))
                 assert per_subset["fixings"] == per_subset["conversions"] == 0
-                # At most two conversions to compile a goal, one for the pool,
-                # and three for the certificate: none grows with the subsets.
-                assert work["conversions"] <= 6
+                # At most one conversion to compile a goal (an mp pair), one
+                # for the pool, and two for the certificate (its empty mask
+                # and its goal): none grows with the subsets.
+                assert work["conversions"] <= 4
                 most = max(most, per_subset["subsets"])
                 if q.goal.kind == "mp" and out.optimum:
                     assert work["fixings"] == 2 and counts["runs"] == per_subset["subsets"] + 1 > 2
