@@ -163,14 +163,16 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
         )
     memo = query.instance.search_memo
     key = (query.action, query.goal)
-    if key not in memo:
+    try:
+        hit = memo[key]  # a hit hashes the goal once
+    except KeyError:
         candidates = sorted(universe, key=_sort_key)
         matchings = goal_matchings(query)
         if matchings is None:
-            memo[key] = _first_success(query, candidates, len(candidates))
+            hit = _first_success(query, candidates, len(candidates))
         else:
-            memo[key] = _fewest_blockers(query, candidates, matchings)
-    hit = memo[key]
+            hit = _fewest_blockers(query, candidates, matchings)
+        memo[key] = hit
     if hit is None:
         return ControlOutcome(verdict=False, optimum=None, witness=None)
     size, witness = hit
