@@ -259,6 +259,84 @@ def count_named_partitions(monkeypatch) -> list:
     return named
 
 
+class _RecordedWorklist(list):
+    """An engine worklist that appends every agent popped off it to ``log``."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def pop(self, *args):
+        u = super().pop(*args)
+        self.log.append(("pop", u))
+        return u
+
+
+def record_engine_steps(monkeypatch) -> list:
+    """Record the steps of every engine table built: one list per table, in order.
+
+    A table's list holds ``("pop", u)`` for each agent taken off its
+    worklist and ``("rotation", pairs)`` for each rotation the run finds,
+    as the pairs ``(x[i], y[i+1])`` of core indices.  The worklist is
+    swapped for a recording one as the table is built, so every pop,
+    whichever loop makes it, is seen.
+    """
+    runs = []
+    init, find = classic._Table.__init__, classic._Table.find_rotation
+
+    def recorded_init(table, *args, **kwargs):
+        init(table, *args, **kwargs)
+        runs.append([])
+        table.work = _RecordedWorklist(table.work, runs[-1])
+
+    def recorded_find(table, start):
+        rotation = find(table, start)
+        table.work.log.append(("rotation", tuple(rotation)))
+        return rotation
+
+    monkeypatch.setattr(classic._Table, "__init__", recorded_init)
+    monkeypatch.setattr(classic._Table, "find_rotation", recorded_find)
+    return runs
+
+
+def multi_pass_violations(core, succ, tail) -> list[str]:
+    """The stable-partition axiom check as separate passes: the reference for ``_violations``.
+
+    A permutation test, a predecessor list, each successor's position by a
+    search of its owner's list, then one pass per axiom, and the blocking
+    pairs read by ``MarketCore.blocking`` at each agent's predecessor.
+    """
+    names, pref, mirror = core.names, core.pref, core.mirror
+    n = len(names)
+    if len(succ) != n or set(succ) != set(range(n)):
+        return ["successor map is not a permutation"]
+    pred = [0] * n
+    for u, s in enumerate(succ):
+        pred[s] = u
+    at = [-1] * n
+    for u, s in enumerate(succ):
+        if s != u:
+            try:
+                at[u] = pref[u].index(s)
+            except ValueError:  # reported below as unacceptable
+                pass
+    out = [
+        f"successor of {names[u]} is the unacceptable agent {names[s]}"
+        for u, (s, r) in enumerate(zip(succ, at))
+        if s != u and not (0 <= r <= tail[u] and mirror[u][r] <= tail[s])
+    ]
+    if out:
+        return out
+    bound = [mirror[p][at[p]] if p != u else tail[u] + 1 for u, p in enumerate(pred)]
+    out = [
+        f"{names[u]} prefers its predecessor {names[pred[u]]} to its successor {names[s]}"
+        for u, s in enumerate(succ)
+        if s != u and s != pred[u] and not at[u] < bound[u]
+    ]
+    blocking = sorted(core.blocking(bound))
+    return out + [f"pair {names[u]},{names[v]} blocks the partition" for u, v in blocking]
+
+
 def four_agent_unsolvable():
     return make_sr(
         {

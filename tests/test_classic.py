@@ -20,12 +20,14 @@ from helpers import (
     fault_the_engine,
     fault_the_proposals,
     four_agent_unsolvable,
+    multi_pass_violations,
     mutual_pair,
     paired_triangles,
     pairs_of,
     partner_map,
     prefers,
     random_sr_instance,
+    record_engine_steps,
     singletons,
     skip_proposals,
     spurious_odd_party,
@@ -120,21 +122,17 @@ def test_gs_equals_textbook_deferred_acceptance():
 
 def test_gs_proposes_from_the_proposing_side_only(monkeypatch):
     # Deferred acceptance: no reviewing-side agent ever proposes, so no
-    # reviewer's head is ever read.
-    read = []
-    first = classic._Table.first
-
-    def recorded(table, u):
-        read.append(table.names[u])
-        return first(table, u)
-
-    monkeypatch.setattr(classic._Table, "first", recorded)
+    # reviewer is ever taken off the worklist.
+    runs = record_engine_steps(monkeypatch)
     for seed in range(200):
         inst = random_sm(seed % 7 + 1, seed % 5 + 1, (seed % 10 + 1) / 10, seed)
+        names = inst.core.names
         for proposing in "ab":
-            read.clear()
+            runs.clear()
             gale_shapley(inst, proposing)
-            assert read and {inst.side[u] for u in read} == {proposing}, (seed, proposing)
+            [steps] = runs
+            popped = {inst.side[names[u]] for step, u in steps if step == "pop"}
+            assert popped == {proposing}, (seed, proposing)
 
 
 def test_gs_output_is_stable_and_proposer_optimal():
@@ -537,6 +535,80 @@ def test_partition_to_matching_rejects_invalid_partition():
         partition_to_matching(mutual_pair(), StablePartition({"a": "a", "b": "b"}))
 
 
+def _corruptions(core, tail, succ, rng):
+    """Successor lists that break the axioms at ``tail`` in every way, from the engine's ``succ``.
+
+    Non-permutations (a repeat, an entry out of range, a wrong length),
+    random permutations (mostly unacceptable successors), and lists built
+    from live pairs only: every agent alone, the engine's pairs with one
+    pair split, and live triangles in both directions beside live pairs
+    (a preferred predecessor, blocking pairs).
+    """
+    n = len(succ)
+    live = [
+        [v for p, v in enumerate(core.pref[u]) if p <= tail[u] and core.mirror[u][p] <= tail[v]]
+        for u in range(n)
+    ]
+    out = [succ, list(range(n)), succ[:-1], succ + [0]]
+    for bad in (n, -1, 0):
+        wrong = list(succ)
+        wrong[rng.randrange(n)] = bad
+        out.append(wrong)
+    for _ in range(3):
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        out.append(shuffled)
+    pairs = [u for u, s in enumerate(succ) if succ[s] == u != s]
+    if pairs:
+        split = list(succ)
+        u = rng.choice(pairs)
+        split[u], split[succ[u]] = u, succ[u]
+        out.append(split)
+    triangles = [
+        (u, v, w) for u in range(n) for v in live[u] for w in live[v] if u in live[w] and u < v < w
+    ]
+    for u, v, w in rng.sample(triangles, min(4, len(triangles))):
+        for cycle in ((u, v, w), (u, w, v)):
+            built = list(range(n))
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                built[x] = y
+            for x in rng.sample(range(n), n):
+                y = next((y for y in live[x] if built[x] == x and built[y] == y), None)
+                if y is not None and rng.random() < 0.5:
+                    built[x], built[y] = y, x
+            out.append(built)
+    return out
+
+
+def test_the_one_pass_axiom_check_matches_the_multi_pass_reference():
+    # The same messages in the same order as the check written as separate
+    # passes, on the whole lists, on markets fixed for a pair and on masked
+    # tails, for the engine's partition and every corruption of it.
+    rng = random.Random(27)
+    seen = dict.fromkeys(("not a permutation", "unacceptable", "prefers its predecessor", "blocks"), 0)
+    for seed in range(90):
+        density = (0.3, 0.6, 1.0)[seed % 3]
+        if seed % 2:
+            inst = random_sr(2 + seed % 11, density, seed)
+        else:
+            inst = random_sm(1 + seed % 4, 2 + seed % 5, density, seed)
+        core = inst.core
+        n = len(core.names)
+        tails = [core.whole, classic._masked(core.whole, rng.sample(range(n), n // 3))]
+        pairs = sorted(tuple(sorted(p)) for p in inst.acceptable_pairs)
+        for a, b in rng.sample(pairs, min(2, len(pairs))):
+            ctx = fixing_deletions(inst, a, b)
+            tails += [ctx.tail, classic._masked(ctx.tail, [u for u in range(n) if rng.random() < 0.2])]
+        for tail in tails:
+            succ = classic._Table(core, tail).run()
+            for corrupt in _corruptions(core, tail, succ, rng):
+                expected = multi_pass_violations(core, corrupt, tail)
+                assert classic._violations(core, corrupt, tail) == expected, (seed, corrupt)
+                for kind in seen:
+                    seen[kind] += any(kind in message for message in expected)
+    assert min(seen.values()) >= 300, seen
+
+
 def test_pair_path_partitions_the_fixed_market_it_would_build():
     # The engine run from the fixing cuts gives the partition of the fixed
     # market built as an instance, the axioms checked at those cuts agree
@@ -775,6 +847,43 @@ def test_partitions_and_mp_witnesses_match_golden_digest():
             witness = " ".join(sorted(out.witness or ()))
             digest.update(f"{label} mp {a},{b} {out.verdict} {out.optimum} {witness}\n".encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# SHA-256 over the steps of every engine run on the same corpus: for each
+# table, the agents taken off its worklist and the rotations it found
+# (``record_engine_steps``), for whole-market runs in two orders, masked
+# runs, runs fixed for a pair and deferred acceptance from either side.
+# Two engines that reach the same partitions by other steps differ here.
+STEP_DIGEST = "41d75893b3844843be77a9c3aa14f050b38015b64b9b0e927aec018fd2d67dcc"
+
+
+def test_engine_steps_match_step_digest(monkeypatch):
+    runs = record_engine_steps(monkeypatch)
+    digest = hashlib.sha256()
+    for label, inst in _golden_corpus():
+        rng = random.Random(label)
+        core = inst.core
+        order = sorted(inst.agents)
+        rng.shuffle(order)
+        calls = [("whole", lambda: diagnose(inst)), ("order", lambda: tan_stable_partition(inst, order))]
+        mask = frozenset(rng.sample(range(len(order)), len(order) // 5))
+        calls.append((f"mask {sorted(mask)}", lambda: diagnose_masked(core, (), mask)))
+        pairs = sorted(tuple(sorted(p)) for p in inst.acceptable_pairs)
+        for a, b in rng.sample(pairs, min(3, len(pairs))):
+            ctx = fixing_deletions(inst, a, b)
+            calls.append((f"fixed {a},{b}", lambda ctx=ctx: diagnose_fixed_instance(ctx)))
+        if inst.side:
+            calls += [(f"gs {side}", lambda side=side: gale_shapley(inst, side)) for side in "ab"]
+        for name, call in calls:
+            runs.clear()
+            call()
+            [steps] = runs
+            text = " ".join(
+                str(u) if step == "pop" else "R" + ",".join(f"{x}>{y}" for x, y in u)
+                for step, u in steps
+            )
+            digest.update(f"{label} {name} | {text}\n".encode())
+    assert digest.hexdigest() == STEP_DIGEST
 
 
 def test_a_masked_run_is_the_run_on_the_market_without_the_deleted_agents():
