@@ -73,21 +73,22 @@ so a tail position per agent is the only deletion state: an entry is
 live when it lies within the tails of both lists that hold the pair.  A
 cut moves one tail and releases at most one held proposal, in O(1).
 Head, second and tail pointers only move inwards, passing each dead
-entry once, so list access and proposals cost amortised O(n + m) over a
-run.  The rotation start only moves forward through the processing
-order, and each of the ``r`` rotations pays the walk from it, at most
-O(n), for O(n + m + r * n) in all; ``r`` stays small on sparse random
-markets, where time per pair is nearly flat in ``n``.  Two guards, O(1)
-per rotation member, hold the walk to a rotation of a stable table:
-every agent it leaves has a second entry, and ``y_{i+1}`` heads the list
-of ``x_{i+1}``.  Then, on lists without repeats, every lock or
-elimination shortens a list, and an elimination that shortens none
-raises :class:`InternalError`, so a run makes at most O(n + m) rotation
-steps whatever the table.  Fixing a pair costs O(n) plus one cut per
-agent the endpoints outrank.  The closing axiom check
-(:func:`_violations`) finds each successor on its owner's list with one
-scan of the row and reads only the entries above each agent's
-predecessor, since no other entry can block: at most O(n + m).
+entry once, and are walked inline, with no call per entry, so list
+access and proposals cost amortised O(n + m) over a run.  The rotation
+start only moves forward through the processing order, and each of the
+``r`` rotations pays the walk from it, at most O(n), for
+O(n + m + r * n) in all; ``r`` stays small on sparse random markets,
+where time per pair is nearly flat in ``n``.  Two guards, O(1) per rotation member,
+hold the walk to a rotation of a stable table: every agent it leaves has
+a second entry, and ``y_{i+1}`` heads the list of ``x_{i+1}``.  Then, on
+lists without repeats, every lock or elimination shortens a list, and an
+elimination that shortens none raises :class:`InternalError`, so a run
+makes at most O(n + m) rotation steps whatever the table.  Fixing a pair
+costs O(n) plus one cut per agent the endpoints outrank.  The closing
+axiom check (:func:`_violations`) is one pass over the successors, each
+found with one scan of its owner's row, and a blocking scan of only the
+entries above each agent's predecessor, since no other entry can block:
+at most O(n + m).
 
 Naming: ``_Table.run`` returns the certified successor list over the
 core's agent indices, and the agents are named only where an answer
@@ -113,6 +114,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import gt
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -279,18 +282,12 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     proposers = [i for i, u in enumerate(names) if inst.side[u] == proposing]
     table = _Table(core, core.whole, proposers)
     table.stabilize()
-    return frozenset(
-        frozenset((names[i], names[v])) for i in proposers if (v := table.first(i)) >= 0
-    )
+    head = table._assemble()
+    return frozenset(frozenset((names[i], names[head[i]])) for i in proposers if head[i] != i)
 
 
 # ---------------------------------------------------------------------------
 # The proposal/rotation engine behind stable partitions
-
-
-def _live(core: MarketCore, tail: Sequence[int], u: int, p: int) -> bool:
-    """Whether position ``p`` of ``u``'s list is live under ``tail``."""
-    return p <= tail[u] and core.mirror[u][p] <= tail[core.pref[u][p]]
 
 
 class _Table:
@@ -310,20 +307,21 @@ class _Table:
     Every reduction deletes a tail of some list, so the tail position
     ``tail[i]`` is the only deletion state: the entry at position ``p`` of
     ``u``'s list, naming ``v``, is live exactly when ``p <= tail[u]`` and
-    ``mirror[u][p] <= tail[v]`` (:func:`_live`), a rule that gives both
-    sides of a pair the same fate.  A market cut before the run, such as
-    one fixed for a pair, is therefore just a tail per agent.  The
-    position pointers ``head``, ``sec`` and ``tail`` only move inwards and
-    never pass the first, second and last live entry, so list access costs
-    amortised O(1).  ``held[v]`` is the position on
-    ``v``'s list of the proposal ``v`` holds (-1 for none).  ``work``
-    holds the agents that may have to propose again: every agent of
-    ``order`` at the start, the first on top, then each agent whose held
-    proposal falls with a cut.  ``succ`` is the partition the run builds,
-    one successor index per agent; every agent starts alone.  When
-    ``order`` holds every agent, the stable-table invariant, restored by
-    :meth:`stabilize`, is that every agent with a non-empty list proposes
-    to the head of its list and holds a proposal from its tail.
+    ``mirror[u][p] <= tail[v]``, a rule that gives both sides of a pair the
+    same fate.  A market cut before the run, such as one fixed for a pair,
+    is therefore just a tail per agent.  The position pointers ``head``,
+    ``sec`` and ``tail`` only move inwards and never pass the first, second
+    and last live entry, so list access costs amortised O(1).  Loops over
+    agents walk them inline; only rotation members call :meth:`second` and
+    :meth:`cut`.  ``held[v]`` is the position on ``v``'s list of the
+    proposal ``v`` holds (-1 for none).  ``work`` holds the agents that may
+    have to propose again: every agent of ``order`` at the start, the first
+    on top, then each agent whose held proposal falls with a cut.  ``succ``
+    is the partition the run builds, one successor index per agent; every
+    agent starts alone.  When ``order`` holds every agent, the stable-table
+    invariant, restored by :meth:`stabilize`, is that every agent with a
+    non-empty list proposes to the head of its list and holds a proposal
+    from its tail.
     """
 
     def __init__(self, core: MarketCore, tail: Sequence[int], order: Sequence[int] | None = None):
@@ -338,33 +336,18 @@ class _Table:
         self.succ = list(range(n))
         self.work = list(reversed(self.order))
 
-    # -- list access (-1 when the entry asked for does not exist) --------
-
-    def first(self, u: int) -> int:
+    def second(self, u: int) -> int:
+        """``u``'s second live entry (-1 for none); ``head`` and ``sec`` move onto the first two."""
         pref, mirror, tail = self.pref[u], self.mirror[u], self.tail
         h, t = self.head[u], tail[u]
         while h <= t and mirror[h] > tail[pref[h]]:
             h += 1
         self.head[u] = h
-        return pref[h] if h <= t else -1
-
-    def second(self, u: int) -> int:
-        if self.first(u) < 0:
-            return -1
-        pref, mirror, tail = self.pref[u], self.mirror[u], self.tail
-        s, t = max(self.sec[u], self.head[u] + 1), tail[u]
+        s = max(self.sec[u], h + 1)
         while s <= t and mirror[s] > tail[pref[s]]:
             s += 1
         self.sec[u] = s
         return pref[s] if s <= t else -1
-
-    def last(self, u: int) -> int:
-        pref, mirror, tail = self.pref[u], self.mirror[u], self.tail
-        t = tail[u]
-        while t >= 0 and mirror[t] > tail[pref[t]]:
-            t -= 1
-        tail[u] = t
-        return pref[t] if t >= 0 else -1
 
     def cut(self, v: int, r: int) -> bool:
         """Delete every entry of ``v``'s list ranked below position ``r``; say if any went.
@@ -391,35 +374,43 @@ class _Table:
     def stabilize(self) -> None:
         """Run proposals until no agent on the worklist has a proposal to make.
 
-        A list is cut below every proposal it accepts, so a live proposal
-        never ranks below the one its target holds and is never refused.
-        The deletions reached do not depend on the order in which agents
-        propose, so the worklist is processed last in, first out.  Started
-        with every agent on the worklist, it leaves every non-empty list
-        head-held and tail-holding, the stable table of phase 1 [Irving
-        1985, J. Algorithms 6:577].  Started with one side of a marriage
-        market, only that side ever proposes, since a cut releases only
-        proposals made to the cut list's owner: this is deferred
-        acceptance [Gale & Shapley 1962, Amer. Math. Monthly 69:9], which
-        :func:`gale_shapley` reads at the proposers' heads.
+        A list is cut below every proposal it accepts (:meth:`cut`,
+        inline), so a live proposal never ranks below the one its target
+        holds and is never refused.  The deletions reached do not depend on
+        the order in which agents propose, so the worklist is processed last
+        in, first out.  Started with every agent on the worklist, it leaves
+        every non-empty list head-held and tail-holding, the stable table of
+        phase 1 [Irving 1985, J. Algorithms 6:577].  Started with one side of
+        a marriage market, only that side ever proposes, since a cut
+        releases only proposals made to the cut list's owner: this is
+        deferred acceptance [Gale & Shapley 1962, Amer. Math. Monthly 69:9],
+        which :func:`gale_shapley` reads at the proposers' heads.
         """
-        work, held, head, mirror = self.work, self.held, self.head, self.mirror
+        work, held, head, tail = self.work, self.held, self.head, self.tail
+        pref, mirror = self.pref, self.mirror
         while work:
             u = work.pop()
-            v = self.first(u)
-            if v < 0:
+            lst, pos, h, t = pref[u], mirror[u], head[u], tail[u]
+            while h <= t and pos[h] > tail[lst[h]]:
+                h += 1
+            head[u] = h
+            if h > t:
                 continue
-            r = mirror[u][head[u]]
-            if held[v] != r:
+            v, r = lst[h], pos[h]
+            w = held[v]
+            if w != r:
                 # Cut before taking over ``held[v]``, so that the
                 # displaced proposer goes back on the worklist.
-                self.cut(v, r)
+                if r < tail[v]:
+                    tail[v] = r
+                    if w > r:
+                        work.append(pref[v][w])
                 held[v] = r
 
     # -- rotations --------------------------------------------------------
 
     def find_rotation(self, start: int) -> list[tuple[int, int]]:
-        """The rotation that the walk ``x -> last(second(x))`` from ``start`` enters.
+        """The rotation that the walk from ``start`` to the last entry of its second entry enters.
 
         It comes as the pairs ``(x[i], y[i+1])``, where ``y[i+1]`` is the
         second entry of ``x[i]``, at position ``sec[x[i]]``, and the first
@@ -428,34 +419,29 @@ class _Table:
         :class:`InternalError`: every agent it leaves has a second entry,
         and ``y[i+1]`` heads the list of its last entry ``x[i+1]``.  Then,
         on lists without repeats, ``x[i]`` is live on ``y[i+1]``'s list
-        above ``x[i+1]``, so eliminating it shortens a list.
+        above ``x[i+1]``, so eliminating it shortens a list.  The walk
+        leaves ``head`` on each member's first live entry.
         """
-        names, second = self.names, self.second
+        names, pref, mirror, head, tail = self.names, self.pref, self.mirror, self.head, self.tail
         seq: list[tuple[int, int]] = []
         index: dict[int, int] = {}
         x = start
         while x not in index:
             index[x] = len(seq)
-            y = second(x)
+            y = self.second(x)
             if y < 0:
                 raise InternalError(f"rotation walk reached {names[x]}, which has no second entry")
             seq.append((x, y))
-            x = self.last(y)
+            lst, pos, t = pref[y], mirror[y], tail[y]
+            while t >= 0 and pos[t] > tail[lst[t]]:
+                t -= 1
+            tail[y] = t
+            x = lst[t] if t >= 0 else -1
         rotation = seq[index[x] :]
         for (_, y), (x, _) in zip(rotation, rotation[1:] + rotation[:1]):
-            if self.first(x) != y:
+            if pref[x][head[x]] != y:
                 raise InternalError(f"rotation breaks at {names[x]}, whose head is not {names[y]}")
         return rotation
-
-    def lock_odd_party(self, rotation: list[tuple[int, int]]) -> None:
-        """Lock a singular rotation as one odd party, its head map.
-
-        ``y[i+1]`` heads its list with ``x[i]``, so ``x[i]`` becomes the
-        successor of ``y[i+1]``; then every member's list is cut to nothing.
-        """
-        for x, y in rotation:
-            self.succ[y] = x
-            self.cut(y, -1)
 
     # -- main loop ---------------------------------------------------------
 
@@ -476,19 +462,36 @@ class _Table:
         and returned as it is, one successor index per agent, unnamed.
         Engine faults raise :class:`InternalError`.
         """
-        names, mirror, order, n = self.names, self.mirror, self.order, len(self.names)
-        first, second, cut, sec = self.first, self.second, self.cut, self.sec
-        k = 0
+        names, pref, mirror, order = self.names, self.pref, self.mirror, self.order
+        head, sec, tail, cut, n, k = self.head, self.sec, self.tail, self.cut, len(names), 0
         self.stabilize()
         while True:
-            while k < n and second(order[k]) < 0:
+            # :meth:`second` of each agent from ``order[k]``, inline.
+            while k < n:
+                u = order[k]
+                lst, pos, h, t = pref[u], mirror[u], head[u], tail[u]
+                while h <= t and pos[h] > tail[lst[h]]:
+                    h += 1
+                head[u] = h
+                s = sec[u]
+                if s <= h:
+                    s = h + 1
+                while s <= t and pos[s] > tail[lst[s]]:
+                    s += 1
+                sec[u] = s
+                if s <= t:
+                    break
                 k += 1
             if k == n:
                 break
             rotation = self.find_rotation(order[k])
             xs, ys = zip(*rotation)
-            if set(xs) == set(ys) and all(first(y) == x for x, y in rotation):
-                self.lock_odd_party(rotation)
+            if set(xs) == set(ys) and all(pref[y][head[y]] == x for x, y in rotation):
+                # Lock the singular rotation as one odd party, its head map:
+                # ``x[i]`` heads ``y[i+1]``'s list and becomes its successor.
+                for x, y in rotation:
+                    self.succ[y] = x
+                    cut(y, -1)
             elif not any([cut(y, mirror[x][sec[x]]) for x, y in rotation]):
                 raise InternalError(f"eliminating the rotation at {names[order[k]]} cut nothing")
             self.stabilize()
@@ -500,10 +503,13 @@ class _Table:
 
     def _assemble(self) -> list[int]:
         """``succ`` with the residual partner of each agent whose list is not empty."""
-        succ = self.succ
-        for u in range(len(succ)):
-            if (v := self.first(u)) >= 0:
-                succ[u] = v
+        pref, mirror, tail, succ = self.pref, self.mirror, self.tail, self.succ
+        for u, h in enumerate(self.head):
+            lst, pos, t = pref[u], mirror[u], tail[u]
+            while h <= t and pos[h] > tail[lst[h]]:
+                h += 1
+            if h <= t:
+                succ[u] = lst[h]
         return succ
 
 
@@ -522,46 +528,41 @@ def _violations(core: MarketCore, succ: Sequence[int], tail: Sequence[int]) -> l
     every acceptable agent).  Violations come grouped in that order, and
     within a group in the sorted order of the names.
 
-    Blocking pairs are read by :meth:`MarketCore.blocking`, with each
-    agent's predecessor as its bound, so only the entries before it are
-    scanned: no other entry can block.  Once every successor is
-    acceptable, that scan meets no pair of an agent ``u`` and its
-    successor ``s``, from whichever end it reads the pair.  From ``s``:
-    ``u`` is the predecessor of ``s``, so ``bound[s]`` is the position of
-    ``u``, and the slice of ``s``'s list ends before ``u``.  From ``u``:
-    ``s`` has ``u`` at its bound, and the test is a strict ``<``.  So the
-    scan needs no test that two agents are not each other's successor.
+    One pass tests the permutation, finds each successor on its list
+    (``at``) and sets each agent's ``bound``, the position of its
+    predecessor (one past its last entry when alone): it prefers exactly
+    the entries before it.  No list repeats an agent, so a successor lies
+    past the bound exactly when it is not preferred to a predecessor it
+    differs from.  :meth:`MarketCore.blocking` reads blocking pairs at
+    those bounds, since no other entry can block, and meets no agent ``u``
+    and its successor ``s``: ``bound[s]`` is the position of ``u``, and
+    ``s`` is at ``u``'s bound against a strict ``<``.
     """
     names, pref, mirror = core.names, core.pref, core.mirror
     n = len(names)
-    if len(succ) != n or set(succ) != set(range(n)):
+    if len(succ) != n:
         return ["successor map is not a permutation"]
-    pred = [0] * n
+    pred, at, bound, unacceptable = [-1] * n, [-1] * n, [0] * n, []
     for u, s in enumerate(succ):
+        if not 0 <= s < n or pred[s] >= 0:
+            return ["successor map is not a permutation"]
         pred[s] = u
-    # ``at[u]`` is the position of u's successor on its list, -1 when absent.
-    at = [-1] * n
-    for u, s in enumerate(succ):
-        if s != u:
-            try:
-                at[u] = pref[u].index(s)
-            except ValueError:  # reported below as unacceptable
-                pass
+        if s == u:
+            bound[u] = tail[u] + 1
+            continue
+        try:
+            r = pref[u].index(s)
+        except ValueError:
+            r = n  # past every tail
+        if r <= tail[u] and mirror[u][r] <= tail[s]:
+            at[u], bound[s] = r, mirror[u][r]
+        else:
+            unacceptable.append(f"successor of {names[u]} is the unacceptable agent {names[s]}")
+    if unacceptable:
+        return unacceptable
     out = [
-        f"successor of {names[u]} is the unacceptable agent {names[s]}"
-        for u, (s, r) in enumerate(zip(succ, at))
-        if s != u and not (0 <= r <= tail[u] and mirror[u][r] <= tail[s])
-    ]
-    if out:
-        return out
-    # Every successor is acceptable: u's predecessor p lists u at ``at[p]``,
-    # so u lists p at ``mirror[p][at[p]]`` and prefers the entries before
-    # ``bound[u]`` to p.
-    bound = [mirror[p][at[p]] if p != u else tail[u] + 1 for u, p in enumerate(pred)]
-    out = [
-        f"{names[u]} prefers its predecessor {names[pred[u]]} to its successor {names[s]}"
-        for u, s in enumerate(succ)
-        if s != u and s != pred[u] and not at[u] < bound[u]
+        f"{names[u]} prefers its predecessor {names[pred[u]]} to its successor {names[succ[u]]}"
+        for u in compress(range(n), map(gt, at, bound))
     ]
     blocking = sorted(core.blocking(bound))  # the scan yields them in list order
     return out + [f"pair {names[u]},{names[v]} blocks the partition" for u, v in blocking]
@@ -642,12 +643,19 @@ def _diagnosis(
     tail: Sequence[int],
     interested: Iterable[int],
     order: Sequence[int] | None = None,
+    mask: Collection[int] = (),
 ) -> PartitionDiagnosis:
     """One engine run on ``core`` cut at ``tail``, in ``order``, read for ``interested``.
 
-    ``interested`` holds agent indices.  Every engine run that ends in a
-    partition is made here.
+    ``interested`` and ``mask`` hold agent indices.  A masked agent starts
+    at tail -1: its own list is empty, and the live rule kills every entry
+    that names it, so the engine sees the market without it.  Every engine
+    run that ends in a partition is made here.
     """
+    if mask:
+        tail = list(tail)
+        for u in mask:
+            tail[u] = -1
     succ = _Table(core, tail, order).run()
     forbidden = frozenset(u for u in interested if succ[u] == u)
     return PartitionDiagnosis(names=core.names, succ=tuple(succ), forbidden=forbidden)
@@ -659,20 +667,6 @@ def index_mask(core: MarketCore, agents: Iterable[AgentId]) -> frozenset:
         return frozenset([core.index[u] for u in agents])
     except KeyError as exc:
         raise ValueError(f"{exc.args[0]} is not an agent of the instance") from None
-
-
-def _masked(tail: Sequence[int], mask: Collection[int]) -> Sequence[int]:
-    """``tail`` with the agents of ``mask`` (core indices) at -1.
-
-    A masked agent's own list is then empty, and the live rule kills every
-    entry that names it, so the engine sees the market without it.
-    """
-    if not mask:
-        return tail
-    tail = list(tail)
-    for u in mask:
-        tail[u] = -1
-    return tail
 
 
 def diagnose(inst: RoommatesInstance, interested: Iterable[AgentId] = ()) -> PartitionDiagnosis:
@@ -694,14 +688,14 @@ def diagnose_masked(
     """The stable partition of ``core``'s market without ``mask``, read for ``interested``.
 
     Both are core indices.  The agents of ``mask`` are masked as tails of
-    -1 (:func:`_masked`), so the run is the one on the market that
+    -1 (:func:`_diagnosis`), so the run is the one on the market that
     ``model.delete_agents`` would build, with each masked agent added as a
     singleton: the survivors keep their relative order, and an agent with
     an empty list never proposes or starts a rotation, so the engine makes
     the same steps.  A masked agent is therefore never worth being
     interested in.
     """
-    return _diagnosis(core, _masked(core.whole, mask), interested)
+    return _diagnosis(core, core.whole, interested, mask=mask)
 
 
 def tan_stable_partition(
@@ -780,7 +774,9 @@ class FixingContext:
         core = inst.core
         names = core.names
         prefs = {
-            names[u]: tuple(names[v] for p, v in enumerate(lst) if _live(core, tail, u, p))
+            names[u]: tuple(
+                names[v] for p, v in enumerate(lst[: tail[u] + 1]) if core.mirror[u][p] <= tail[v]
+            )
             for u, lst in enumerate(core.pref)
         }
         return RoommatesInstance(kind=inst.kind, prefs=prefs, side=inst.side, addable=inst.addable)
@@ -819,7 +815,8 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
             if q <= tail[x]:
                 tail[x] = q - 1
     for u, top in tops.items():
-        if not _live(core, tail, u, top) or any(_live(core, tail, u, p) for p in range(top)):
+        live = [q <= tail[x] for x, q in zip(pref[u][: top + 1], mirror[u])]
+        if top > tail[u] or any(live[:top]) or not live[top]:
             raise InternalError("fixing deletions did not make the target mutually top-ranked")
     stars = (pref[i][: tops[i]], pref[j][: tops[j]])
     return FixingContext(instance=inst, a=a, b=b, tail=tuple(tail), stars=stars)
@@ -845,7 +842,7 @@ def diagnose_fixed_instance(ctx: FixingContext, mask: Collection[int] = ()) -> P
 
     The interested agents are those of the fixing's ``stars``.  The agents
     of ``mask`` (core indices) are taken out as in :func:`diagnose_masked`
-    (:func:`_masked`), and each leaves its star, as it is not in the market
+    (:func:`_diagnosis`), and each leaves its star, as it is not in the market
     to be matched.  That is exactly the fixing of the market without them: a
     masked agent's tail is -1 there already, so no cut of fixing moves it,
     and every other agent's cuts are read off the endpoints' whole lists
@@ -859,7 +856,7 @@ def diagnose_fixed_instance(ctx: FixingContext, mask: Collection[int] = ()) -> P
     if mask and (core.index[ctx.a] in mask or core.index[ctx.b] in mask):
         raise ValueError(f"target pair {ctx.a},{ctx.b} is not acceptable without the mask")
     stars = [x for star in ctx.stars for x in star if x not in mask]
-    return _diagnosis(core, _masked(ctx.tail, mask), stars)
+    return _diagnosis(core, ctx.tail, stars, mask=mask)
 
 
 def pair_fixing_cost(inst: RoommatesInstance, target: Pair) -> int:

@@ -64,9 +64,11 @@ action and goal on an instance and is kept in that instance's
 ``search_memo``; a later call at another budget (or the same one) only
 derives its verdict from it.  The memo lives and dies with the instance,
 which is immutable, so it cannot go stale; an equal but distinct instance
-searches again.  The cap is checked on every call, memo hit or not, on
-the size of the action universe; only a search sorts the universe into
-its candidate order.
+searches again.  A hit is kept with the size of the action universe,
+and answers with no other work: its query passed every check but the
+budget's sign and the cap, so only those two are made again.  The cap is
+checked on every call, memo hit or not; only a search builds and sorts
+the universe into its candidate order.
 """
 
 from __future__ import annotations
@@ -153,29 +155,35 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
     the module docstring gives the argument that both reach the same
     optimum and witness.  Either way the cap counts candidate actions.
     """
-    problems = validate_query(query)
-    if problems:
-        raise InvalidQueryError("; ".join(problems))
-    universe = action_universe(query)
-    if len(universe) > cap:
-        raise CapExceededError(
-            f"{len(universe)} candidate actions exceed the search cap of {cap}"
-        )
-    memo = query.instance.search_memo
-    key = (query.action, query.goal)
+    memo, key = query.instance.search_memo, (query.action, query.goal)
     try:
-        hit = memo[key]  # a hit hashes the goal once
-    except KeyError:
+        found = memo.get(key)  # a hit hashes the goal once
+    except TypeError:  # an unhashable goal: ``validate_query`` refuses it
+        found = None
+    if found is None or query.budget < 0:
+        # A hit's query passed every check but the budget's sign, which
+        # ``validate_query`` alone words; so only a miss builds the universe.
+        problems = validate_query(query)
+        if problems:
+            raise InvalidQueryError("; ".join(problems))
+        universe = action_universe(query)
+        size = len(universe)
+    else:
+        size = found[0]
+    if size > cap:
+        raise CapExceededError(f"{size} candidate actions exceed the search cap of {cap}")
+    if found is None:
         candidates = sorted(universe, key=_sort_key)
         matchings = goal_matchings(query)
         if matchings is None:
-            hit = _first_success(query, candidates, len(candidates))
+            found = size, _first_success(query, candidates, size)
         else:
-            hit = _fewest_blockers(query, candidates, matchings)
-        memo[key] = hit
+            found = size, _fewest_blockers(query, candidates, matchings)
+        memo[key] = found
+    hit = found[1]
     if hit is None:
         return ControlOutcome(verdict=False, optimum=None, witness=None)
-    size, witness = hit
-    if size <= query.budget:
-        return ControlOutcome(verdict=True, optimum=size, witness=witness)
-    return ControlOutcome(verdict=False, optimum=size, witness=None)
+    optimum, witness = hit
+    if optimum <= query.budget:
+        return ControlOutcome(verdict=True, optimum=optimum, witness=witness)
+    return ControlOutcome(verdict=False, optimum=optimum, witness=None)

@@ -584,6 +584,9 @@ def test_the_one_pass_axiom_check_matches_the_multi_pass_reference():
     # The same messages in the same order as the check written as separate
     # passes, on the whole lists, on markets fixed for a pair and on masked
     # tails, for the engine's partition and every corruption of it.
+    def masked(tail, mask):
+        return [-1 if u in mask else t for u, t in enumerate(tail)]
+
     rng = random.Random(27)
     seen = dict.fromkeys(("not a permutation", "unacceptable", "prefers its predecessor", "blocks"), 0)
     for seed in range(90):
@@ -594,11 +597,11 @@ def test_the_one_pass_axiom_check_matches_the_multi_pass_reference():
             inst = random_sm(1 + seed % 4, 2 + seed % 5, density, seed)
         core = inst.core
         n = len(core.names)
-        tails = [core.whole, classic._masked(core.whole, rng.sample(range(n), n // 3))]
+        tails = [core.whole, masked(core.whole, rng.sample(range(n), n // 3))]
         pairs = sorted(tuple(sorted(p)) for p in inst.acceptable_pairs)
         for a, b in rng.sample(pairs, min(2, len(pairs))):
             ctx = fixing_deletions(inst, a, b)
-            tails += [ctx.tail, classic._masked(ctx.tail, [u for u in range(n) if rng.random() < 0.2])]
+            tails += [ctx.tail, masked(ctx.tail, [u for u in range(n) if rng.random() < 0.2])]
         for tail in tails:
             succ = classic._Table(core, tail).run()
             for corrupt in _corruptions(core, tail, succ, rng):

@@ -23,6 +23,7 @@ from stablectl.control import (
     DELETE_AGENTS,
     GOAL_KINDS,
     ControlGoal,
+    ControlOutcome,
     ControlQuery,
     apply_actions,
     goal_holds,
@@ -259,6 +260,37 @@ def test_memo_hit_still_checks_the_cap():
     assert q.instance.search_memo
     with pytest.raises(CapExceededError):
         solve_exact(dataclasses.replace(q, budget=2), cap=2)
+
+
+def test_a_memo_hit_neither_validates_nor_builds_the_universe(monkeypatch):
+    # A hit answers from the memo and checks only what differs between two
+    # queries that share its key: the budget's sign and the cap.
+    q = ControlQuery(
+        instance=three_cycle(), action=DELETE_AGENTS, goal=ControlGoal.esm(), budget=1
+    )
+    first = solve_exact(q)
+    calls = []
+    for name in ("validate_query", "action_universe"):
+
+        def spy(query, name=name, real=getattr(exact, name)):
+            calls.append(name)
+            return real(query)
+
+        monkeypatch.setattr(exact, name, spy)
+    assert [solve_exact(dataclasses.replace(q, budget=b)) for b in (0, 1, 5)] == [
+        ControlOutcome(verdict=False, optimum=1),
+        first,
+        first,
+    ]
+    with pytest.raises(CapExceededError, match="^3 candidate actions exceed the search cap of 2$"):
+        solve_exact(q, cap=2)
+    assert calls == []
+    with pytest.raises(InvalidQueryError, match="^budget must be non-negative$"):
+        solve_exact(dataclasses.replace(q, budget=-1))
+    # An unhashable goal is refused by the full check, as before the memo.
+    for goal in (ControlGoal(kind="mp", pair={"a", "b"}), ControlGoal(kind="mp", pair=["a", "b"])):
+        with pytest.raises(InvalidQueryError, match="is not a pair of agents$"):
+            solve_exact(dataclasses.replace(q, goal=goal))
 
 
 def test_delacc_ms_search_matches_a_plain_subset_loop():
