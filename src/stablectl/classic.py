@@ -282,8 +282,8 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     proposers = [i for i, u in enumerate(names) if inst.side[u] == proposing]
     table = _Table(core, core.whole, proposers)
     table.stabilize()
-    head = table._assemble()
-    return frozenset(frozenset((names[i], names[head[i]])) for i in proposers if head[i] != i)
+    partner = table._assemble()
+    return frozenset(frozenset((names[i], names[partner[i]])) for i in proposers if partner[i] != i)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ class _Table:
     # -- rotations --------------------------------------------------------
 
     def find_rotation(self, start: int) -> list[tuple[int, int]]:
-        """The rotation that the walk from ``start`` to the last entry of its second entry enters.
+        """The rotation entered by the walk from ``start`` to the last entry of each second entry.
 
         It comes as the pairs ``(x[i], y[i+1])``, where ``y[i+1]`` is the
         second entry of ``x[i]``, at position ``sec[x[i]]``, and the first
