@@ -119,8 +119,8 @@ from operator import gt
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InternalError
-from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance
+from .errors import InternalError, InvalidInstanceError
+from .model import SM, AgentId, MarketCore, Matching, Pair, RoommatesInstance, validate
 
 # ---------------------------------------------------------------------------
 # Stable partitions
@@ -270,8 +270,9 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     1962, Amer. Math. Monthly 69:9].  The reviewers' lists are cut below
     the proposal each holds, but are left as they are otherwise, so the
     table is not a stable one and :meth:`_Table.run` is never called on
-    it.  A market whose core cannot be built raises
-    :class:`InvalidInstanceError`.
+    it.  A market whose core cannot be built, or with an agent that has no
+    ``a``/``b`` side label, raises :class:`InvalidInstanceError` with
+    :func:`~stablectl.model.validate`'s violations.
     """
     if inst.kind != SM:
         raise ValueError("gale_shapley needs a marriage instance")
@@ -279,7 +280,10 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
         raise ValueError("proposing side must be 'a' or 'b'")
     core = inst.core
     names = core.names
-    proposers = [i for i, u in enumerate(names) if inst.side[u] == proposing]
+    sides = [inst.side.get(u) for u in names]
+    if not {"a", "b"}.issuperset(sides):
+        raise InvalidInstanceError(validate(inst))
+    proposers = [i for i, s in enumerate(sides) if s == proposing]
     table = _Table(core, core.whole, proposers)
     table.stabilize()
     partner = table._assemble()
@@ -791,23 +795,20 @@ def fixing_deletions(inst: RoommatesInstance, a: AgentId, b: AgentId) -> FixingC
     of its list above the endpoint, and leaves the list of every ``y`` in
     the tail it cuts off.  Afterwards ``a`` and ``b`` are each other's
     first choices.  The deletions are tail cuts on the cached integer core
-    of ``inst``; nothing is copied until ``reduced`` is read.  Raises
+    of ``inst``, and both endpoints' positions are read off that core;
+    nothing is copied until ``reduced`` is read.  Raises
     ``ValueError`` when ``{a, b}`` is not an acceptable pair of ``inst``,
     and :class:`InvalidInstanceError` when the core cannot be built.
     """
     core = inst.core
     index, pref, mirror = core.index, core.pref, core.mirror
     i, j = index.get(a), index.get(b)
-    if i is None or j is None or not inst.acceptable(a, b):
+    # The core is mirrored, so ``b`` is on ``a``'s list exactly when the pair
+    # is acceptable, and ``mirror`` holds ``a``'s position on ``b``'s list.
+    if i is None or j not in pref[i]:
         raise ValueError(f"target pair {a},{b} is not acceptable in the instance")
-    # The endpoints' positions, read as ``acceptable`` reads them: off the
-    # rank map once it is built, as the core of a market with a list longer
-    # than ``model.SCAN_LIST_MAX`` builds it, and else off the short lists.
-    ranks = inst.__dict__.get("ranks")
-    if ranks is None:
-        tops = {i: pref[i].index(j), j: pref[j].index(i)}
-    else:
-        tops = {i: ranks[a][b], j: ranks[b][a]}
+    p = pref[i].index(j)
+    tops = {i: p, j: mirror[i][p]}
     tail = list(core.whole)
     # Each agent an endpoint outranks keeps only the entries above that endpoint.
     for u, top in tops.items():

@@ -19,11 +19,9 @@ entry on its list.
 ``core`` is the market interned as integers for the partition engine
 (:class:`MarketCore`), built once and shared by every engine run, pair
 answer and ``gale_shapley`` call on the instance; a parsed instance
-arrives with it built.  On a market of short lists (at most
-:data:`SCAN_LIST_MAX` entries each) the core and ``acceptable`` find
-positions by scanning a list, which costs about as much there as a
-rank map, so such a market builds ``ranks`` only for a reader that asks
-for it, such as a stability check.  All mutating operations
+arrives with it built.  The core reads each position off ``ranks``, and
+``acceptable`` reads ``ranks`` too, so every reader finds a position on
+a list one way, whatever the list lengths.  All mutating operations
 (agent deletion, acceptability deletion, induction on a chosen addable
 subset) return fresh instances and never touch their input.
 
@@ -71,15 +69,6 @@ SM = "sm"
 
 # What the file formats accept as an agent or vertex identifier.
 ID_RE = re.compile(r"^[^\s:,>#]+$")
-
-# The longest lists that ``RoommatesInstance.core`` and ``acceptable`` scan
-# for an entry instead of reading the rank map.  Up to this length a core
-# built by scanning takes within 3 % of the time of one built from a new
-# rank map (the two cross between 10 and 12 entries), and past it longer,
-# 11 % at 14 and 36 % at 20 (``BENCH_25.json``, ``scan_crossover``).  A
-# market that only the engine reads then keeps no rank map, at 26-59 bytes
-# per list entry the largest of the caches a small market keeps.
-SCAN_LIST_MAX = 12
 
 
 def pair(a: AgentId, b: AgentId) -> Pair:
@@ -218,14 +207,11 @@ class RoommatesInstance:
         ``sm`` lists name only the other side.  Building it costs
         O(n + m) for ``n`` agents and ``m`` list entries.
 
-        Each ``mirror`` entry is read from ``ranks``, unless no list is
-        longer than :data:`SCAN_LIST_MAX`: then it is found by scanning the
-        short list it lies on, which costs about as much as building a rank
-        map, so a small market that only the engine reads keeps none.
+        Each ``mirror`` entry is read from ``ranks``, which the build leaves
+        built for every later reader.
         """
-        prefs = self.prefs
+        prefs, ranks = self.prefs, self.ranks
         longest = max(map(len, prefs.values()), default=0)
-        ranks = self.ranks if longest > SCAN_LIST_MAX else None
         names = tuple(sorted(prefs))
         index = {u: i for i, u in enumerate(names)}
         # A byte per position takes an eighth of the room of a tuple entry.
@@ -233,21 +219,17 @@ class RoommatesInstance:
         pref, mirror = [], []
         try:
             for u in names:
-                lst = prefs[u]
-                mine = set(lst) if ranks is None else ranks[u]
+                lst, mine = prefs[u], ranks[u]
                 if u in mine or len(mine) != len(lst):
                     break
                 # Sized once from a list: a tuple grown from an iterator is
                 # reallocated as it grows, which fragments the heap.
                 pref.append(tuple([index[v] for v in lst]))
-                if ranks is None:
-                    mirror.append(row([prefs[v].index(u) for v in lst]))
-                else:
-                    mirror.append(row([ranks[v][u] for v in lst]))
+                mirror.append(row([ranks[v][u] for v in lst]))
             else:
                 whole = tuple([len(lst) - 1 for lst in pref])
                 return MarketCore(names, MappingProxyType(index), tuple(pref), tuple(mirror), whole)
-        except (KeyError, ValueError):  # an unknown agent, or one that does not list ``u`` back
+        except KeyError:  # an unknown agent, or one that does not list ``u`` back
             pass
         raise _rejection(self)
 
@@ -264,18 +246,9 @@ class RoommatesInstance:
     def acceptable(self, u: AgentId, v: AgentId) -> bool:
         """Whether ``u`` and ``v`` are agents of the instance that list each other.
 
-        Read through ``ranks`` once it is built.  Before that, two short
-        lists (see ``core``) are scanned, so a small market builds no rank
-        map for this; a longer one builds it.
+        Read through ``ranks``, as the core reads every position.
         """
-        ranks = self.__dict__.get("ranks")
-        if ranks is None:
-            mine, theirs = self.prefs.get(u), self.prefs.get(v)
-            if mine is None or theirs is None:  # an agent outside the instance
-                return False
-            if len(mine) <= SCAN_LIST_MAX and len(theirs) <= SCAN_LIST_MAX:
-                return v in mine and u in theirs
-            ranks = self.ranks
+        ranks = self.ranks
         try:
             return v in ranks[u] and u in ranks[v]
         except KeyError:  # an agent outside the instance

@@ -33,7 +33,7 @@ certified the same way: the target matching is stable once its blocking
 pairs are deleted.  Both stability checks are one early-exit scan of the
 instance the query was asked on (:func:`~stablectl.stability.is_stable`
 with the deletions as arguments), through its cached rank map, the one
-fact it shares with the engine, whose core mirrors that map.  So no
+fact it shares with the engine, whose core is read off that map.  So no
 certified answer builds a controlled instance or a set of the pairs that
 block its witness matching.  The acceptability witness is an integer
 answer: :func:`~stablectl.stability.blocking_pairs` reads it off the

@@ -99,6 +99,19 @@ def test_gs_rejects_a_market_the_engine_rejects(proposing):
         assert info.value.violations == validate(inst)
 
 
+@pytest.mark.parametrize("proposing", ["a", "b"])
+@pytest.mark.parametrize("side", [{"m": "a"}, {"m": "a", "w": "c"}, {"m": "c", "w": "b"}])
+def test_gs_rejects_an_agent_without_a_side_label(side, proposing):
+    # A missing label and a foreign one are both invalid input, never a
+    # KeyError or a silent reviewer, whichever side proposes.
+    inst = make_sm({"m": ["w"], "w": ["m"]}, side)
+    with pytest.raises(InvalidInstanceError) as info:
+        gale_shapley(inst, proposing)
+    assert info.value.violations == validate(inst)
+    unlabelled = next(u for u in "mw" if side.get(u) not in ("a", "b"))
+    assert f"agent {unlabelled} has no valid side label" in info.value.violations
+
+
 def test_gs_equals_textbook_deferred_acceptance():
     # The benchmark's proposal loop shares no code with the engine.  Every
     # side size 0-9 at every density 0.1-1.0, five seeds each, then markets

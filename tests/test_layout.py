@@ -3,6 +3,9 @@
 * Intra-package imports sit at module level, never inside a function.
 * No module imports another module's private (``_``-prefixed) names, nor
   reads a private attribute (``obj._name``) that it does not define itself.
+* No module reads an object's ``__dict__`` (``obj.__dict__`` or
+  ``vars(obj)``), so whether a cached value is built never selects a code
+  path.
 * The module import graph is acyclic.
 * :mod:`stablectl.generators` builds instances from :mod:`stablectl.model`
   alone: it imports no other package module.
@@ -107,6 +110,17 @@ def test_no_private_attributes_read_across_modules():
             and node.attr not in defined
         ]
     assert foreign == []
+
+
+def test_no_module_reads_an_object_dict():
+    reads = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in modules().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars" and node.args)
+    ]
+    assert reads == []
 
 
 def test_module_import_graph_is_acyclic():

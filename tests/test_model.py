@@ -259,14 +259,18 @@ def reference_validate(inst):
     return out
 
 
-def corrupted_instance(rng: random.Random):
-    """A seeded SR or SM market, complete or sparse, with a few random corruptions."""
+def corrupted_instance(rng: random.Random, most: int = 12):
+    """A seeded SR or SM market, complete or sparse, with a few random corruptions.
+
+    An SR market has at most ``most`` agents, and each side of an SM
+    market at most half as many.
+    """
     complete = rng.random() < 0.3
     density = 1.0 if complete else rng.choice([0.2, 0.5, 0.8])
     if rng.random() < 0.5:
-        base = random_sr(rng.randint(0, 12), density, rng.randrange(10**6))
+        base = random_sr(rng.randint(0, most), density, rng.randrange(10**6))
     else:
-        base = random_sm(rng.randint(0, 6), rng.randint(0, 6), density, rng.randrange(10**6))
+        base = random_sm(rng.randint(0, most // 2), rng.randint(0, most // 2), density, rng.randrange(10**6))
     kind, side, addable = base.kind, dict(base.side), set()
     prefs = {u: list(lst) for u, lst in base.prefs.items()}
     for _ in range(rng.randint(0, 4)):
@@ -657,25 +661,31 @@ def test_instances_and_queries_hash_by_value():
     assert hash(query) == hash(dataclasses.replace(query, instance=twin))
 
 
-def test_a_market_of_short_lists_is_read_without_a_rank_map():
-    # Lists of at most SCAN_LIST_MAX entries are scanned: the core's mirror
-    # holds each owner's position on the list of each agent it lists, the
-    # acceptable pairs are those listed both ways, and no rank map is left.
-    # The markets that break a list rule are those the parse test rejects.
+def test_the_core_mirrors_every_list_and_acceptable_pairs_are_listed_both_ways():
+    # On markets of lists no longer than 12 entries and of longer ones
+    # alike, the core is built exactly when every list is mirrored, its
+    # mirror holds each owner's position on the list of each agent it lists,
+    # and the acceptable pairs are those listed both ways.
     rng = random.Random(25)
-    built = 0
-    for inst in (corrupted_instance(rng) for _ in range(600)):
+    corpus = [corrupted_instance(rng) for _ in range(600)]
+    corpus += [corrupted_instance(rng, most=40) for _ in range(600)]
+    built = {False: 0, True: 0}
+    for inst in corpus:
         prefs = inst.prefs
-        assert max(map(len, prefs.values()), default=0) <= model.SCAN_LIST_MAX
+        mirrored = all(
+            len(set(lst)) == len(lst) and all(v != u and u in prefs.get(v, ()) for v in lst)
+            for u, lst in prefs.items()
+        )
         try:
             core = inst.core
         except InvalidInstanceError:
+            assert not mirrored, inst
             continue
+        assert mirrored, inst
         names = core.names
         for u, lst, back in zip(names, core.pref, core.mirror):
             assert [names[v] for v in lst] == list(prefs[u])
             assert list(back) == [prefs[names[v]].index(u) for v in lst]
         assert inst.acceptable_pairs == {frozenset((u, v)) for u in prefs for v in prefs[u] if u in prefs[v]}
-        assert "ranks" not in vars(inst)
-        built += 1
-    assert built >= 100
+        built[max(map(len, prefs.values()), default=0) > 12] += 1
+    assert built[False] >= 200 and built[True] >= 80
