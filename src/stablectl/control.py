@@ -29,8 +29,10 @@ by the same test, except that it reads an ``ms`` goal on names
 (:func:`~stablectl.stability.is_stable`), apart from the core's blocking
 scan that the search uses.  Under acceptability deletion a goal is also
 the set of matchings of the queried market that it asks to be stable
-(:func:`goal_matchings`, :func:`matching_meets_goal`), which the exact
-search reads instead of testing controlled instances.
+(:func:`matching_meets_goal`).  The exact search reads the one of them
+with the fewest blocking pairs (:func:`fewest_blocking_pairs`), a branch
+and bound on the integer core whose root the goal sets, instead of
+testing controlled instances.
 
 Queries and outcomes are immutable; evaluation is purely functional.
 """
@@ -38,7 +40,7 @@ Queries and outcomes are immutable; evaluation is purely functional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .classic import diagnose_fixed_instance, diagnose_masked, fixing_deletions, index_mask
 from .errors import InvalidQueryError
@@ -53,7 +55,7 @@ from .model import (
     induce_with_added,
     pair_text,
 )
-from .stability import check_matching, enumerate_matchings, is_stable
+from .stability import check_matching, is_stable
 
 ADD_AGENTS = "addag"
 DELETE_AGENTS = "delag"
@@ -253,36 +255,110 @@ def masked_agents(
     return lambda positions: pool.difference(map(ids.__getitem__, positions))
 
 
-def goal_matchings(query: ControlQuery) -> Iterator[Matching] | None:
-    """The matchings of the queried market that an acceptability-deletion goal asks for.
+def fewest_blocking_pairs(query: ControlQuery) -> tuple[Matching, frozenset] | None:
+    """The matching an acceptability-deletion goal asks for with the fewest blocking pairs.
 
-    Under acceptability deletion a goal holds exactly when one of these
-    matchings becomes stable (:mod:`stablectl.exact` gives the argument):
-    any matching for ``esm``, a perfect one for ``epsm``, one covering the
-    target agent for ``ma``, one containing the target pair for ``mp``, and
-    the target matching itself for ``ms``.  Each is a matching of
-    ``query.instance``, yielded once, in the order of
-    :func:`~stablectl.stability.enumerate_matchings`, whose own cap never
-    refuses here: the search's candidate cap has bounded the query.  That
-    enumerator raises :class:`~stablectl.errors.InvalidInstanceError` on
-    a market the engine rejects before it yields a matching, and
-    :func:`validate_query` has already built the core of an ``ms``
-    query's market.  ``None`` for the agent actions, whose goals are not
-    read off the matchings of the queried market.
+    The goal asks for any matching of ``query.instance`` under ``esm``, a
+    perfect one under ``epsm``, one covering the target agent under
+    ``ma``, one containing the target pair under ``mp``, and the target
+    itself under ``ms`` (:func:`matching_meets_goal`).  Of these, the one
+    returned has the fewest blocking pairs, and then the lexicographically
+    smallest sorted list of them, each pair read as its two names in
+    order.  Core indices follow the sorted names, so that is the order of
+    their sorted integer pairs.  ``(matching, blocking pairs)``, or
+    ``None`` when the goal asks for no matching.
+
+    A depth-first branch and bound over partial matchings on the market's
+    core; :mod:`stablectl.exact` gives the argument that its pruning keeps
+    that answer.  The goal sets the root: ``mp`` decides its target pair,
+    ``ms`` decides every agent from its target (so the root is the only
+    leaf), and ``epsm`` and ``ma`` mark the agents that must be matched.
+    Each node then decides the smallest undecided agent: each undecided
+    partner in its list order first, then unmatched, unless that agent
+    must be matched.  A node's blocking pairs are read by
+    :meth:`~stablectl.model.MarketCore.blocking` with each undecided agent
+    bounded at its first undecided partner, the best it can still get,
+    and a node where an agent that must be matched has no undecided
+    partner left has no leaf.  The frames live on an explicit stack, so
+    the search makes no reference cycle and its depth is not bounded by
+    the interpreter's recursion limit.
     """
-    if query.action != DELETE_ACCEPTABILITY:
-        return None
     inst, goal = query.instance, query.goal
+    core = inst.core
+    index, pref, mirror = core.index, core.pref, core.mirror
+    n = len(pref)
+    # ``mate[u]`` is -1 while ``u`` is undecided, ``u`` once it is left unmatched.
+    mate, bound, must = [-1] * n, [0] * n, [goal.kind == "epsm"] * n
     if goal.kind == "ms":
-        return iter((goal.matching,))
-    everything = enumerate_matchings(inst, cap=len(inst.acceptable_pairs))
-    return (m for m in everything if matching_meets_goal(inst, goal, m))
+        mate = list(range(n))
+        bound = [w + 1 for w in core.whole]
+        for u, v in check_matching(inst, goal.matching).items():
+            i, j = index[u], index[v]
+            mate[i], bound[i] = j, pref[i].index(j)
+    elif goal.kind == "mp":
+        i, j = (index[u] for u in goal.pair)
+        p = pref[i].index(j)
+        mate[i], mate[j], bound[i], bound[j] = j, i, p, mirror[i][p]
+    elif goal.kind == "ma":
+        must[index[goal.agent]] = True
+    best, leaf, frames, u = (float("inf"), []), None, [], -1
+    while True:
+        # Visit the node just made, the root first; every agent up to ``u``
+        # is decided.
+        nxt, dead = n, False
+        for v in range(u + 1, n):
+            if mate[v] < 0:
+                p = 0
+                for w in pref[v]:
+                    if mate[w] < 0:
+                        break
+                    p += 1
+                bound[v] = p
+                if nxt == n:
+                    nxt = v
+                if must[v] and p == len(pref[v]):
+                    dead = True
+        if not dead:
+            found = list(core.blocking(bound))
+            key = (len(found), sorted(found))
+            if key < best:
+                if nxt == n:
+                    best, leaf = key, (mate.copy(), found)
+                else:
+                    frames.append([nxt, 0])
+        # Make the next child: undo the decision of the deepest frame with
+        # an option left, and take its next option.
+        while frames:
+            frame = frames[-1]
+            u, p = frame
+            if (v := mate[u]) >= 0:
+                mate[u] = mate[v] = -1
+            lst = pref[u]
+            while p < len(lst) and mate[lst[p]] >= 0:
+                p += 1
+            if p < len(lst):
+                v = lst[p]
+                mate[u], mate[v], bound[u], bound[v] = v, u, p, mirror[u][p]
+            elif must[u] or p > len(lst):
+                frames.pop()
+                continue
+            else:
+                mate[u], bound[u] = u, p
+            frame[1] = p + 1
+            break
+        else:
+            break
+    if leaf is None:
+        return None
+    names, (mate, found) = core.names, leaf
+    matching = frozenset(frozenset((names[u], names[v])) for u, v in enumerate(mate) if u < v)
+    return matching, frozenset(frozenset((names[u], names[v])) for u, v in found)
 
 
 def matching_meets_goal(inst: RoommatesInstance, goal: ControlGoal, matching: Matching) -> bool:
     """Whether ``matching``, a matching of ``inst``, is one that ``goal`` asks to be stable.
 
-    See :func:`goal_matchings`.  A perfect matching has a pair for every
+    See :func:`fewest_blocking_pairs`.  A perfect matching has a pair for every
     two agents, since no two of its pairs share an agent.
     """
     if goal.kind == "esm":

@@ -36,8 +36,8 @@ and holds every pair that blocks ``M`` in the whole market.  Deleting
 pairs keeps the order of every surviving list, and a pair of ``M`` never
 blocks ``M``, so a surviving pair blocks ``M`` in the market without
 ``D`` exactly when it blocks ``M`` in the whole market.  So ``D`` meets a
-goal exactly when some matching ``M`` that meets it
-(:func:`~stablectl.control.goal_matchings`) avoids ``D`` and has its
+goal exactly when some matching ``M`` that the goal asks for
+(:func:`~stablectl.control.matching_meets_goal`) avoids ``D`` and has its
 blocking set ``B(M)`` inside ``D``.  ``B(M)`` never holds a pair of
 ``M``, so it never holds a protected target pair and lies in
 :func:`~stablectl.control.action_universe`; it works on its own.  Every
@@ -45,19 +45,36 @@ working set of the optimal size ``k`` is therefore some ``B(M)`` with
 ``|B(M)| = k``, and the witness is the first such set in the order above:
 fewest pairs first, then the lexicographic order of the sorted candidate
 positions, the order in which ``combinations`` reaches them.  This is
-the minimum-blocking-pairs view of almost-stable matchings [Abraham, Biró
-& Manlove 2006; Biró, Manlove & Mittal 2010].  Each blocking set is read
-off the market's integer core (:func:`~stablectl.stability.blocking_pairs`),
-and the answer is certified with none of that code, as a ``delacc-ms``
-answer is: its matching meets the goal, and
+the minimum-blocking-pairs problem of almost-stable matchings, which is
+NP-hard [Abraham, Biró & Manlove 2006; Biró, Manlove & Mittal 2010].
+
+The least ``B(M)`` is found by a branch and bound over partial matchings
+on the market's integer core
+(:func:`~stablectl.control.fewest_blocking_pairs`), not by listing every
+matching, so its cost follows the optimum rather than the number of
+matchings.  A node decides some agents; each undecided agent is bounded
+at its first undecided partner, and
+:meth:`~stablectl.model.MarketCore.blocking` reads the node's pairs.
+Every leaf below the node matches each undecided agent to one of its
+undecided partners or to no one, so the agent ends at or past that
+bound, and a pair that blocks at the node's bounds blocks at the leaf's.
+So the node's blocking set lies inside that of every leaf below it, and
+its count never falls on the way down.  A node is pruned when its count
+exceeds the best found so far, or equals it and its sorted pairs are not
+lexicographically smaller than the best's: at equal size only a leaf
+that adds no pair can tie, and that leaf's set is the node's.  Core
+indices follow the sorted names, so the sorted pairs compare as their
+sorted candidate positions do, and the witness stays the first
+fewest-blocking set in the order of the pair search.  The answer is
+certified with none of that code, as a ``delacc-ms`` answer is: the
+witness is a set of candidates, its matching meets the goal, and
 :func:`~stablectl.stability.is_stable` finds it stable once the witness
 is deleted.  A failed check raises :class:`InternalError`.
 
 The search refuses instances whose candidate count exceeds the cap
 instead of truncating: answers are exact or absent, never approximate.
 The cap counts candidate actions under every action, pairs under
-acceptability deletion, and is the only refusal: the matching
-enumerator's own cap does not apply here.
+acceptability deletion, and is the only refusal.
 
 The search result does not depend on the budget, so it runs once per
 action and goal on an instance and is kept in that instance's
@@ -80,15 +97,15 @@ from .control import (
     ControlQuery,
     action_universe,
     exercise,
+    fewest_blocking_pairs,
     goal_holds,
-    goal_matchings,
     goal_test,
     masked_agents,
     matching_meets_goal,
     validate_query,
 )
 from .errors import CapExceededError, InternalError, InvalidQueryError
-from .stability import blocking_pairs, is_stable
+from .stability import is_stable
 
 DEFAULT_CANDIDATE_CAP = 20
 
@@ -99,14 +116,15 @@ def _sort_key(item):
     return (item,)
 
 
-def _first_success(query: ControlQuery, candidates: list, max_size: int):
+def _first_success(query: ControlQuery, candidates: list, mask, max_size: int):
     """The first agent-action set that meets the goal, as ``(size, witness)``, or ``None``.
 
     The goal is compiled once on the queried market and each set, given
-    by its candidate positions, is tested as a mask on it; the witness is
-    certified once on the market that exercising it builds.
+    by its candidate positions, is tested as a mask on it (``mask``, from
+    :func:`~stablectl.control.masked_agents`); the witness is certified
+    once on the market that exercising it builds.
     """
-    holds, mask = goal_test(query.instance, query.goal), masked_agents(query, candidates)
+    holds = goal_test(query.instance, query.goal)
     for size in range(0, max_size + 1):
         for combo in combinations(range(len(candidates)), size):
             if holds(mask(combo)):
@@ -117,26 +135,18 @@ def _first_success(query: ControlQuery, candidates: list, max_size: int):
     return None
 
 
-def _fewest_blockers(query: ControlQuery, candidates: list, matchings):
-    """The smallest blocking set of ``matchings`` in candidate order, as ``(size, witness)``.
+def _fewest_blockers(query: ControlQuery, candidates: list):
+    """The first fewest-blocking set of a goal matching in candidate order, as ``(size, witness)``.
 
-    A pair outside the candidates sorts last, and the certificate rejects it.
+    The search (:func:`~stablectl.control.fewest_blocking_pairs`) runs on
+    the integer core; its answer is certified here on names.
     """
-    inst = query.instance
-    position = {p: i for i, p in enumerate(candidates)}
-    outside = len(candidates)
-    best = None
-    for matching in matchings:
-        blockers = blocking_pairs(inst, matching)
-        if best is None or len(blockers) <= best[0][0]:
-            key = (len(blockers), sorted(position.get(p, outside) for p in blockers))
-            if best is None or key < best[0]:
-                best = key, matching, blockers
-    if best is None:
+    found = fewest_blocking_pairs(query)
+    if found is None:
         return None
-    _, matching, witness = best
+    inst, (matching, witness) = query.instance, found
     if not (
-        position.keys() >= witness
+        witness.issubset(candidates)
         and matching_meets_goal(inst, query.goal, matching)
         and is_stable(inst, matching, deleted_pairs=witness)
     ):
@@ -174,11 +184,11 @@ def solve_exact(query: ControlQuery, cap: int = DEFAULT_CANDIDATE_CAP) -> Contro
         raise CapExceededError(f"{size} candidate actions exceed the search cap of {cap}")
     if found is None:
         candidates = sorted(universe, key=_sort_key)
-        matchings = goal_matchings(query)
-        if matchings is None:
-            found = size, _first_success(query, candidates, size)
+        mask = masked_agents(query, candidates)
+        if mask is None:
+            found = size, _fewest_blockers(query, candidates)
         else:
-            found = size, _fewest_blockers(query, candidates, matchings)
+            found = size, _first_success(query, candidates, mask, size)
         memo[key] = found
     hit = found[1]
     if hit is None:

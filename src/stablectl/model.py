@@ -97,8 +97,10 @@ class MarketCore(NamedTuple):
 
     :meth:`blocking` is the integer statement of the blocking rule: it
     reads the blocking pairs of a matching for
-    :func:`~stablectl.stability.blocking_pairs`, and those of every
-    partition the engine returns for the axiom check that certifies it.
+    :func:`~stablectl.stability.blocking_pairs`, those of every
+    partition the engine returns for the axiom check that certifies it,
+    and those of every partial matching that
+    :func:`~stablectl.control.fewest_blocking_pairs` visits.
     """
 
     names: tuple

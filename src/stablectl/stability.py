@@ -11,8 +11,9 @@ visits only the entries an agent prefers to its partner, in O(n + m) for
 ``n`` agents and ``m`` acceptable pairs.  :func:`blocking_pairs`
 enumerates: it reads every blocking pair off the instance's integer core
 (:meth:`~stablectl.model.MarketCore.blocking`, the scan that also
-certifies every partition of the engine), and both acceptability-deletion
-solvers read their witnesses off it.  :func:`is_stable` is the one check on
+certifies every partition of the engine and prunes the exact
+acceptability-deletion search), and the polynomial ``delacc-ms`` solver
+reads its witness off it.  :func:`is_stable` is the one check on
 names, through the instance's cached rank map
 (``RoommatesInstance.ranks``): it decides, returns at the first blocking
 pair and builds no set of them.  It also answers for the market left once
@@ -24,10 +25,10 @@ code.
 The enumeration here lists every stable matching for ``stablectl stable
 --enumerate`` and serves as the test-suite oracle.  It is deliberately
 exhaustive and refuses (rather than truncates) when an instance exceeds
-the size cap.  The exact solver's acceptability-deletion search lists the
-matchings of the queried market with :func:`enumerate_matchings` too,
-under its own candidate cap: it reads each one's blocking set with
-:func:`blocking_pairs` and certifies its answer with :func:`is_stable`.
+the size cap.  No solver lists matchings: the exact solver's
+acceptability-deletion search prunes partial matchings on the integer
+core (:func:`~stablectl.control.fewest_blocking_pairs`) and certifies its
+answer with :func:`is_stable`.
 """
 
 from __future__ import annotations

@@ -25,11 +25,12 @@ from stablectl.control import (
     action_universe,
     apply_actions,
     goal_holds,
+    matching_meets_goal,
 )
 from stablectl.errors import CapExceededError
 from stablectl.model import SM, RoommatesInstance, make_instance, make_sm, make_sr
 from stablectl.reductions import UndirectedGraph
-from stablectl.stability import check_matching
+from stablectl.stability import blocking_pairs, check_matching, enumerate_matchings
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -222,6 +223,19 @@ def count_engine_calls(monkeypatch) -> dict:
     core.__set_name__(model.RoommatesInstance, "core")
     monkeypatch.setattr(model.RoommatesInstance, "core", core)
     monkeypatch.setattr(classic._Table, "run", counted_run)
+    return counts
+
+
+def count_blocking_scans(monkeypatch) -> dict:
+    """Count calls of ``MarketCore.blocking``, the integer blocking scan, as ``scans``."""
+    counts = {"scans": 0}
+    scan = model.MarketCore.blocking
+
+    def counted(core, bound):
+        counts["scans"] += 1
+        return scan(core, bound)
+
+    monkeypatch.setattr(model.MarketCore, "blocking", counted)
     return counts
 
 
@@ -459,6 +473,38 @@ def subset_search(query):
             if goal_holds(apply_actions(query, combo), query.goal):
                 return size, frozenset(combo)
     return None
+
+
+def goal_matchings(query):
+    """Every matching of the queried market that an acceptability-deletion goal asks for.
+
+    The listing that ``control.fewest_blocking_pairs`` prunes: the target
+    itself for ``ms``, else every matching of ``query.instance`` that
+    ``matching_meets_goal`` accepts, in ``enumerate_matchings`` order.
+    """
+    inst, goal = query.instance, query.goal
+    if goal.kind == "ms":
+        return iter((goal.matching,))
+    everything = enumerate_matchings(inst, cap=len(inst.acceptable_pairs))
+    return (m for m in everything if matching_meets_goal(inst, goal, m))
+
+
+def listed_fewest_blockers(query):
+    """The acceptability-deletion optimum read off the listing, as the search's oracle.
+
+    ``(size, witness)`` for the blocking set of a :func:`goal_matchings`
+    matching that is least by size and then by its sorted positions in
+    :func:`candidate_actions`; ``None`` when no matching meets the goal.
+    """
+    position = {p: i for i, p in enumerate(candidate_actions(query))}
+    keys = [
+        (len(b), sorted(map(position.__getitem__, b)), b)
+        for b in {blocking_pairs(query.instance, m) for m in goal_matchings(query)}
+    ]
+    if not keys:
+        return None
+    size, _, witness = min(keys, key=lambda k: k[:2])
+    return size, witness
 
 
 def outcome_at(found, budget):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 from itertools import combinations
 
@@ -6,13 +7,18 @@ import pytest
 
 from helpers import (
     candidate_actions,
+    count_blocking_scans,
     count_engine_calls,
     count_fixings_and_conversions,
+    goal_matchings,
+    listed_fewest_blockers,
     mutual_pair,
     outcome_at,
+    pairs_of,
     random_query,
     subset_search,
     three_cycle,
+    within,
 )
 from stablectl import control, exact
 from stablectl.classic import tan_stable_partition
@@ -31,7 +37,7 @@ from stablectl.control import (
 from stablectl.errors import CapExceededError, InternalError, InvalidQueryError
 from stablectl.exact import solve_exact
 from stablectl.generators import random_sm, random_sr
-from stablectl.model import MarketCore, delete_pairs, make_sr, pair
+from stablectl.model import MarketCore, delete_pairs, make_instance, make_sr, pair
 from stablectl.poly import solve_delacc_ms
 from stablectl.reductions import (
     clique_to_csm_addag,
@@ -372,9 +378,105 @@ def test_delacc_witness_is_the_first_fewest_blocking_set_in_candidate_order(seed
     q = random_query(inst, DELETE_ACCEPTABILITY, kind, seed)
     q = dataclasses.replace(q, budget=len(candidate_actions(q)))
     found = subset_search(q)
-    blocking_sets = {blocking_pairs(inst, m) for m in control.goal_matchings(q)}
+    blocking_sets = {blocking_pairs(inst, m) for m in goal_matchings(q)}
     assert found[0] >= 2 and sum(len(b) == found[0] for b in blocking_sets) >= 2
     assert solve_exact(q) == outcome_at(found, q.budget)
+
+
+def pairs_and_a_three_cycle(k):
+    """``k`` disjoint mutual pairs a_i-b_i plus the three-cycle x: y>z, y: z>x, z: x>y.
+
+    It has 4 * 2 ** k matchings, and its ``delacc-esm`` optimum is 1 with
+    witness {x,y}.  The pairs' agents sort apart (every ``a`` before every
+    ``b``), so deciding agents in index order leaves a pair's fate open
+    until its ``b`` agent's turn unless the bound reads it earlier.
+    """
+    prefs = {"x": ["y", "z"], "y": ["z", "x"], "z": ["x", "y"]}
+    for i in range(k):
+        prefs[f"a{i:02d}"], prefs[f"b{i:02d}"] = [f"b{i:02d}"], [f"a{i:02d}"]
+    return make_sr(prefs)
+
+
+# Blocking scans of the ``delacc-esm`` search on ``pairs_and_a_three_cycle(k)``,
+# k = 8..17; listing every matching makes 4 * 2 ** k.
+REACH_SCANS = [110, 132, 156, 182, 210, 240, 272, 306, 342, 380]
+
+
+def test_delacc_search_reaches_the_cap_in_scans_quadratic_in_k(monkeypatch):
+    # k = 17 is 20 candidate pairs, the default cap.
+    counts, scans = count_blocking_scans(monkeypatch), []
+    for k in range(8, 18):
+        q = ControlQuery(pairs_and_a_three_cycle(k), DELETE_ACCEPTABILITY, ControlGoal.esm(), 1)
+        assert len(candidate_actions(q)) == k + 3
+        counts["scans"] = 0
+        out = within(10, solve_exact, q)
+        assert out == ControlOutcome(verdict=True, optimum=1, witness=pairs_of(("x", "y")))
+        scans.append(counts["scans"])
+    assert scans == REACH_SCANS
+    assert all(s * 8 * 8 <= REACH_SCANS[0] * k * k for k, s in zip(range(8, 18), scans))
+
+
+def delacc_differential_markets():
+    """Seeded SR markets of 6-9 agents and SM markets of 3-5 per side with 11-20 acceptable pairs.
+
+    Every fourth market gets an agent ``zz`` that lists no one, so an
+    ``ma`` goal on it, and ``epsm`` on a market of odd size, asks for no
+    matching.
+    """
+    seed = 0
+    while True:
+        rng = random.Random(seed)
+        if seed % 2:
+            inst = random_sm(rng.randint(3, 5), rng.randint(3, 5), rng.choice([0.6, 0.8]), seed)
+        else:
+            inst = random_sr(rng.randint(6, 9), rng.choice([0.4, 0.5, 0.6]), seed)
+        if seed % 4 == 3:
+            side = {**inst.side, "zz": "a"} if inst.side else {}
+            inst = make_instance(inst.kind, {**inst.prefs, "zz": []}, side=side)
+        if 11 <= len(inst.acceptable_pairs) <= 20:
+            yield seed, inst
+        seed += 1
+
+
+def test_delacc_search_matches_the_listing_on_markets_past_the_subset_search():
+    # Verdict, optimum and witness equal the least blocking set of a goal
+    # matching in the listing, by size and then sorted candidate positions.
+    checked, seen, tied, unmet = 0, set(), set(), set()
+    for seed, inst in delacc_differential_markets():
+        queries = [random_query(inst, DELETE_ACCEPTABILITY, kind, seed) for kind in GOAL_KINDS]
+        if "zz" in inst.agents:
+            queries.append(ControlQuery(inst, DELETE_ACCEPTABILITY, ControlGoal.ma("zz"), 0))
+        for q in queries:
+            found = listed_fewest_blockers(q)
+            for budget in range(4):
+                assert solve_exact(dataclasses.replace(q, budget=budget)) == outcome_at(found, budget)
+            kind = q.goal.kind
+            seen.add((kind, inst.kind, found and found[0]))
+            if found is None:
+                unmet.add("odd epsm" if kind == "epsm" and len(inst.agents) % 2 else q.goal.agent)
+            elif len({b for m in goal_matchings(q) if len(b := blocking_pairs(inst, m)) == found[0]}) > 1:
+                tied.add(kind)
+            checked += 1
+        if checked >= 480:
+            break
+    assert {(kind, m) for kind, m, _ in seen} == {(k, m) for k in GOAL_KINDS for m in ("sr", "sm")}
+    assert {o for _, _, o in seen} >= {None, 0, 1, 2, 3}
+    assert tied >= {"esm", "ma", "mp", "epsm"}
+    assert {"odd epsm", "zz"} <= unmet
+
+
+def test_delacc_search_leaves_no_reference_cycle():
+    # Reference counting frees every search: the cyclic collector, which
+    # the benchmark's timed rounds turn off, finds nothing.
+    inst = pairs_and_a_three_cycle(6)
+    gc.collect()
+    gc.disable()
+    try:
+        outs = [solve_exact(random_query(inst, DELETE_ACCEPTABILITY, kind, 1)) for kind in GOAL_KINDS]
+        assert [o.optimum for o in outs] == [1, 1, 1, 1, None]  # ma, mp, ms, esm, epsm
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_delacc_search_runs_no_engine_and_tests_no_controlled_market(monkeypatch):
