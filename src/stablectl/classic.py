@@ -19,9 +19,9 @@ Five entry points, all on one partition engine:
   agents, as a :class:`PartitionDiagnosis` whose ``cost`` is 0 exactly
   when some stable matching matches all of them [Tan 1991, J. Algorithms
   12:154].  The existence goals of :mod:`stablectl.control` are this
-  cost.  :func:`diagnose_masked` and :func:`diagnose_fixed_instance`
-  take a mask of agents as core indices (:func:`index_mask`), masked on
-  the core as tails of -1, so that an agent-action search reads every
+  cost.  :func:`diagnose` and :func:`diagnose_fixed_instance` take a
+  mask of agents as core indices (:func:`index_mask`), masked on the
+  core as tails of -1, so that an agent-action search reads every
   subset it tries off the queried market's one core, with one pair
   fixing for the whole search.
 * :func:`pair_fixing_cost`: the fewest agent deletions that put a chosen
@@ -270,9 +270,12 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     1962, Amer. Math. Monthly 69:9].  The reviewers' lists are cut below
     the proposal each holds, but are left as they are otherwise, so the
     table is not a stable one and :meth:`_Table.run` is never called on
-    it.  A market whose core cannot be built, or with an agent that has no
-    ``a``/``b`` side label, raises :class:`InvalidInstanceError` with
-    :func:`~stablectl.model.validate`'s violations.
+    it.  A market whose core cannot be built, with an agent that has no
+    ``a``/``b`` side label, or where a proposer ends matched to an agent
+    of its own side, raises :class:`InvalidInstanceError` with
+    :func:`~stablectl.model.validate`'s violations.  Only the result is
+    checked, in O(n): a same-side entry that no proposer ends on goes
+    unseen, as testing every list would cost O(m) per call.
     """
     if inst.kind != SM:
         raise ValueError("gale_shapley needs a marriage instance")
@@ -287,7 +290,10 @@ def gale_shapley(inst: RoommatesInstance, proposing: str = "a") -> Matching:
     table = _Table(core, core.whole, proposers)
     table.stabilize()
     partner = table._assemble()
-    return frozenset(frozenset((names[i], names[partner[i]])) for i in proposers if partner[i] != i)
+    matched = [i for i in proposers if partner[i] != i]
+    if any(sides[partner[i]] == proposing for i in matched):
+        raise InvalidInstanceError(validate(inst))
+    return frozenset(frozenset((names[i], names[partner[i]])) for i in matched)
 
 
 # ---------------------------------------------------------------------------
@@ -673,32 +679,24 @@ def index_mask(core: MarketCore, agents: Iterable[AgentId]) -> frozenset:
         raise ValueError(f"{exc.args[0]} is not an agent of the instance") from None
 
 
-def diagnose(inst: RoommatesInstance, interested: Iterable[AgentId] = ()) -> PartitionDiagnosis:
-    """The stable partition of ``inst``, read for the ``interested`` agents.
+def diagnose(
+    inst: RoommatesInstance, interested: Iterable[int] = (), mask: Collection[int] = ()
+) -> PartitionDiagnosis:
+    """The stable partition of ``inst`` without ``mask``, read for ``interested``.
 
-    Its ``cost`` is 0 exactly when some stable matching matches every
-    interested agent: when the partition has no odd party and leaves none
-    of them alone [Tan 1991, J. Algorithms 12:154].  The run is on the
-    cached core of ``inst``.  An agent outside ``inst`` raises
-    ``ValueError``.
+    Both are core indices of ``inst`` (:func:`index_mask` converts names).
+    Its ``cost`` is 0 exactly when some stable matching of that market
+    matches every interested agent: when the partition has no odd party
+    and leaves none of them alone [Tan 1991, J. Algorithms 12:154].  The
+    run is on the cached core of ``inst``, with the agents of ``mask``
+    masked as tails of -1 (:func:`_diagnosis`), so it is the run on the
+    market that ``model.delete_agents`` would build, with each masked
+    agent added as a singleton: the survivors keep their relative order,
+    and an agent with an empty list never proposes or starts a rotation,
+    so the engine makes the same steps.  A masked agent is therefore never
+    worth being interested in.
     """
     core = inst.core
-    return _diagnosis(core, core.whole, index_mask(core, interested))
-
-
-def diagnose_masked(
-    core: MarketCore, interested: Iterable[int], mask: Collection[int]
-) -> PartitionDiagnosis:
-    """The stable partition of ``core``'s market without ``mask``, read for ``interested``.
-
-    Both are core indices.  The agents of ``mask`` are masked as tails of
-    -1 (:func:`_diagnosis`), so the run is the one on the market that
-    ``model.delete_agents`` would build, with each masked agent added as a
-    singleton: the survivors keep their relative order, and an agent with
-    an empty list never proposes or starts a rotation, so the engine makes
-    the same steps.  A masked agent is therefore never worth being
-    interested in.
-    """
     return _diagnosis(core, core.whole, interested, mask=mask)
 
 
@@ -830,7 +828,7 @@ def partner_fixings(inst: RoommatesInstance, agent: AgentId) -> Iterator[FixingC
     integer core of ``inst``.  That core is built before the first
     partner, so a market whose core cannot be built raises
     :class:`InvalidInstanceError` even for an agent with no partner, and
-    an agent outside ``inst`` raises ``ValueError``, as in :func:`diagnose`.
+    an agent outside ``inst`` raises ``ValueError``, as in :func:`index_mask`.
     """
     if agent not in inst.core.index:
         raise ValueError(f"{agent} is not an agent of the instance")
@@ -842,7 +840,7 @@ def diagnose_fixed_instance(ctx: FixingContext, mask: Collection[int] = ()) -> P
     """Run the engine on the fixed market without ``mask``, from the tails that fixing cut.
 
     The interested agents are those of the fixing's ``stars``.  The agents
-    of ``mask`` (core indices) are taken out as in :func:`diagnose_masked`
+    of ``mask`` (core indices) are taken out as in :func:`diagnose`
     (:func:`_diagnosis`), and each leaves its star, as it is not in the market
     to be matched.  That is exactly the fixing of the market without them: a
     masked agent's tail is -1 there already, so no cut of fixing moves it,

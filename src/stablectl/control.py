@@ -24,8 +24,8 @@ masks, sets of core indices of agents taken out of the market.  A search
 compiles it once and tests on it the mask of every agent-action set it
 tries (:func:`masked_agents`), with no controlled market built and no
 name converted per set; :func:`goal_holds` evaluates a goal on a
-controlled instance, or on an instance without some ``deleted`` agents,
-by the same test, except that it reads an ``ms`` goal on names
+controlled instance (:func:`apply_actions`) by the same test, except
+that it reads an ``ms`` goal on names
 (:func:`~stablectl.stability.is_stable`), apart from the core's blocking
 scan that the search uses.  Under acceptability deletion a goal is also
 the set of matchings of the queried market that it asks to be stable
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .classic import diagnose_fixed_instance, diagnose_masked, fixing_deletions, index_mask
+from .classic import diagnose, diagnose_fixed_instance, fixing_deletions, index_mask
 from .errors import InvalidQueryError
 from .model import (
     AgentId,
@@ -55,7 +55,7 @@ from .model import (
     induce_with_added,
     pair_text,
 )
-from .stability import check_matching, is_stable
+from .stability import blocking_pairs, check_matching, is_stable
 
 ADD_AGENTS = "addag"
 DELETE_AGENTS = "delag"
@@ -213,16 +213,6 @@ def apply_actions(query: ControlQuery, actions) -> RoommatesInstance:
     chosen = frozenset(actions)
     if not chosen <= action_universe(query):
         raise InvalidQueryError("action outside the candidate universe")
-    return exercise(query, chosen)
-
-
-def exercise(query: ControlQuery, chosen: frozenset) -> RoommatesInstance:
-    """The controlled instance after ``chosen``, a subset of :func:`action_universe`.
-
-    Unlike :func:`apply_actions` it does not check ``chosen`` against the
-    universe, so a search that draws every subset from that universe
-    derives each one without building the universe again.
-    """
     if query.action == ADD_AGENTS:
         return induce_with_added(query.instance, chosen)
     if query.action == DELETE_AGENTS:
@@ -238,11 +228,12 @@ def masked_agents(
     A set comes as its members' positions in ``candidates`` (agents of
     :func:`action_universe`), and its mask holds the core indices of the
     agents it takes out: the chosen agents under deletion, the unchosen
-    pool under addition.  :func:`exercise` removes exactly these agents and
-    keeps the order of every list left, so ``goal_test(query.instance,
-    goal)(mask(positions))`` is ``goal_holds(exercise(query, chosen),
-    goal)``.  Names are converted once, here.  ``None`` under
-    acceptability deletion, which removes pairs, not agents.
+    pool under addition.  :func:`apply_actions` removes exactly these
+    agents and keeps the order of every list left, so
+    ``goal_test(query.instance, goal)(mask(positions))`` is
+    ``goal_holds(apply_actions(query, chosen), goal)``.  Names are
+    converted once, here.  ``None`` under acceptability deletion, which
+    removes pairs, not agents.
     """
     if query.action == DELETE_ACCEPTABILITY:
         return None
@@ -270,12 +261,13 @@ def fewest_blocking_pairs(query: ControlQuery) -> tuple[Matching, frozenset] | N
 
     A depth-first branch and bound over partial matchings on the market's
     core; :mod:`stablectl.exact` gives the argument that its pruning keeps
-    that answer.  The goal sets the root: ``mp`` decides its target pair,
-    ``ms`` decides every agent from its target (so the root is the only
-    leaf), and ``epsm`` and ``ma`` mark the agents that must be matched.
-    Each node then decides the smallest undecided agent: each undecided
-    partner in its list order first, then unmatched, unless that agent
-    must be matched.  A node's blocking pairs are read by
+    that answer.  An ``ms`` target is the only matching its goal asks
+    for, so its blocking pairs (:func:`~stablectl.stability.blocking_pairs`)
+    are the answer.  Otherwise the goal sets the root: ``mp`` decides its
+    target pair, and ``epsm`` and ``ma`` mark the agents that must be
+    matched.  Each node then decides the smallest undecided agent: each
+    undecided partner in its list order first, then unmatched, unless
+    that agent must be matched.  A node's blocking pairs are read by
     :meth:`~stablectl.model.MarketCore.blocking` with each undecided agent
     bounded at its first undecided partner, the best it can still get,
     and a node where an agent that must be matched has no undecided
@@ -284,18 +276,14 @@ def fewest_blocking_pairs(query: ControlQuery) -> tuple[Matching, frozenset] | N
     the interpreter's recursion limit.
     """
     inst, goal = query.instance, query.goal
+    if goal.kind == "ms":
+        return goal.matching, blocking_pairs(inst, goal.matching)
     core = inst.core
     index, pref, mirror = core.index, core.pref, core.mirror
     n = len(pref)
     # ``mate[u]`` is -1 while ``u`` is undecided, ``u`` once it is left unmatched.
     mate, bound, must = [-1] * n, [0] * n, [goal.kind == "epsm"] * n
-    if goal.kind == "ms":
-        mate = list(range(n))
-        bound = [w + 1 for w in core.whole]
-        for u, v in check_matching(inst, goal.matching).items():
-            i, j = index[u], index[v]
-            mate[i], bound[i] = j, pref[i].index(j)
-    elif goal.kind == "mp":
+    if goal.kind == "mp":
         i, j = (index[u] for u in goal.pair)
         p = pref[i].index(j)
         mate[i], mate[j], bound[i], bound[j] = j, i, p, mirror[i][p]
@@ -374,29 +362,24 @@ def matching_meets_goal(inst: RoommatesInstance, goal: ControlGoal, matching: Ma
     raise InvalidQueryError(f"unknown goal {goal.kind!r}")
 
 
-def goal_holds(inst: RoommatesInstance, goal: ControlGoal, deleted: frozenset = frozenset()) -> bool:
-    """Evaluate a goal on a concrete instance ``inst`` without the ``deleted`` agents.
+def goal_holds(inst: RoommatesInstance, goal: ControlGoal) -> bool:
+    """Evaluate a goal on a concrete instance ``inst``.
 
-    ``goal_holds(inst, goal, deleted)`` is ``goal_holds(delete_agents(inst,
-    deleted), goal)``, read off ``inst`` itself.  Every goal but ``ms`` is
-    :func:`goal_test` of ``inst`` and ``goal``, asked about the mask of
-    ``deleted``, so each of those rules is stated there once, and a
-    deleted agent outside ``inst`` raises ``ValueError``.  An ``ms`` goal
-    is read on names instead, with the deleted agents skipped
-    (:func:`~stablectl.stability.is_stable`): the target's acceptable pairs
-    that avoid them must form a stable matching, which raises
-    ``ValueError`` when they are no matching (:func:`check_matching`).  It
-    builds no core, so the witness certificate of an ``ms`` search checks
-    the search's blocking scan against a second implementation.
+    Every goal but ``ms`` is :func:`goal_test` of ``inst`` and ``goal``,
+    asked about the empty mask, so each of those rules is stated there
+    once.  An ``ms`` goal is read on names instead
+    (:func:`~stablectl.stability.is_stable`): the target's acceptable
+    pairs must form a stable matching, which raises ``ValueError`` when
+    they are no matching (:func:`check_matching`).  It builds no core, so
+    the witness certificate of an ``ms`` search checks the search's
+    blocking scan against a second implementation.
     """
     if goal.kind != "ms":
-        return goal_test(inst, goal)(index_mask(inst.core, deleted))
+        return goal_test(inst, goal)(frozenset())
     if goal.matching is None:
         return False
-    kept = frozenset(
-        p for p in goal.matching if p.isdisjoint(deleted) and inst.is_acceptable_pair(p)
-    )
-    return is_stable(inst, kept, deleted_agents=deleted)
+    kept = frozenset(p for p in goal.matching if inst.is_acceptable_pair(p))
+    return is_stable(inst, kept)
 
 
 def _never(mask: frozenset) -> bool:
@@ -416,7 +399,7 @@ def goal_test(inst: RoommatesInstance, goal: ControlGoal) -> Callable[[frozenset
     masked target agent or endpoint makes it false under that mask.
 
     ``esm``, ``epsm`` and ``ma`` ask whether some stable matching of the
-    masked market (:func:`~stablectl.classic.diagnose_masked`) matches no
+    masked market (:func:`~stablectl.classic.diagnose`) matches no
     agent, every agent left, or the target agent
     (:attr:`~stablectl.classic.PartitionDiagnosis.matches_interested`).
     ``mp`` asks it for the agents the endpoints outrank, on the pair's
@@ -435,20 +418,20 @@ def goal_test(inst: RoommatesInstance, goal: ControlGoal) -> Callable[[frozenset
     """
     core = inst.core
     if goal.kind == "esm":
-        return lambda mask: diagnose_masked(core, (), mask).matches_interested
+        return lambda mask: diagnose(inst, (), mask).matches_interested
     if goal.kind == "epsm":
         everyone = frozenset(range(len(core.names)))
-        return lambda mask: diagnose_masked(core, everyone - mask, mask).matches_interested
+        return lambda mask: diagnose(inst, everyone - mask, mask).matches_interested
     if goal.kind == "ma":
         target = core.index.get(goal.agent)
         if target is None:
             return _never
         interested = (target,)
         return lambda mask: (
-            target not in mask and diagnose_masked(core, interested, mask).matches_interested
+            target not in mask and diagnose(inst, interested, mask).matches_interested
         )
     if goal.kind == "mp":
-        if goal.pair is None or not inst.is_acceptable_pair(goal.pair):
+        if not inst.is_acceptable_pair(goal.pair):
             return _never
         fixing = fixing_deletions(inst, *sorted(goal.pair))
         ends = index_mask(core, goal.pair)

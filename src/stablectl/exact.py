@@ -24,10 +24,12 @@ agent is never one the goal needs matched, and a pair fixing made once on
 the whole market is the fixing of every masked market once the masked
 tails are set to -1.  An ``ms`` goal is read by the core's blocking scan
 with each masked agent preferring no one.  The witness found is
-certified once on a real market: the one that exercising it builds,
-where the goal must hold too, or :class:`InternalError` is raised.  An
-``ms`` witness is certified there on names
-(:func:`~stablectl.stability.is_stable`), by code the search never runs.
+certified once on a real market: the one that
+:func:`~stablectl.control.apply_actions` builds from it, once it has
+checked that the witness lies in the action universe.  The goal must
+hold there too, or :class:`InternalError` is raised.  An ``ms`` witness
+is certified there on names (:func:`~stablectl.stability.is_stable`), by
+code the search never runs.
 
 Acceptability deletion searches matchings instead of pair sets, and
 reaches the same optimum and witness.  A pair set ``D`` makes a matching
@@ -96,7 +98,7 @@ from .control import (
     ControlOutcome,
     ControlQuery,
     action_universe,
-    exercise,
+    apply_actions,
     fewest_blocking_pairs,
     goal_holds,
     goal_test,
@@ -122,14 +124,15 @@ def _first_success(query: ControlQuery, candidates: list, mask, max_size: int):
     The goal is compiled once on the queried market and each set, given
     by its candidate positions, is tested as a mask on it (``mask``, from
     :func:`~stablectl.control.masked_agents`); the witness is certified
-    once on the market that exercising it builds.
+    once on the market that :func:`~stablectl.control.apply_actions`
+    builds from it, which also checks it against the action universe.
     """
     holds = goal_test(query.instance, query.goal)
     for size in range(0, max_size + 1):
         for combo in combinations(range(len(candidates)), size):
             if holds(mask(combo)):
                 chosen = frozenset(candidates[i] for i in combo)
-                if not goal_holds(exercise(query, chosen), query.goal):
+                if not goal_holds(apply_actions(query, chosen), query.goal):
                     raise InternalError("the witness meets the goal as a mask but not when exercised")
                 return size, chosen
     return None

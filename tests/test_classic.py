@@ -42,7 +42,6 @@ from stablectl.classic import (
     StablePartition,
     diagnose,
     diagnose_fixed_instance,
-    diagnose_masked,
     fixing_deletions,
     gale_shapley,
     index_mask,
@@ -97,6 +96,15 @@ def test_gs_rejects_a_market_the_engine_rejects(proposing):
         with pytest.raises(InvalidInstanceError) as info:
             fn(*args)
         assert info.value.violations == validate(inst)
+
+
+def test_gs_rejects_a_proposer_matched_within_its_own_side():
+    # m1 and m2 share side a and list each other first, so they would hold
+    # each other's proposals; the result names a pair inside one side.
+    inst = make_sm({"m1": ["m2", "w"], "m2": ["m1"], "w": ["m1"]}, {"m1": "a", "m2": "a", "w": "b"})
+    with pytest.raises(InvalidInstanceError) as info:
+        gale_shapley(inst, "a")
+    assert info.value.violations == validate(inst)
 
 
 @pytest.mark.parametrize("proposing", ["a", "b"])
@@ -197,14 +205,16 @@ def test_partition_of_unsolvable_four_agents():
 def test_diagnose_reads_the_whole_market_for_its_interested_agents():
     # a, b and c form an odd party and d is left alone.
     inst = four_agent_unsolvable()
+    core = inst.core
     assert diagnose(inst).cost == 1
-    assert diagnose(inst, ["a", "b"]).cost == 1
-    diag = diagnose(inst, ["d", "d"])
+    assert diagnose(inst, index_mask(core, ["a", "b"])).cost == 1
+    diag = diagnose(inst, index_mask(core, ["d", "d"]))
     assert diag.cost == 2 and diag.forbidden_singletons == {"d"}
     assert diag.partition == tan_stable_partition(inst)
-    assert diagnose(mutual_pair(), ["a", "b"]).cost == 0
+    pair_market = mutual_pair()
+    assert diagnose(pair_market, index_mask(pair_market.core, ["a", "b"])).cost == 0
     with pytest.raises(ValueError, match="^nobody is not an agent of the instance$"):
-        diagnose(inst, ["a", "nobody"])
+        diagnose(inst, index_mask(core, ["a", "nobody"]))
 
 
 def test_partition_successor_is_a_read_only_hashable_copy():
@@ -878,12 +888,11 @@ def test_engine_steps_match_step_digest(monkeypatch):
     digest = hashlib.sha256()
     for label, inst in _golden_corpus():
         rng = random.Random(label)
-        core = inst.core
         order = sorted(inst.agents)
         rng.shuffle(order)
         calls = [("whole", lambda: diagnose(inst)), ("order", lambda: tan_stable_partition(inst, order))]
         mask = frozenset(rng.sample(range(len(order)), len(order) // 5))
-        calls.append((f"mask {sorted(mask)}", lambda: diagnose_masked(core, (), mask)))
+        calls.append((f"mask {sorted(mask)}", lambda: diagnose(inst, (), mask)))
         pairs = sorted(tuple(sorted(p)) for p in inst.acceptable_pairs)
         for a, b in rng.sample(pairs, min(3, len(pairs))):
             ctx = fixing_deletions(inst, a, b)
@@ -921,8 +930,8 @@ def test_a_masked_run_is_the_run_on_the_market_without_the_deleted_agents():
         interested = [u for u in agents if u not in deleted and rng.random() < 0.5]
         core = inst.core
         mask = index_mask(core, deleted)
-        masked = diagnose_masked(core, index_mask(core, interested), mask)
-        plain = diagnose(smaller, interested)
+        masked = diagnose(inst, index_mask(core, interested), mask)
+        plain = diagnose(smaller, index_mask(smaller.core, interested))
         assert masked.cost == plain.cost
         alone = {u: u for u in deleted}
         assert dict(masked.partition.successor) == {**plain.partition.successor, **alone}

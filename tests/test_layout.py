@@ -29,6 +29,10 @@
   ``m.<module>.<name>``, directly or through a local alias such as
   ``C, P = m.classic, m.poly`` (``bench/workloads.py``, read with
   ``ast``), resolves on the package.
+* No public module-level function or class is kept for the tests alone:
+  each is read by name in some package module (its own or another),
+  exported in ``stablectl.__all__``, or named by the benchmark's tracer
+  or workloads.
 """
 
 from __future__ import annotations
@@ -283,3 +287,36 @@ def test_benchmark_workload_names_resolve():
         if obj is None:
             missing.append(".".join([module, *names]))
     assert missing == []
+
+
+def test_every_public_definition_has_a_user_outside_the_tests():
+    trees = modules()
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    exported = set(importlib.import_module("stablectl").__all__)
+    spans = ast.parse(SPANS.read_text(encoding="utf-8"))
+    [targets] = [
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    # The tracer and the workloads reach a definition through any module
+    # that imports it, so each name is resolved to the object it binds.
+    named = [(mod, fn) for mod, fn, _ in targets]
+    named += [chain[:2] for chain in workload_package_chains() if len(chain) > 1]
+    benched = {id(getattr(importlib.import_module(f"stablectl.{m}"), n)) for m, n in named}
+    unused = [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | exported
+        and id(getattr(importlib.import_module(f"stablectl.{name}"), node.name)) not in benched
+    ]
+    assert unused == []
